@@ -4,10 +4,9 @@
 //! survivors' lists.
 //!
 //! The same binary also measures the other phase-2 cost center this repo
-//! tracks: streaming throughput (edges/s) of the batched sparse-index
-//! engine against the serial dense-scan reference, at k = 32 and 128
-//! across a batch-size sweep, on a hub-skewed synthetic h2h stream
-//! (≥ 1M edges outside smoke mode).
+//! tracks: streaming throughput (edges/s) of the sparse-index engine
+//! against the serial dense-scan reference, at k = 32 and 128, on a
+//! hub-skewed synthetic h2h stream (≥ 1M edges outside smoke mode).
 
 use hep_bench::{banner, load_dataset};
 use hep_core::{stream_h2h, stream_h2h_serial};
@@ -66,9 +65,9 @@ fn main() {
     println!("{}", t.render());
     println!("(paper: < 0.5 everywhere, particularly low on web graphs)");
 
-    // Phase-2 streaming throughput: serial dense scan vs batched sparse
-    // engine, per batch size. Time only the stream call; the workload,
-    // seed sets and sink live outside the measured window.
+    // Phase-2 streaming throughput: serial dense scan vs sparse engine.
+    // Time only the stream call; the workload, seed sets and sink live
+    // outside the measured window.
     let m = if hep_bench::test_mode() { 20_000 } else { 1_500_000 };
     // Best-of-N timing: the CI container is shared, and single-shot
     // timings of either engine swing by ±10% run to run; the minimum over
@@ -76,7 +75,7 @@ fn main() {
     let reps = if hep_bench::test_mode() { 1 } else { 3 };
     let n = (m / 50).max(256) as u32;
     let (edges, degrees) = synth_h2h(n, m, 99);
-    let mut tp = Table::new(["k", "engine", "batch", "edges/s", "speedup vs serial"]);
+    let mut tp = Table::new(["k", "engine", "edges/s", "speedup vs serial"]);
     for k in [32u32, 128] {
         let (sets, sizes) = seeded_state(k, n);
         let mut best = f64::MAX;
@@ -100,39 +99,35 @@ fn main() {
         tp.row([
             k.to_string(),
             "serial".to_string(),
-            "-".to_string(),
             format!("{serial_eps:.0}"),
             "1.00".to_string(),
         ]);
-        for batch in [64usize, 1024, 8192, 65536] {
-            let mut best = f64::MAX;
-            for _ in 0..reps {
-                let (run_sets, run_sizes) = (sets.clone(), sizes.clone());
-                let mut sink = CountingSink::default();
-                let start = Instant::now();
-                stream_h2h(
-                    edges.iter().copied(),
-                    &degrees,
-                    run_sets,
-                    run_sizes,
-                    2 * m as u64,
-                    1.1,
-                    1.05,
-                    batch,
-                    &mut sink,
-                )
-                .expect("batched stream runs");
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            let eps = m as f64 / best;
-            tp.row([
-                k.to_string(),
-                "batched".to_string(),
-                batch.to_string(),
-                format!("{eps:.0}"),
-                format!("{:.2}", eps / serial_eps),
-            ]);
+        let mut best = f64::MAX;
+        for _ in 0..reps {
+            let (run_sets, run_sizes) = (sets.clone(), sizes.clone());
+            let mut sink = CountingSink::default();
+            let start = Instant::now();
+            stream_h2h(
+                edges.iter().copied(),
+                &degrees,
+                run_sets,
+                run_sizes,
+                2 * m as u64,
+                1.1,
+                1.05,
+                0,
+                &mut sink,
+            )
+            .expect("sparse stream runs");
+            best = best.min(start.elapsed().as_secs_f64());
         }
+        let eps = m as f64 / best;
+        tp.row([
+            k.to_string(),
+            "sparse".to_string(),
+            format!("{eps:.0}"),
+            format!("{:.2}", eps / serial_eps),
+        ]);
     }
     println!();
     println!("Phase-2 streaming throughput ({m} h2h edges, n = {n}):");

@@ -46,29 +46,27 @@ fn main() {
             best_serial = best_serial.min(t.elapsed().as_secs_f64());
         }
         let serial_eps = m as f64 / best_serial;
-        println!("k={k:3} serial        {serial_eps:>9.0} e/s");
-        for batch in [64usize, 1024] {
-            let mut best = f64::MAX;
-            for _ in 0..reps {
-                let (rs, rz) = (sets.clone(), sizes.clone());
-                let mut sink = CountingSink::default();
-                let t = Instant::now();
-                stream_h2h(
-                    edges.iter().copied(),
-                    &degrees,
-                    rs,
-                    rz,
-                    2 * m as u64,
-                    1.1,
-                    1.05,
-                    batch,
-                    &mut sink,
-                )
-                .unwrap();
-                best = best.min(t.elapsed().as_secs_f64());
-            }
-            let eps = m as f64 / best;
-            println!("k={k:3} batched {batch:>6} {eps:>9.0} e/s  {:.2}x", eps / serial_eps);
+        println!("k={k:3} serial {serial_eps:>9.0} e/s");
+        let mut best = f64::MAX;
+        for _ in 0..reps {
+            let (rs, rz) = (sets.clone(), sizes.clone());
+            let mut sink = CountingSink::default();
+            let t = Instant::now();
+            stream_h2h(
+                edges.iter().copied(),
+                &degrees,
+                rs,
+                rz,
+                2 * m as u64,
+                1.1,
+                1.05,
+                0,
+                &mut sink,
+            )
+            .unwrap();
+            best = best.min(t.elapsed().as_secs_f64());
         }
+        let eps = m as f64 / best;
+        println!("k={k:3} sparse {eps:>9.0} e/s  {:.2}x", eps / serial_eps);
     }
 }

@@ -67,16 +67,6 @@ pub struct HepConfig {
     /// only the cache behavior of phase 1's adjacency walks differs.
     /// Defaults to the `HEP_CSR_LAYOUT` environment variable when set.
     pub csr_layout: CsrLayout,
-    /// Edges per phase-2 streaming batch: each batch is scored in parallel
-    /// against a frozen replica snapshot and committed serially (see
-    /// `hep-core::streaming`). Output is **bit-identical at every batch
-    /// size and thread count**; the knob only trades buffer memory for
-    /// scoring parallelism. `0` (the default) lets the planner size the
-    /// batch from the memory budget
-    /// ([`crate::planner::plan_stream_batch`]). Defaults to the
-    /// `HEP_STREAM_BATCH` environment variable when set (`0`/`auto` for
-    /// planner-sized).
-    pub stream_batch: usize,
 }
 
 /// Placement of the per-vertex adjacency segments in the pruned CSR's
@@ -154,21 +144,6 @@ pub fn parse_byte_size(s: &str) -> Option<u64> {
     value.checked_mul(mult)
 }
 
-/// Ceiling on [`HepConfig::stream_batch`]: batches beyond 16 Mi edges buy
-/// no extra parallelism and make the per-batch buffers a memory liability.
-pub const MAX_STREAM_BATCH: usize = 1 << 24;
-
-/// `HEP_STREAM_BATCH` environment default, resolved once per process.
-/// `0` or `auto` (and unset) mean planner-sized.
-fn env_stream_batch() -> usize {
-    use std::sync::OnceLock;
-    static BATCH: OnceLock<usize> = OnceLock::new();
-    *BATCH.get_or_init(|| match env_registry::read("HEP_STREAM_BATCH").as_deref() {
-        Some("auto") | None => 0,
-        Some(v) => v.trim().parse::<usize>().unwrap_or(0),
-    })
-}
-
 /// `HEP_MEMORY_BUDGET` environment default, resolved once per process.
 fn env_memory_budget() -> Option<u64> {
     use std::sync::OnceLock;
@@ -192,7 +167,6 @@ impl Default for HepConfig {
             memory_budget_bytes: env_memory_budget(),
             io_mode: IoMode::from_env(),
             csr_layout: env_csr_layout(),
-            stream_batch: env_stream_batch(),
         }
     }
 }
@@ -240,12 +214,6 @@ impl HepConfig {
                 "memory_budget_bytes must be positive (use None for unbounded)".into(),
             ));
         }
-        if self.stream_batch > MAX_STREAM_BATCH {
-            return Err(hep_graph::GraphError::InvalidConfig(format!(
-                "stream_batch must be in 0..={MAX_STREAM_BATCH} (0 = planner-sized), got {}",
-                self.stream_batch
-            )));
-        }
         Ok(())
     }
 
@@ -286,11 +254,6 @@ mod tests {
         assert!(HepConfig { split_factor: 2048, ..Default::default() }.validate().is_err());
         assert!(HepConfig { refine_passes: 65, ..Default::default() }.validate().is_err());
         assert!(HepConfig { refine_passes: 0, ..Default::default() }.validate().is_ok());
-        assert!(HepConfig { stream_batch: MAX_STREAM_BATCH + 1, ..Default::default() }
-            .validate()
-            .is_err());
-        assert!(HepConfig { stream_batch: 0, ..Default::default() }.validate().is_ok());
-        assert!(HepConfig { stream_batch: 4096, ..Default::default() }.validate().is_ok());
         assert!(HepConfig::with_tau(1.0).validate().is_ok());
     }
 

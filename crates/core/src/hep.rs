@@ -8,7 +8,7 @@
 use crate::config::HepConfig;
 use crate::nepp::{run_nepp, NeppStats};
 use crate::nepp_par::run_nepp_par;
-use crate::planner::{estimate_stream_overhead_bytes, plan_ingest, plan_stream_batch, IngestPlan};
+use crate::planner::{estimate_stream_overhead_bytes, plan_ingest, IngestPlan};
 use crate::streaming::stream_h2h;
 use hep_graph::partitioner::check_inputs;
 use hep_graph::{
@@ -54,7 +54,7 @@ impl Drop for TempFileGuard {
 /// `HEP_IO_MODE` environment).
 ///
 /// `stream` extends the plan's peak accounting over phase 2: given the
-/// `(k, batch)` the driver will stream with, the planner charges
+/// partition count `k` the driver will stream with, the planner charges
 /// [`estimate_stream_overhead_bytes`] alongside the resident arrays
 /// (ROADMAP: "the phase-2 replica sets are unbudgeted" — no longer). Pass
 /// `None` to plan ingestion alone, the pre-phase-2 behavior.
@@ -63,15 +63,13 @@ pub fn ingest_file_budgeted(
     tau: f64,
     memory_budget_bytes: Option<u64>,
     io_mode: IoMode,
-    stream: Option<(u32, usize)>,
+    stream: Option<u32>,
     h2h_sink: impl FnMut(Edge),
 ) -> Result<(PrunedCsr, IngestPlan), GraphError> {
     let file = file.clone().with_io_mode(io_mode);
     let stats = file.degree_stats(tau)?;
-    let phase2_overhead = match stream {
-        Some((k, batch)) => estimate_stream_overhead_bytes(&stats.degrees, k, batch),
-        None => 0,
-    };
+    let phase2_overhead =
+        stream.map_or(0, |k| estimate_stream_overhead_bytes(&stats.degrees, k, 0));
     let plan =
         plan_ingest(&stats.degrees, stats.mean_degree, tau, memory_budget_bytes, phase2_overhead)?;
     // A degraded τ re-classifies from the degrees already in hand — no
@@ -144,18 +142,6 @@ impl Hep {
         Hep { config: HepConfig::with_tau(tau) }
     }
 
-    /// The phase-2 batch size this run streams with: the configured
-    /// [`HepConfig::stream_batch`] when set, else planner-sized from the
-    /// memory budget. Output is bit-identical at every batch size; only
-    /// buffer memory and scoring parallelism change.
-    fn stream_batch_for(&self, k: u32) -> usize {
-        if self.config.stream_batch > 0 {
-            self.config.stream_batch
-        } else {
-            plan_stream_batch(k, self.config.memory_budget_bytes)
-        }
-    }
-
     /// Runs both phases and returns the detailed report.
     pub fn partition_with_report(
         &self,
@@ -222,7 +208,7 @@ impl Hep {
             self.config.tau,
             self.config.memory_budget_bytes,
             self.config.io_mode,
-            Some((k, self.stream_batch_for(k))),
+            Some(k),
             |e| {
                 let r = writer
                     .write_all(&e.src.to_le_bytes())
@@ -310,7 +296,7 @@ impl Hep {
             total_edges,
             self.config.lambda,
             self.config.alpha,
-            self.stream_batch_for(k),
+            0,
             sink,
         );
         if let Some(err) = read_err {

@@ -132,33 +132,14 @@ pub fn estimate_refine_overhead_bytes(graph: &EdgeList, tau: f64, k: u32) -> u64
     index + owner + pools + queue
 }
 
-/// Default phase-2 batch when no memory budget constrains it: big enough
-/// to amortize the per-batch barrier, small enough that the worst-case
-/// shortlist buffers stay a few MiB at paper-scale k.
-pub const DEFAULT_STREAM_BATCH: usize = 8192;
-
-/// Sizes the phase-2 streaming batch (`HepConfig::stream_batch = 0`) from
-/// the memory budget: the per-edge batch state — two ⌈k/64⌉-word candidate
-/// bitmasks plus 24 B of per-edge metadata and the 8 B buffered edge — is
-/// held to at most a quarter of the budget (clamped to [64 KiB, 8 MiB] of
-/// buffer, batch to [64, 65536] edges). Output is batch-invariant, so this
-/// is purely a memory/parallelism trade.
-pub fn plan_stream_batch(k: u32, memory_budget_bytes: Option<u64>) -> usize {
-    let Some(budget) = memory_budget_bytes else {
-        return DEFAULT_STREAM_BATCH;
-    };
-    let target = (budget / 4).clamp(64 << 10, 8 << 20);
-    let per_edge = stream_batch_bytes_per_edge(k);
-    ((target / per_edge) as usize).clamp(64, 65536)
-}
-
-/// Heap bytes one buffered edge contributes to a batch: the edge itself
-/// (8), the scoring metadata (two f64 partial scores and flags: 24), up
-/// to two 4 B first-sighting list entries, and — worst case, when every
-/// endpoint of the batch is distinct — two ⌈k/64⌉-word candidate bitmasks
-/// in the per-vertex mask cache.
-fn stream_batch_bytes_per_edge(k: u32) -> u64 {
-    8 + 24 + 8 + 16 * (k.max(1) as u64).div_ceil(64)
+/// Phase-2 batch size. Phase 2 commits one edge at a time, so this always
+/// returns 1; it is kept only for callers written against the earlier
+/// batched engine, and its result means nothing to [`stream_h2h`] or
+/// [`estimate_stream_overhead_bytes`].
+///
+/// [`stream_h2h`]: crate::streaming::stream_h2h
+pub fn plan_stream_batch(_k: u32, _memory_budget_bytes: Option<u64>) -> usize {
+    1
 }
 
 /// Upper bound on the phase-2 streaming engine's working state beyond the
@@ -176,30 +157,27 @@ fn stream_batch_bytes_per_edge(k: u32) -> u64 {
 ///   (the seed cursor never revisits a vertex). The estimator therefore
 ///   charges `min(k, 3·min(d(v), k) + 1)` per row — like the refine index,
 ///   this **saturates in k**;
-/// * the per-vertex engine state: a 16 B record (batch-conflict stamp +
-///   live-mask arena slot) per vertex and the shared-endpoint bitset;
+/// * the per-vertex arena slot table (4 B per vertex);
 /// * the **live mask arena**: one ⌈k/64⌉-word candidate bitmask per
 ///   vertex the stream has touched — lazily grown, so the worst case
 ///   charged here (every vertex streamed) transposes the dense replica
 ///   sets' footprint, while the actual cost tracks the touched set;
 /// * the load tracker: the load vector plus its ordered `(load, part)` set;
-/// * the batch buffers at the planned batch size
-///   ([`stream_batch_bytes_per_edge`] per edge, worst case);
 /// * the final dense export: the k replica bitsets
 ///   [`hep_baselines::scoring::SparseReplicas::to_dense`] materializes for
 ///   the finish/metrics consumers while the index is still live.
-pub fn estimate_stream_overhead_bytes(degrees: &[u32], k: u32, batch: usize) -> u64 {
+///
+/// `_batch` is ignored (see [`plan_stream_batch`]).
+pub fn estimate_stream_overhead_bytes(degrees: &[u32], k: u32, _batch: usize) -> u64 {
     let n = degrees.len() as u64;
     let k64 = k.max(1) as u64;
     let entries: u64 = degrees.iter().map(|&d| (3 * d.min(k) as u64 + 1).min(k64)).sum();
     let index = 12 * n + 8 + 4 * entries;
-    let conflict = 16 * n + n.div_ceil(64) * 8;
+    let slots = 4 * n;
     let arena = 8 * k64.div_ceil(64) * n;
     let tracker = 56 * k64;
-    let buffers = batch.max(1) as u64 * stream_batch_bytes_per_edge(k);
-    let scratch = 16 * k64;
     let dense_export = k64 * (n.div_ceil(64) * 8);
-    index + conflict + arena + tracker + buffers + scratch + dense_export
+    index + slots + arena + tracker + dense_export
 }
 
 /// An ingestion plan under a memory budget: the τ and column-sweep count
@@ -270,8 +248,7 @@ pub fn ingest_peak_bytes(n: u64, column_entries: u64, sweeps: usize) -> u64 {
 /// arrays after the build, so the charged peak per candidate plan is
 /// `max(ingest peak, resident + phase2)`. Pass `0` to plan ingestion
 /// alone (the pre-phase-2 behavior). Sweeps and τ cannot shrink the
-/// phase-2 term — only the batch size can, which is why callers size the
-/// batch via [`plan_stream_batch`] *before* planning.
+/// phase-2 term.
 pub fn plan_ingest(
     degrees: &[u32],
     mean_degree: f64,
@@ -557,37 +534,25 @@ mod tests {
     }
 
     #[test]
-    fn stream_overhead_saturates_in_k_and_scales_with_batch() {
+    fn stream_overhead_saturates_in_k() {
         let g = graph();
         let degrees = g.degrees();
-        let at = |k, batch| estimate_stream_overhead_bytes(&degrees, k, batch);
-        assert!(at(32, 4096) > at(8, 4096), "more parts, larger rows and export sets");
-        assert!(at(32, 65536) > at(32, 64), "bigger batch, bigger buffers");
+        let at = |k| estimate_stream_overhead_bytes(&degrees, k, 0);
+        assert!(at(32) > at(8), "more parts, larger rows and export sets");
         // The index term saturates once k exceeds the 3·max_degree + 1 row
         // bound; only the k-proportional terms (dense export, mask arena,
-        // tracker, per-edge shortlist bound) keep growing — strictly slower
-        // than k x |V|.
+        // tracker) keep growing — strictly slower than k x |V|.
         let n = degrees.len() as u64;
         let max_d = degrees.iter().copied().max().unwrap() as u64;
         let sat = (3 * max_d + 1) as u32;
-        let dense_growth = at(2 * sat, 64) - at(sat, 64);
+        let dense_growth = at(2 * sat) - at(sat);
+        // Per extra part: one export bitset, one mask bit per vertex (plus
+        // one word of rounding per vertex), one tracker entry.
+        let per_part = n.div_ceil(64) * 8 + n.div_ceil(8) + 56;
         assert!(
-            dense_growth < sat as u64 * (n.div_ceil(64) * 8 + 16 * 64 + 56 + 17),
+            dense_growth <= sat as u64 * per_part + 8 * n,
             "index entries must stop growing once k exceeds the row bound"
         );
-    }
-
-    #[test]
-    fn stream_batch_plan_respects_budget_quarter() {
-        assert_eq!(plan_stream_batch(32, None), DEFAULT_STREAM_BATCH);
-        let b = plan_stream_batch(32, Some(6 << 20));
-        assert!((64..=65536).contains(&b));
-        // The planned batch's buffer bytes fit a quarter budget (k = 32:
-        // one mask word per endpoint).
-        assert!(b as u64 * (8 + 24 + 8 + 16) <= (6 << 20) / 4);
-        // Tighter budgets and larger k both shrink the batch (to the floor).
-        assert!(plan_stream_batch(128, Some(6 << 20)) <= b);
-        assert_eq!(plan_stream_batch(1 << 20, Some(1)), 64, "floor at 64 edges");
     }
 
     #[test]

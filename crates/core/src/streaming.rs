@@ -8,12 +8,12 @@
 //! streamed partial counts. This removes the "uninformed assignment problem"
 //! [47] for the early edges of the stream.
 //!
-//! # The batched engine
+//! # The sparse engine
 //!
-//! [`stream_h2h`] is a batched reformulation of the serial HDRF loop that is
-//! **bit-identical to [`stream_h2h_serial`] at any thread count and any
-//! batch size** (the repo invariant). Three layers (DESIGN.md §7 carries the
-//! full proof sketch):
+//! [`stream_h2h`] runs the serial HDRF loop one edge at a time, in input
+//! order, and is **bit-identical to [`stream_h2h_serial`]** (the dense
+//! reference kept as the oracle). It does less work per edge through three
+//! pieces of state (DESIGN.md §7 carries the proof sketch):
 //!
 //! 1. **Sparse replica index** — [`SparseReplicas`] keeps a sorted
 //!    per-vertex row of the partitions replicating it (capacity
@@ -22,27 +22,14 @@
 //!    `DenseBitset`s are consumed into the index up front and rebuilt once at
 //!    the end — phase 2 no longer holds k×|V| bits live for the whole
 //!    stream.
-//! 2. **Frozen-snapshot batches over a live mask arena** — each vertex the
-//!    stream touches gets a ⌈k/64⌉-word candidate *bitmask* (its replica
-//!    row re-encoded as set bits), built **once per stream** at first
-//!    sighting and kept in lockstep with the index by one word-OR per
-//!    commit. Edges are read in bounded batches and scored in parallel
-//!    chunks against the index as it stood at the batch boundary: one
-//!    pass freezes the masks of the batch's **distinct** endpoints (a
-//!    plain arena copy — no row walk) and one pass computes the
-//!    degree-derived partial scores `g(u), g(v)`. The commit loop then
-//!    walks the batch serially in input order, re-scoring each edge over
-//!    its endpoints' frozen masks with *live* loads — membership classes
-//!    are two AND/NOT word operations, membership tests one bit probe,
-//!    and a set mask bit proves a row insert would be a no-op, skipping
-//!    the index probe entirely. A frozen mask can only go stale if an
-//!    earlier edge of the same batch touched one of the endpoints; such
-//!    edges are detected up front (both endpoints of every batch edge
-//!    are epoch-stamped; second sightings land in a bitset probed
-//!    through the [`hep_ds::kernels`] `count_members` dispatch, resolved
-//!    once per stream) and fall back to re-masking from the live index. A
-//!    `debug_assertions` cross-check re-derives every commit decision
-//!    with a serial-style full k-scan.
+//! 2. **Live mask arena** — each vertex the stream touches gets a
+//!    ⌈k/64⌉-word candidate *bitmask* (its replica row re-encoded as set
+//!    bits), built **once per stream** at first sighting and kept equal to
+//!    the index row by one word-OR per commit. Membership classes are then
+//!    two AND/NOT word operations, membership tests one bit probe, and a
+//!    set mask bit proves a row insert would be a no-op, skipping the index
+//!    probe entirely. A `debug_assertions` cross-check re-derives every
+//!    commit decision with a serial-style full k-scan.
 //! 3. **O(candidates) balance argmax** — a [`LoadTracker`] keeps
 //!    `(load, part)` pairs in a sorted array with a position index (loads
 //!    only move by +1, so reordering is one binary search plus a short
@@ -67,48 +54,14 @@
 //! its own degree pass — returns the same typed
 //! [`GraphError::VertexOutOfRange`] every other ingestion layer reports.
 //! The partial assignment already emitted to the sink before the bad edge
-//! (including any earlier edges of the same batch) is the caller's to
-//! discard, exactly as in the serial stream.
+//! is the caller's to discard, exactly as in the serial stream.
 
 use hep_baselines::scoring::{capacity, ReplicaState, SparseReplicas, BAL_EPSILON};
-use hep_ds::kernels::{self, Kernel};
 use hep_ds::DenseBitset;
 use hep_graph::{AssignSink, Edge, GraphError, PartitionId};
 
-/// Fixed chunk size of the parallel batch-scoring pass. A constant (not
-/// derived from the thread count) so the chunk decomposition — and with it
-/// every per-chunk allocation pattern — is identical at any `HEP_THREADS`,
-/// mirroring refine's `PROPOSE_CHUNK`.
-const SCORE_CHUNK: usize = 1024;
-
-/// Edge flag: an endpoint is ≥ the vertex count (typed error at commit).
-const FLAG_INVALID: u32 = 1;
-/// Edge flag: an endpoint appears more than once in this batch, so the
-/// frozen masks may be stale — commit re-masks from the live index.
-const FLAG_SHARED: u32 = 2;
-
-/// Per-edge scoring result from the parallel pass.
-#[derive(Clone, Copy, Default)]
-struct EdgeScore {
-    /// HDRF replication rewards `g(u) = 1 + (1 − θ(u))`, `g(v)` likewise —
-    /// degree-derived, so valid regardless of batch conflicts.
-    g_u: f64,
-    g_v: f64,
-    flags: u32,
-}
-
 /// Sentinel arena slot: the vertex has not yet appeared in the stream.
 const NO_SLOT: u32 = u32::MAX;
-
-/// Per-vertex engine state, kept in one record so an endpoint lookup is a
-/// single cache-line fetch: the batch conflict stamp (epoch in the low
-/// word, the vertex's first-sighting slot in the high word) and the
-/// vertex's slot in the live mask arena ([`NO_SLOT`] until first touched).
-#[derive(Clone, Copy)]
-struct VertexState {
-    stamp: u64,
-    mslot: u32,
-}
 
 /// Re-encodes a sorted replica row as set bits (`part p` → word `p/64`,
 /// bit `p%64`). `mask` must be zeroed and cover `k` bits.
@@ -117,6 +70,26 @@ fn row_to_mask(row: &[u32], mask: &mut [u64]) {
     for &p in row {
         mask[(p >> 6) as usize] |= 1u64 << (p & 63);
     }
+}
+
+/// Arena offset of `x`'s live mask. On `x`'s first sighting in the stream
+/// this hands it the next slot and encodes its current index row.
+#[inline]
+fn mask_offset(
+    slots: &mut [u32],
+    arena: &mut Vec<u64>,
+    index: &SparseReplicas,
+    x: u32,
+    wpm: usize,
+) -> usize {
+    let slot = &mut slots[x as usize];
+    if *slot == NO_SLOT {
+        *slot = (arena.len() / wpm) as u32;
+        arena.resize(arena.len() + wpm, 0);
+        let a = arena.len() - wpm;
+        row_to_mask(index.parts_of(x), &mut arena[a..]);
+    }
+    *slot as usize * wpm
 }
 
 /// Partition loads with an ordered view: `by_load` holds `(load, part)`
@@ -271,6 +244,7 @@ fn pick_partition(
         let (w, bit) = ((p >> 6) as usize, p & 63);
         let c = ((mask_u[w] >> bit & 1) | (mask_v[w] >> bit & 1) << 1) as u32;
         if need & (1 << c) != 0 {
+            // hep-lint: allow(HL011) -- c is two mask bits, so c < 4 == cand.len()
             cand[c as usize] = (l, p);
             have |= 1 << c;
             need &= !(1 << c);
@@ -359,44 +333,6 @@ fn pick_serial_order(
     best.expect("min_load < cap guarantees an under-cap candidate").1
 }
 
-/// Parallel scoring of one chunk against the frozen snapshot: the
-/// degree-derived partial scores plus the validity/conflict flags. The
-/// candidate masks themselves live in the batch's per-*vertex* cache (built
-/// once per distinct endpoint, not once per edge), so this pass touches
-/// only the degree table and the conflict bitset. `kern` is the membership
-/// kernel, resolved once per stream so the per-edge conflict probe skips
-/// the runtime dispatch; `shared` is `None` when the batch stamped no
-/// duplicate endpoint (the probe would test an all-zero bitset).
-fn score_chunk(
-    edges: &[Edge],
-    shared: Option<&DenseBitset>,
-    degrees: &[u32],
-    n: u32,
-    kern: Kernel,
-    out: &mut [EdgeScore],
-) {
-    for (e, slot) in edges.iter().zip(out) {
-        if e.src.max(e.dst) >= n {
-            *slot = EdgeScore { g_u: 0.0, g_v: 0.0, flags: FLAG_INVALID };
-            continue;
-        }
-        let deg_u = degrees[e.src as usize] as u64;
-        let deg_v = degrees[e.dst as usize] as u64;
-        // θ normalized degrees; HDRF guards δ(u)+δ(v) > 0.
-        let dsum = (deg_u + deg_v).max(1) as f64;
-        let g_u = 1.0 + (1.0 - deg_u as f64 / dsum);
-        let g_v = 1.0 + (1.0 - deg_v as f64 / dsum);
-        let flags = if shared
-            .is_some_and(|s| kernels::count_members_with(kern, s.words(), &[e.src, e.dst]) != 0)
-        {
-            FLAG_SHARED
-        } else {
-            0
-        };
-        *slot = EdgeScore { g_u, g_v, flags };
-    }
-}
-
 /// Re-derives a commit decision with a serial-style full k-scan over the
 /// live sparse index — the debug enforcement of the shortlist-sufficiency
 /// proof obligation (DESIGN.md §7). Compiled out of release builds.
@@ -448,11 +384,9 @@ fn debug_check_full_scan(
 /// over the whole edge set, not just the streamed part). The edge source is
 /// an iterator so the externalized edge file never has to be materialized.
 ///
-/// `batch` bounds how many edges are buffered, scored in parallel against a
-/// frozen snapshot, and committed per round (`HEP_STREAM_BATCH`; callers
-/// normally size it via `planner::plan_stream_batch`). Output is
-/// bit-identical to [`stream_h2h_serial`] for every `batch ≥ 1` and every
-/// thread count — see the module docs and DESIGN.md §7.
+/// Output is bit-identical to [`stream_h2h_serial`] — see the module docs
+/// and DESIGN.md §7. `_batch` is ignored: edges are scored and committed
+/// one at a time.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_h2h<S: AssignSink + ?Sized>(
     h2h: impl IntoIterator<Item = Edge>,
@@ -462,46 +396,14 @@ pub fn stream_h2h<S: AssignSink + ?Sized>(
     total_edges: u64,
     lambda: f64,
     alpha: f64,
-    batch: usize,
+    _batch: usize,
     sink: &mut S,
-) -> Result<ReplicaState, GraphError> {
-    stream_h2h_with_inspect(
-        h2h,
-        degrees,
-        s_sets,
-        ne_sizes,
-        total_edges,
-        lambda,
-        alpha,
-        batch,
-        sink,
-        &mut |_, _| {},
-    )
-}
-
-/// [`stream_h2h`] with a per-batch probe: after each committed batch,
-/// `on_batch` receives the live sparse replica index and the partition
-/// loads. Test-battery hook (the "sparse agrees with dense after every
-/// batch" property); the engine itself never reads the probe.
-#[allow(clippy::too_many_arguments)]
-pub fn stream_h2h_with_inspect<S: AssignSink + ?Sized>(
-    h2h: impl IntoIterator<Item = Edge>,
-    degrees: &[u32],
-    s_sets: Vec<DenseBitset>,
-    ne_sizes: Vec<u64>,
-    total_edges: u64,
-    lambda: f64,
-    alpha: f64,
-    batch: usize,
-    sink: &mut S,
-    on_batch: &mut dyn FnMut(&SparseReplicas, &[u64]),
 ) -> Result<ReplicaState, GraphError> {
     assert_eq!(s_sets.len(), ne_sizes.len(), "one replica set per partition");
     assert!(!s_sets.is_empty(), "need k >= 1");
     let k = s_sets.len() as u32;
     let cap = capacity(total_edges, k, alpha);
     let n = degrees.len() as u32;
-    let batch = batch.max(1);
 
     // Consume the dense seed sets into the sparse index immediately: the
     // serial stream used to clone-and-hold all k DenseBitsets (k×|V| bits)
@@ -510,176 +412,60 @@ pub fn stream_h2h_with_inspect<S: AssignSink + ?Sized>(
     drop(s_sets);
     let mut tracker = LoadTracker::new(ne_sizes);
 
-    // Per-vertex stream state, one cache-line-friendly record per vertex:
-    // the batch conflict stamp — epoch in the low word, the vertex's slot
-    // in the batch's first-sighting order in the high word — and the
-    // vertex's live-mask arena slot. A second sighting within a batch
-    // (stamp epoch matches) marks the vertex shared. Cleanup is O(batch)
-    // (only touched bits are cleared), so small batches stay cheap.
-    let mut vstate: Vec<VertexState> =
-        vec![VertexState { stamp: 0, mslot: NO_SLOT }; degrees.len()];
-    let mut epoch: u32 = 0;
-    let mut shared = DenseBitset::new(degrees.len());
-
-    let mut iter = h2h.into_iter();
-    let mut buf: Vec<Edge> = Vec::with_capacity(batch.min(1 << 20));
-    let mut scores: Vec<EdgeScore> = Vec::with_capacity(batch.min(1 << 20));
-    // Candidate-mask geometry and the membership kernel, fixed per stream.
-    let wpm = (k as usize).div_ceil(64);
-    let kern = kernels::active();
-    // The per-batch frozen mask cache: one ⌈k/64⌉-word candidate mask per
-    // *distinct* endpoint (`fresh` lists them in first-sighting order),
-    // copied at the batch boundary from the live mask arena below.
-    let mut fresh: Vec<u32> = Vec::with_capacity(2 * batch.min(1 << 20));
-    let mut mask_cache: Vec<u64> = Vec::new();
     // Live candidate masks for every vertex the stream has touched: a
     // vertex's sparse row is encoded into mask form *once per stream* (at
-    // its first sighting) and kept current with one word-OR per commit —
-    // so freezing a batch snapshot is a plain copy instead of a row walk.
-    // The arena holds ⌈k/64⌉ words (k bits) per touched vertex; a touched
-    // row holds min(δ(v), k) u32 entries, so for any h2h endpoint with
-    // two or more replicas the mask is no larger than the row it mirrors.
+    // its first sighting, when `slots` hands it an arena slot) and kept
+    // equal to the row with one word-OR per commit. The arena holds
+    // ⌈k/64⌉ words (k bits) per touched vertex; a touched row holds
+    // min(δ(v), k) u32 entries, so for any h2h endpoint with two or more
+    // replicas the mask is no larger than the row it mirrors.
+    let wpm = (k as usize).div_ceil(64);
+    let mut slots: Vec<u32> = vec![NO_SLOT; degrees.len()];
     let mut arena: Vec<u64> = Vec::new();
-    // Re-masking buffer for conflict-flagged edges (u words, then v words).
-    let mut scratch: Vec<u64> = vec![0; 2 * wpm];
-
-    loop {
-        buf.clear();
-        buf.extend(iter.by_ref().take(batch));
-        if buf.is_empty() {
-            break;
+    for e in h2h {
+        let max = e.src.max(e.dst);
+        if max >= n {
+            return Err(GraphError::VertexOutOfRange { vertex: max, num_vertices: n });
         }
-        epoch = epoch.wrapping_add(1);
-        if epoch == 0 {
-            // Epoch wrapped: stamps from 2^32 batches ago could alias.
-            for v in &mut vstate {
-                v.stamp = 0;
-            }
-            epoch = 1;
-        }
-        let mut any_shared = false;
-        fresh.clear();
-        for e in &buf {
-            for x in [e.src, e.dst] {
-                if x < n {
-                    let vs = vstate[x as usize];
-                    if vs.stamp as u32 == epoch {
-                        shared.set(x);
-                        any_shared = true;
-                    } else {
-                        vstate[x as usize].stamp = u64::from(epoch) | ((fresh.len() as u64) << 32);
-                        fresh.push(x);
-                        if vs.mslot == NO_SLOT {
-                            // First sighting in the whole stream: encode
-                            // the row into its live mask once.
-                            vstate[x as usize].mslot = (arena.len() / wpm) as u32;
-                            arena.resize(arena.len() + wpm, 0);
-                            let a = arena.len() - wpm;
-                            row_to_mask(index.parts_of(x), &mut arena[a..]);
-                        }
-                    }
-                }
+        let au = mask_offset(&mut slots, &mut arena, &index, e.src, wpm);
+        let av = mask_offset(&mut slots, &mut arena, &index, e.dst, wpm);
+        let deg_u = degrees[e.src as usize] as u64;
+        let deg_v = degrees[e.dst as usize] as u64;
+        // θ normalized degrees; HDRF guards δ(u)+δ(v) > 0.
+        let dsum = (deg_u + deg_v).max(1) as f64;
+        let g_u = 1.0 + (1.0 - deg_u as f64 / dsum);
+        let g_v = 1.0 + (1.0 - deg_v as f64 / dsum);
+        let p = pick_partition(
+            &arena[au..au + wpm],
+            &arena[av..av + wpm],
+            &tracker,
+            g_u,
+            g_v,
+            lambda,
+            cap,
+        );
+        #[cfg(debug_assertions)]
+        debug_check_full_scan(&index, &tracker, e, g_u, g_v, lambda, cap, p);
+        // The live masks mirror the index rows exactly, so a set bit
+        // proves the endpoint is already replicated on `p` and the row
+        // insert can be skipped without touching the index.
+        let (w, bit) = ((p >> 6) as usize, 1u64 << (p & 63));
+        for (x, a) in [(e.src, au + w), (e.dst, av + w)] {
+            // hep-lint: allow(HL011) -- p < k, so w < wpm and a lies inside x's arena mask
+            let word = &mut arena[a];
+            if *word & bit == 0 {
+                index.add_replica(x, p);
+                *word |= bit;
             }
         }
-
-        // Parallel pass 1: freeze each distinct endpoint's candidate mask
-        // from the index as it stands at the batch boundary. Slots are
-        // disjoint fixed-stride sub-slices, so chunks write in place.
-        mask_cache.resize(fresh.len() * wpm, 0);
-        {
-            let arena_ref = &arena;
-            let vstate_ref = &vstate;
-            let fresh_ref = &fresh;
-            hep_par::par_chunks_mut(&mut mask_cache, SCORE_CHUNK * wpm, |ci, out| {
-                let base = ci * SCORE_CHUNK;
-                for (t, slot) in out.chunks_mut(wpm).enumerate() {
-                    let a = vstate_ref[fresh_ref[base + t] as usize].mslot as usize * wpm;
-                    slot.copy_from_slice(&arena_ref[a..a + wpm]);
-                }
-            });
-        }
-
-        // Parallel pass 2: per-edge partial scores and flags into the
-        // reusable flat buffer (chunks are disjoint fixed-stride slices).
-        // A batch with all-distinct endpoints skips the conflict probes
-        // outright — the shared bitset is known all-zero.
-        scores.resize(buf.len(), EdgeScore::default());
-        {
-            let shared_ref = if any_shared { Some(&shared) } else { None };
-            let buf_ref = &buf;
-            hep_par::par_chunks_mut(&mut scores, SCORE_CHUNK, |ci, out| {
-                let base = ci * SCORE_CHUNK;
-                score_chunk(&buf_ref[base..base + out.len()], shared_ref, degrees, n, kern, out);
-            });
-        }
-
-        // Serial pass: commit in input order with live loads.
-        let mut committed = Ok(());
-        for (&e, m) in buf.iter().zip(&scores) {
-            if m.flags & FLAG_INVALID != 0 {
-                committed =
-                    Err(GraphError::VertexOutOfRange { vertex: e.src.max(e.dst), num_vertices: n });
-                break;
-            }
-            let (vu, vv) = (vstate[e.src as usize], vstate[e.dst as usize]);
-            let (mask_u, mask_v) = if m.flags & FLAG_SHARED != 0 {
-                // An earlier edge of this batch touched an endpoint:
-                // the frozen masks may be stale — re-mask from the
-                // live index.
-                scratch.fill(0);
-                let (mu, mv) = scratch.split_at_mut(wpm);
-                row_to_mask(index.parts_of(e.src), mu);
-                row_to_mask(index.parts_of(e.dst), mv);
-                scratch.split_at(wpm)
-            } else {
-                // Frozen masks via the endpoints' stamp slots — valid
-                // because no earlier edge of this batch touched them.
-                let su = (vu.stamp >> 32) as usize;
-                let sv = (vv.stamp >> 32) as usize;
-                (&mask_cache[su * wpm..(su + 1) * wpm], &mask_cache[sv * wpm..(sv + 1) * wpm])
-            };
-            let p = pick_partition(mask_u, mask_v, &tracker, m.g_u, m.g_v, lambda, cap);
-            #[cfg(debug_assertions)]
-            debug_check_full_scan(&index, &tracker, e, m.g_u, m.g_v, lambda, cap, p);
-            // The live masks mirror the index rows exactly, so a set
-            // bit proves the endpoint is already replicated on `p` and
-            // the row insert can be skipped without touching the index.
-            let (w, bit) = ((p >> 6) as usize, 1u64 << (p & 63));
-            let au = vu.mslot as usize * wpm + w;
-            let av = vv.mslot as usize * wpm + w;
-            if arena[au] & bit == 0 {
-                index.add_replica(e.src, p);
-                arena[au] |= bit;
-            }
-            if arena[av] & bit == 0 {
-                index.add_replica(e.dst, p);
-                arena[av] |= bit;
-            }
-            tracker.increment(p);
-            sink.assign(e.src, e.dst, p);
-        }
-        // O(batch) cleanup of the shared bits regardless of outcome.
-        if any_shared {
-            for e in &buf {
-                if e.src < n {
-                    shared.clear(e.src);
-                }
-                if e.dst < n {
-                    shared.clear(e.dst);
-                }
-            }
-        }
-        committed?;
-        on_batch(&index, &tracker.loads);
-        if buf.len() < batch {
-            break; // iterator exhausted
-        }
+        tracker.increment(p);
+        sink.assign(e.src, e.dst, p);
     }
     Ok(ReplicaState::from_parts(index.to_dense(), tracker.loads))
 }
 
 /// The reference serial stream: one dense O(k) HDRF scan per edge over
-/// [`ReplicaState`], exactly as phase 2 ran before the batched engine. Kept
+/// [`ReplicaState`], exactly as phase 2 ran before the sparse engine. Kept
 /// as the bit-identity oracle for the determinism battery and the serial
 /// baseline of the phase-2 throughput bench.
 #[allow(clippy::too_many_arguments)]
@@ -733,7 +519,7 @@ mod tests {
         let degrees = vec![5u32; 10];
         let h2h = [Edge::new(3, 7)];
         let mut sink = CollectedAssignment::default();
-        stream_h2h(h2h.iter().copied(), &degrees, s_sets, sizes, 100, 1.1, 1.05, 8, &mut sink)
+        stream_h2h(h2h.iter().copied(), &degrees, s_sets, sizes, 100, 1.1, 1.05, 0, &mut sink)
             .unwrap();
         assert_eq!(sink.assignments, vec![(Edge::new(3, 7), 2)]);
     }
@@ -745,7 +531,7 @@ mod tests {
         let degrees = vec![2u32; 10];
         let h2h = [Edge::new(1, 2)];
         let mut sink = CollectedAssignment::default();
-        stream_h2h(h2h.iter().copied(), &degrees, s_sets, sizes, 100, 1.1, 1.05, 8, &mut sink)
+        stream_h2h(h2h.iter().copied(), &degrees, s_sets, sizes, 100, 1.1, 1.05, 0, &mut sink)
             .unwrap();
         assert_eq!(sink.assignments[0].1, 1);
     }
@@ -758,7 +544,7 @@ mod tests {
         let degrees = vec![3u32; 4];
         let h2h = [Edge::new(0, 1), Edge::new(2, 3)];
         let mut sink = CollectedAssignment::default();
-        stream_h2h(h2h.iter().copied(), &degrees, s_sets, sizes, 4, 1.1, 1.0, 8, &mut sink)
+        stream_h2h(h2h.iter().copied(), &degrees, s_sets, sizes, 4, 1.1, 1.0, 0, &mut sink)
             .unwrap();
         assert!(sink.assignments.iter().all(|&(_, p)| p == 1));
     }
@@ -770,7 +556,7 @@ mod tests {
         let h2h = [Edge::new(0, 1)];
         let mut sink = CollectedAssignment::default();
         let state =
-            stream_h2h(h2h.iter().copied(), &degrees, s_sets, sizes, 10, 1.1, 1.05, 8, &mut sink)
+            stream_h2h(h2h.iter().copied(), &degrees, s_sets, sizes, 10, 1.1, 1.05, 0, &mut sink)
                 .unwrap();
         let p = sink.assignments[0].1;
         assert!(state.is_replicated(0, p) && state.is_replicated(1, p));
@@ -806,7 +592,7 @@ mod tests {
         let degrees = vec![3u32; 4];
         let mut sink = CollectedAssignment::default();
         let err =
-            stream_h2h(h2h, &degrees, s_sets, sizes, 10, 1.1, 1.05, 8, &mut sink).unwrap_err();
+            stream_h2h(h2h, &degrees, s_sets, sizes, 10, 1.1, 1.05, 0, &mut sink).unwrap_err();
         assert!(
             matches!(err, hep_graph::GraphError::VertexOutOfRange { vertex: 9, num_vertices: 4 }),
             "got {err}"
@@ -816,8 +602,8 @@ mod tests {
         assert_eq!(sink.assignments.len(), 1);
     }
 
-    /// A deterministic hub-heavy h2h workload with duplicate endpoints in
-    /// close proximity (stresses the in-batch conflict fallback).
+    /// A deterministic hub-heavy h2h workload: hub endpoints recur
+    /// constantly, so replica rows grow and masks are updated in place.
     fn synth_stream(n: u32, m: usize, seed: u64) -> (Vec<Edge>, Vec<u32>) {
         let mut rng = hep_ds::SplitMix64::new(seed);
         let mut edges = Vec::with_capacity(m);
@@ -834,34 +620,23 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_matches_serial_at_every_batch_size() {
+    fn sparse_engine_matches_serial_oracle() {
+        // k = 65 gives multi-word masks whose second word holds one bit;
+        // k = 128 fills both words.
         let (edges, degrees) = synth_stream(200, 3_000, 7);
-        let k = 8;
-        let mut seed_sets: Vec<DenseBitset> =
-            (0..k).map(|_| DenseBitset::new(degrees.len())).collect();
-        let mut sizes = vec![0u64; k as usize];
-        // Seed a few replicas + uneven loads, like NE++ would.
-        for v in 0..40u32 {
-            seed_sets[(v % k) as usize].set(v);
-        }
-        for (p, s) in sizes.iter_mut().enumerate() {
-            *s = (p as u64) * 37;
-        }
-        let mut serial_sink = CollectedAssignment::default();
-        let serial = stream_h2h_serial(
-            edges.iter().copied(),
-            &degrees,
-            seed_sets.clone(),
-            sizes.clone(),
-            6_000,
-            1.1,
-            1.05,
-            &mut serial_sink,
-        )
-        .unwrap();
-        for batch in [1usize, 7, 64, 4096, 1 << 20] {
-            let mut sink = CollectedAssignment::default();
-            let state = stream_h2h(
+        for k in [8u32, 65, 128] {
+            let mut seed_sets: Vec<DenseBitset> =
+                (0..k).map(|_| DenseBitset::new(degrees.len())).collect();
+            let mut sizes = vec![0u64; k as usize];
+            // Seed a few replicas + uneven loads, like NE++ would.
+            for v in 0..40u32 {
+                seed_sets[(v % k) as usize].set(v);
+            }
+            for (p, s) in sizes.iter_mut().enumerate() {
+                *s = (p as u64) * 37;
+            }
+            let mut serial_sink = CollectedAssignment::default();
+            let serial = stream_h2h_serial(
                 edges.iter().copied(),
                 &degrees,
                 seed_sets.clone(),
@@ -869,72 +644,32 @@ mod tests {
                 6_000,
                 1.1,
                 1.05,
-                batch,
+                &mut serial_sink,
+            )
+            .unwrap();
+            let mut sink = CollectedAssignment::default();
+            let state = stream_h2h(
+                edges.iter().copied(),
+                &degrees,
+                seed_sets,
+                sizes,
+                6_000,
+                1.1,
+                1.05,
+                0,
                 &mut sink,
             )
             .unwrap();
-            assert_eq!(sink.assignments, serial_sink.assignments, "batch {batch}");
+            assert_eq!(sink.assignments, serial_sink.assignments, "k {k}");
             for p in 0..k {
-                assert_eq!(state.load(p), serial.load(p), "batch {batch} load {p}");
+                assert_eq!(state.load(p), serial.load(p), "k {k} load {p}");
                 assert_eq!(
                     state.replica_sets()[p as usize].words(),
                     serial.replica_sets()[p as usize].words(),
-                    "batch {batch} replicas {p}"
+                    "k {k} replicas {p}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn probe_sees_sparse_index_consistent_with_replayed_dense_state() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let (edges, degrees) = synth_stream(100, 500, 11);
-        let (seed_sets, sizes) = empty_state(4, 100);
-        // Capture assignments through a shared sink, replay them into a
-        // dense mirror inside the probe, and demand exact agreement every
-        // batch.
-        let log: Rc<RefCell<Vec<(u32, u32, u32)>>> = Rc::new(RefCell::new(Vec::new()));
-        let mut sink = {
-            let log = Rc::clone(&log);
-            move |u: u32, v: u32, p: u32| log.borrow_mut().push((u, v, p))
-        };
-        let mut replay = ReplicaState::new(4, 100);
-        let mut replayed = 0usize;
-        let mut batches = 0usize;
-        stream_h2h_with_inspect(
-            edges.iter().copied(),
-            &degrees,
-            seed_sets,
-            sizes,
-            1_000,
-            1.1,
-            1.05,
-            33,
-            &mut sink,
-            &mut |index, loads| {
-                batches += 1;
-                let assignments = log.borrow();
-                for &(u, v, p) in &assignments[replayed..] {
-                    replay.assign(u, v, p);
-                }
-                replayed = assignments.len();
-                for p in 0..4u32 {
-                    assert_eq!(loads[p as usize], replay.load(p), "loads diverge on part {p}");
-                }
-                for v in 0..100u32 {
-                    for p in 0..4u32 {
-                        assert_eq!(
-                            index.is_replicated(v, p),
-                            replay.is_replicated(v, p),
-                            "replica ({v}, {p}) diverges"
-                        );
-                    }
-                }
-            },
-        )
-        .unwrap();
-        assert!(batches == 500usize.div_ceil(33));
     }
 
     #[test]
@@ -959,7 +694,7 @@ mod tests {
         )
         .unwrap();
         let mut sink = CollectedAssignment::default();
-        stream_h2h(h2h.iter().copied(), &degrees, seed_sets, sizes, 6, 1.1, 1.0, 2, &mut sink)
+        stream_h2h(h2h.iter().copied(), &degrees, seed_sets, sizes, 6, 1.1, 1.0, 0, &mut sink)
             .unwrap();
         assert_eq!(sink.assignments, serial_sink.assignments);
         assert_eq!(sink.assignments[0].1, 1, "least-loaded, lowest id");
@@ -983,7 +718,7 @@ mod tests {
             u64::MAX,
             1.1,
             2.0,
-            1,
+            0,
             &mut sink,
         )
         .unwrap();

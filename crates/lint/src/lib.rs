@@ -1,8 +1,7 @@
 //! # hep-lint — workspace invariant linter
 //!
 //! The partitioner's headline guarantee is that its output is
-//! bit-identical at any thread count, instruction set, batch size or CSR
-//! layout. Most regressions against that guarantee are *structural*: a
+//! bit-identical at any thread count, instruction set or CSR layout. Most regressions against that guarantee are *structural*: a
 //! `HashMap` iteration whose order leaks into assignments, a wall-clock
 //! read steering a decision, an environment knob read outside the
 //! registry (and therefore missing from bench report provenance), an

@@ -19,8 +19,14 @@ use std::path::PathBuf;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// One measured region at a time: the peak counter is process-wide.
+/// The peak counter is process-wide, so each test holds this lock for its
+/// whole body: another test's set-up allocations (its graph, its
+/// `EdgeList`) must never land inside a measured region.
 static REGION: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn region() -> std::sync::MutexGuard<'static, ()> {
+    REGION.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 struct TempFileGuard(PathBuf);
 
@@ -42,19 +48,18 @@ fn write_file(graph: &EdgeList, name: &str) -> (BinaryEdgeFile, TempFileGuard) {
 /// allocator. Returns the built CSR, the executed plan, the h2h count, and
 /// the measured peak heap in bytes. The buffered backend is the
 /// conservative one to track: its pass buffers live on the heap, where
-/// mmap pages would be invisible to the allocator.
+/// mmap pages would be invisible to the allocator. The caller holds
+/// [`region`].
 fn measured_ingest(
     file: &BinaryEdgeFile,
     tau: f64,
     budget: Option<u64>,
 ) -> (PrunedCsr, IngestPlan, u64, u64) {
-    let guard = REGION.lock().unwrap_or_else(|p| p.into_inner());
     alloc_track::reset_peak();
     let baseline = alloc_track::current_bytes();
     let mut h2h = 0u64;
     let result = ingest_file_budgeted(file, tau, budget, IoMode::Buffered, None, |_| h2h += 1);
     let peak = alloc_track::peak_bytes().saturating_sub(baseline) as u64;
-    drop(guard);
     let (csr, plan) = result.unwrap();
     (csr, plan, h2h, peak)
 }
@@ -64,6 +69,7 @@ fn measured_ingest(
 /// the unbounded one.
 #[test]
 fn peak_ingestion_within_estimate_within_budget_across_scales() {
+    let _region = region();
     let tau = 10.0;
     for (n, m, seed) in [(2_000u32, 16_000u64, 1u64), (20_000, 160_000, 2)] {
         let g = hep::gen::GraphSpec::ChungLu { n, m, gamma: 2.2 }.generate(seed);
@@ -107,6 +113,7 @@ fn peak_ingestion_within_estimate_within_budget_across_scales() {
 /// the measured peak still honors both the estimate and the budget.
 #[test]
 fn tau_degrades_rather_than_exceeding_budget() {
+    let _region = region();
     let requested = 100.0;
     let g = hep::gen::GraphSpec::ChungLu { n: 3_000, m: 24_000, gamma: 2.2 }.generate(3);
     let (file, _guard) = write_file(&g, "degrade");
@@ -131,9 +138,9 @@ fn tau_degrades_rather_than_exceeding_budget() {
     assert_eq!(csr.num_inmem_edges() + h2h, g.num_edges(), "coverage must survive degradation");
 }
 
-/// The phase-2 companion bound: the batched streaming engine's measured
-/// peak heap — the sparse replica index, the conflict detector, the load
-/// tracker, the batch buffers, and the final dense export — stays under
+/// The phase-2 companion bound: the streaming engine's measured peak heap
+/// — the sparse replica index, the mask slot table and arena, the load
+/// tracker, and the final dense export — stays under
 /// [`estimate_stream_overhead_bytes`], the term `plan_ingest` charges
 /// against the budget. The h2h workload, degree table, and seed sets are
 /// built outside the measured region (the engine *consumes* the seed sets;
@@ -141,9 +148,9 @@ fn tau_degrades_rather_than_exceeding_budget() {
 /// is a counting closure so no assignment storage muddies the measurement.
 #[test]
 fn stream_engine_peak_stays_within_planner_estimate() {
+    let _region = region();
     let n = 10_000u32;
     let m = 50_000usize;
-    let k = 32u32;
     let mut rng = hep::ds::SplitMix64::new(17);
     let mut edges = Vec::with_capacity(m);
     let mut degrees = vec![0u32; n as usize];
@@ -155,21 +162,20 @@ fn stream_engine_peak_stays_within_planner_estimate() {
         degrees[a as usize] += 1;
         degrees[b as usize] += 1;
     }
-    let mut seed_sets: Vec<hep::ds::DenseBitset> =
-        (0..k).map(|_| hep::ds::DenseBitset::new(n as usize)).collect();
-    let mut sizes = vec![0u64; k as usize];
-    for v in 0..2_000u32 {
-        seed_sets[(v % k) as usize].set(v);
-    }
-    for (p, s) in sizes.iter_mut().enumerate() {
-        *s = (p as u64) * 11;
-    }
-    for batch in [64usize, 4096] {
-        let estimate = estimate_stream_overhead_bytes(&degrees, k, batch);
-        // Clone the consumed inputs outside the measured region: the
-        // estimate covers the engine's own state, not its seed sets.
-        let (run_sets, run_sizes) = (seed_sets.clone(), sizes.clone());
-        let guard = REGION.lock().unwrap_or_else(|p| p.into_inner());
+    for k in [32u32, 128] {
+        let mut seed_sets: Vec<hep::ds::DenseBitset> =
+            (0..k).map(|_| hep::ds::DenseBitset::new(n as usize)).collect();
+        let mut sizes = vec![0u64; k as usize];
+        for v in 0..2_000u32 {
+            seed_sets[(v % k) as usize].set(v);
+        }
+        for (p, s) in sizes.iter_mut().enumerate() {
+            *s = (p as u64) * 11;
+        }
+        let estimate = estimate_stream_overhead_bytes(&degrees, k, 0);
+        // The seed sets and sizes are built outside the measured region:
+        // the estimate covers the engine's own state, not its inputs.
+        let seeded_load: u64 = sizes.iter().sum();
         alloc_track::reset_peak();
         let baseline = alloc_track::current_bytes();
         let mut assigned = 0u64;
@@ -177,26 +183,19 @@ fn stream_engine_peak_stays_within_planner_estimate() {
         let result = stream_h2h(
             edges.iter().copied(),
             &degrees,
-            run_sets,
-            run_sizes,
+            seed_sets,
+            sizes,
             2 * m as u64,
             1.1,
             1.05,
-            batch,
+            0,
             &mut sink,
         );
         let peak = alloc_track::peak_bytes().saturating_sub(baseline) as u64;
-        drop(guard);
         let state = result.unwrap();
         assert_eq!(assigned, m as u64);
-        assert_eq!(
-            (0..k).map(|p| state.load(p)).sum::<u64>(),
-            m as u64 + sizes.iter().sum::<u64>()
-        );
-        assert!(
-            peak <= estimate,
-            "batch {batch}: stream peak {peak} exceeds planner estimate {estimate}"
-        );
+        assert_eq!((0..k).map(|p| state.load(p)).sum::<u64>(), m as u64 + seeded_load);
+        assert!(peak <= estimate, "k {k}: stream peak {peak} exceeds planner estimate {estimate}");
     }
 }
 
@@ -206,6 +205,7 @@ fn stream_engine_peak_stays_within_planner_estimate() {
 /// promise that memory is bounded by the *retained* structure, not |E|.
 #[test]
 fn ingests_graph_whose_edge_list_exceeds_the_budget() {
+    let _region = region();
     // A dense hub clique (all h2h at τ=1: every hub is far above the mean
     // degree) plus degree-1 spokes that keep the mean low.
     let hubs: u32 = 1_500;
