@@ -4,7 +4,7 @@
 //! survivors' lists.
 //!
 //! The same binary also measures the other phase-2 cost center this repo
-//! tracks: streaming throughput (edges/s) of the sparse-index engine
+//! tracks: streaming throughput (edges/s) of the mask-table engine
 //! against the serial dense-scan reference, at k = 32 and 128, on a
 //! hub-skewed synthetic h2h stream (≥ 1M edges outside smoke mode).
 
@@ -65,7 +65,7 @@ fn main() {
     println!("{}", t.render());
     println!("(paper: < 0.5 everywhere, particularly low on web graphs)");
 
-    // Phase-2 streaming throughput: serial dense scan vs sparse engine.
+    // Phase-2 streaming throughput: serial dense scan vs mask-table engine.
     // Time only the stream call; the workload, seed sets and sink live
     // outside the measured window.
     let m = if hep_bench::test_mode() { 20_000 } else { 1_500_000 };
@@ -118,13 +118,13 @@ fn main() {
                 0,
                 &mut sink,
             )
-            .expect("sparse stream runs");
+            .expect("table stream runs");
             best = best.min(start.elapsed().as_secs_f64());
         }
         let eps = m as f64 / best;
         tp.row([
             k.to_string(),
-            "sparse".to_string(),
+            "table".to_string(),
             format!("{eps:.0}"),
             format!("{:.2}", eps / serial_eps),
         ]);

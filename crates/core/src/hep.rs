@@ -246,7 +246,6 @@ impl Hep {
         let h2h_path = guard.0.clone();
         let num_vertices = csr.num_vertices();
         let total_edges = csr.num_edges_total();
-        let degrees = csr.stats().degrees.clone();
         let mean_degree = csr.stats().mean_degree;
         let h2h_edges = csr.num_h2h_edges();
         let inmem_edges = csr.num_inmem_edges();
@@ -281,6 +280,7 @@ impl Hep {
         // Ablation switch (§3.3): informed streaming starts from NE++'s
         // secondary sets and loads; uninformed starts cold like plain HDRF.
         let informed = self.config.informed_streaming;
+        let degrees = nepp.degrees;
         let ne_sizes = nepp.sizes.clone();
         let (seed_sets, seed_sizes) = if informed {
             (nepp.s_sets, nepp.sizes)

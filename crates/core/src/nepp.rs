@@ -108,6 +108,9 @@ pub struct NeppResult {
     pub s_sets: Vec<DenseBitset>,
     /// Edges placed on each partition by the in-memory phase.
     pub sizes: Vec<u64>,
+    /// Full degree per vertex, moved out of the consumed CSR for the
+    /// streaming phase's HDRF scores.
+    pub degrees: Vec<u32>,
     /// Run statistics.
     pub stats: NeppStats,
     /// Column-array access trace (word indices), when requested.
@@ -534,6 +537,7 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
         NeppResult {
             s_sets: self.s_sets,
             sizes: self.sizes,
+            degrees: self.csr.into_degrees(),
             stats: self.stats,
             trace: self.trace,
             cleanup_seconds: self.cleanup_seconds,
@@ -553,6 +557,7 @@ mod tests {
         let h2h = csr.h2h_edges().to_vec();
         let mut sink = CollectedAssignment::default();
         let result = run_nepp(csr, k, &HepConfig::with_tau(tau), &mut sink);
+        assert_eq!(result.degrees, graph.degrees(), "degree table handed to phase 2");
         (sink, result, h2h)
     }
 

@@ -781,7 +781,14 @@ pub fn run_nepp_par<S: AssignSink + ?Sized>(
         stats.secondary_only_count += 1;
         stats.secondary_only_degree_sum += csr.stats().degree(v) as u64;
     }
-    NeppResult { s_sets, sizes: part_sizes, stats, trace: None, cleanup_seconds: pack_seconds }
+    NeppResult {
+        s_sets,
+        sizes: part_sizes,
+        degrees: csr.into_degrees(),
+        stats,
+        trace: None,
+        cleanup_seconds: pack_seconds,
+    }
 }
 
 #[cfg(test)]
@@ -802,6 +809,7 @@ mod tests {
         let mut sink = CollectedAssignment::default();
         let config = HepConfig { split_factor: split, ..HepConfig::with_tau(tau) };
         let result = run_nepp_par(csr, k, &config, &mut sink);
+        assert_eq!(result.degrees, graph.degrees(), "degree table handed to phase 2");
         (sink, result, h2h)
     }
 

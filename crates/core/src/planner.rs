@@ -144,40 +144,46 @@ pub fn plan_stream_batch(_k: u32, _memory_budget_bytes: Option<u64>) -> usize {
 
 /// Upper bound on the phase-2 streaming engine's working state beyond the
 /// seed sets it consumes (`tests/ingest_memory.rs` pins measured peak ≤
-/// this estimate):
+/// this estimate).
 ///
-/// * the **sparse replica index**: per-vertex sorted partition rows of
-///   capacity `min(k, seeds(v) + min(d(v), k))`, 4 B per entry plus 12 B per
-///   vertex of row bookkeeping. Streaming replicates `v` on at most one new
-///   partition per incident h2h edge, bounding post-seed growth by
-///   `min(d(v), k)`. Seed membership is bounded by `2·min(d(v), k) + 1`:
-///   every secondary-set admission is charged to an in-memory edge incident
-///   to `v` assigned at that moment (the scanning partition, plus at most
-///   one spill target per edge), except a single possible dead-seed entry
-///   (the seed cursor never revisits a vertex). The estimator therefore
-///   charges `min(k, 3·min(d(v), k) + 1)` per row — like the refine index,
-///   this **saturates in k**;
-/// * the per-vertex arena slot table (4 B per vertex);
-/// * the **live mask arena**: one ⌈k/64⌉-word candidate bitmask per
-///   vertex the stream has touched — lazily grown, so the worst case
-///   charged here (every vertex streamed) transposes the dense replica
-///   sets' footprint, while the actual cost tracks the touched set;
-/// * the load tracker: the load vector plus its ordered `(load, part)` set;
-/// * the final dense export: the k replica bitsets
-///   [`hep_baselines::scoring::SparseReplicas::to_dense`] materializes for
-///   the finish/metrics consumers while the index is still live.
+/// Terms the engine ([`stream_h2h`]) uses:
+///
+/// * the **replica-mask table**: ⌈k/64⌉ words per vertex, live for the
+///   whole stream;
+/// * the **load tracker**: the load vector and the bucket levels (8 B per
+///   part each, inside the 56 B per part charged), plus the bucket member
+///   masks, `8·k·⌈k/64⌉` bytes — allocated for k buckets up front, so the
+///   bound holds even when k ≫ |V|;
+/// * the **final dense export**: the k replica bitsets the table is
+///   transposed back into while it is still live.
+///
+/// Terms kept as headroom: the sparse replica index the engine used to
+/// keep (`12·|V| + 8` bytes plus 4 B per row entry, each row charged
+/// `min(k, 3·min(d(v), k) + 1)` entries) and its 4 B per vertex slot
+/// table. The engine allocates neither. Dropping them would give the
+/// honest estimate — 11.9 MiB on the `web-budget` benchmark workload
+/// (|V| = 1.04M, k = 32) against 123.1 MiB with them — and would let the
+/// quality-first planner keep τ = 10 under that workload's 200 MiB budget
+/// instead of degrading to τ = 1.25. Measured once on a 2-vCPU host, that
+/// plan gave RF 2.00 instead of 2.27 and balance 1.00 instead of 1.05, but
+/// peak heap 98.2 MiB instead of 59.4 MiB and `partition_s` 2.78 s
+/// instead of about 2.1 s. Trading run time and peak memory for RF is a
+/// planner-policy decision, so the headroom stays until that decision is
+/// made.
 ///
 /// `_batch` is ignored (see [`plan_stream_batch`]).
+///
+/// [`stream_h2h`]: crate::streaming::stream_h2h
 pub fn estimate_stream_overhead_bytes(degrees: &[u32], k: u32, _batch: usize) -> u64 {
     let n = degrees.len() as u64;
     let k64 = k.max(1) as u64;
-    let entries: u64 = degrees.iter().map(|&d| (3 * d.min(k) as u64 + 1).min(k64)).sum();
-    let index = 12 * n + 8 + 4 * entries;
-    let slots = 4 * n;
-    let arena = 8 * k64.div_ceil(64) * n;
-    let tracker = 56 * k64;
+    let wpm = k64.div_ceil(64);
+    let table = 8 * wpm * n;
+    let tracker = 56 * k64 + 8 * k64 * wpm;
     let dense_export = k64 * (n.div_ceil(64) * 8);
-    index + slots + arena + tracker + dense_export
+    let entries: u64 = degrees.iter().map(|&d| (3 * d.min(k) as u64 + 1).min(k64)).sum();
+    let headroom = 12 * n + 8 + 4 * entries + 4 * n;
+    table + tracker + dense_export + headroom
 }
 
 /// An ingestion plan under a memory budget: the τ and column-sweep count
@@ -538,21 +544,44 @@ mod tests {
         let g = graph();
         let degrees = g.degrees();
         let at = |k| estimate_stream_overhead_bytes(&degrees, k, 0);
-        assert!(at(32) > at(8), "more parts, larger rows and export sets");
-        // The index term saturates once k exceeds the 3·max_degree + 1 row
-        // bound; only the k-proportional terms (dense export, mask arena,
-        // tracker) keep growing — strictly slower than k x |V|.
+        assert!(at(32) > at(8), "more parts, wider rows and export sets");
+        // The headroom's row entries saturate once k exceeds the
+        // 3·max_degree + 1 row bound; only the k-proportional terms (dense
+        // export, table rows, tracker) keep growing — strictly slower than
+        // k x |V|.
         let n = degrees.len() as u64;
         let max_d = degrees.iter().copied().max().unwrap() as u64;
         let sat = (3 * max_d + 1) as u32;
         let dense_growth = at(2 * sat) - at(sat);
-        // Per extra part: one export bitset, one mask bit per vertex (plus
-        // one word of rounding per vertex), one tracker entry.
-        let per_part = n.div_ceil(64) * 8 + n.div_ceil(8) + 56;
+        // Per extra part: one export bitset, one table bit per vertex (plus
+        // one word of rounding per vertex), one tracker entry and its
+        // bucket mask.
+        let wpm = (2 * sat as u64).div_ceil(64);
+        let per_part = n.div_ceil(64) * 8 + n.div_ceil(8) + 56 + 16 * wpm;
         assert!(
             dense_growth <= sat as u64 * per_part + 8 * n,
-            "index entries must stop growing once k exceeds the row bound"
+            "row entries must stop growing once k exceeds the row bound"
         );
+    }
+
+    #[test]
+    fn stream_overhead_covers_the_table_engine() {
+        // What the engine allocates beyond its inputs: the mask table, the
+        // load vector, bucket levels and bucket masks (sized for k
+        // buckets), and the k dense bitsets of the final export with their
+        // 32 B headers — including k > |V|, where the buckets outweigh the
+        // table.
+        for n in [1u64, 3, 100, 5_000] {
+            for k in [1u32, 2, 63, 64, 65, 128, 1_000, 4_096] {
+                let degrees = vec![1u32; n as usize];
+                let wpm = (k as u64).div_ceil(64);
+                let table = 8 * wpm * n;
+                let buckets = 16 * k as u64 + 8 * k as u64 * wpm;
+                let export = k as u64 * (32 + n.div_ceil(64) * 8);
+                let estimate = estimate_stream_overhead_bytes(&degrees, k, 0);
+                assert!(estimate >= table + buckets + export, "|V| {n}, k {k}: {estimate}");
+            }
+        }
     }
 
     #[test]

@@ -8,45 +8,37 @@
 //! streamed partial counts. This removes the "uninformed assignment problem"
 //! [47] for the early edges of the stream.
 //!
-//! # The sparse engine
+//! # The mask-table engine
 //!
 //! [`stream_h2h`] runs the serial HDRF loop one edge at a time, in input
 //! order, and is **bit-identical to [`stream_h2h_serial`]** (the dense
-//! reference kept as the oracle). It does less work per edge through three
-//! pieces of state (DESIGN.md §7 carries the proof sketch):
+//! reference kept as the oracle). It does less work per edge through two
+//! plain structures (DESIGN.md §7 carries the proof sketch):
 //!
-//! 1. **Sparse replica index** — [`SparseReplicas`] keeps a sorted
-//!    per-vertex row of the partitions replicating it (capacity
-//!    `min(degree, k)`), so scoring an edge touches only `r(u) ∪ r(v)` plus
-//!    one zero-replica candidate instead of all k dense bitsets. The k
-//!    `DenseBitset`s are consumed into the index up front and rebuilt once at
-//!    the end — phase 2 no longer holds k×|V| bits live for the whole
-//!    stream.
-//! 2. **Live mask arena** — each vertex the stream touches gets a
-//!    ⌈k/64⌉-word candidate *bitmask* (its replica row re-encoded as set
-//!    bits), built **once per stream** at first sighting and kept equal to
-//!    the index row by one word-OR per commit. Membership classes are then
-//!    two AND/NOT word operations, membership tests one bit probe, and a
-//!    set mask bit proves a row insert would be a no-op, skipping the index
-//!    probe entirely. A `debug_assertions` cross-check re-derives every
-//!    commit decision with a serial-style full k-scan.
-//! 3. **O(candidates) balance argmax** — a [`LoadTracker`] keeps
-//!    `(load, part)` pairs in a sorted array with a position index (loads
-//!    only move by +1, so reordering is one binary search plus a short
-//!    rotate — no tree nodes, no per-edge allocation). The best
-//!    zero-replica partition (the only non-candidate part that can win:
-//!    with `C_REP = 0` the score is strictly decreasing in load, ties to
-//!    the lower id) is the first array entry whose bit is clear in the
-//!    mask union — skipped outright when the union covers all k — and
-//!    the all-at-cap fallback is the first entry, period. Within the
-//!    candidates the same monotonicity collapses the argmax to ≤ 3
-//!    per-membership-class `(load, id)` minima — integer comparisons —
-//!    and a domination rule (`g ≥ 1`, so the both-replicated class beats
-//!    every class collected after it) usually ends the ordered walk at
-//!    its first entry. A commit evaluates at most four floating-point
-//!    scores however many candidates there are ([`pick_partition`]'s
-//!    fast path; an exact serial-order scan takes over on pathological
-//!    load spreads).
+//! 1. **Replica-mask table** — one ⌈k/64⌉-word row per vertex, bit `p` set
+//!    iff the vertex is replicated on partition `p`. It is made by one
+//!    transpose of NE++'s k secondary sets, which are then dropped, and
+//!    transposed back to k `DenseBitset`s once at the end. An edge reads
+//!    its two endpoint rows in place: membership classes are word
+//!    AND/NOTs, and the commit is two word-ORs.
+//! 2. **Load buckets** — [`LoadTracker`] groups the k partitions by
+//!    distinct load, ascending, each bucket a ⌈k/64⌉-word member mask.
+//!    Loads only move by +1, so an increment moves one bit into the next
+//!    bucket, relabels a bucket the part had alone, or inserts one bucket.
+//!    The least-loaded part with the lowest id (the serial all-at-cap
+//!    fallback) is the lowest bit of the first bucket.
+//!
+//! Within one membership class (u replicated / v / both / neither) the
+//! HDRF score only falls as the load grows, so the serial argmax is the
+//! best of ≤ 4 per-class `(load, id)` minima. [`pick_partition`] finds
+//! them with whichever of two exact strategies costs less for the edge at
+//! hand: iterating the endpoints' replica union bit by bit when it holds
+//! no more parts than there are buckets, or else walking the buckets in
+//! ascending load with one AND per word per class still needed. A commit
+//! evaluates at most four floating-point scores however many candidates
+//! there are; an exact serial-order scan takes over on pathological load
+//! spreads. A `debug_assertions` cross-check re-derives every decision
+//! with a full k-scan.
 //!
 //! Edge endpoints are validated against the degree table: an h2h edge
 //! referencing a vertex id ≥ `degrees.len()` — a corrupt or truncated
@@ -56,66 +48,55 @@
 //! The partial assignment already emitted to the sink before the bad edge
 //! is the caller's to discard, exactly as in the serial stream.
 
-use hep_baselines::scoring::{capacity, ReplicaState, SparseReplicas, BAL_EPSILON};
+use hep_baselines::scoring::{capacity, ReplicaState, BAL_EPSILON};
 use hep_ds::DenseBitset;
 use hep_graph::{AssignSink, Edge, GraphError, PartitionId};
 
-/// Sentinel arena slot: the vertex has not yet appeared in the stream.
-const NO_SLOT: u32 = u32::MAX;
-
-/// Re-encodes a sorted replica row as set bits (`part p` → word `p/64`,
-/// bit `p%64`). `mask` must be zeroed and cover `k` bits.
+/// Id of the lowest set bit across `words` (bit `b` of word `w` is id
+/// `64·w + b`), if any.
 #[inline]
-fn row_to_mask(row: &[u32], mask: &mut [u64]) {
-    for &p in row {
-        mask[(p >> 6) as usize] |= 1u64 << (p & 63);
-    }
+fn first_one(words: impl IntoIterator<Item = u64>) -> Option<u32> {
+    words
+        .into_iter()
+        .enumerate()
+        .find(|&(_, x)| x != 0)
+        .map(|(w, x)| (w as u32) << 6 | x.trailing_zeros())
 }
 
-/// Arena offset of `x`'s live mask. On `x`'s first sighting in the stream
-/// this hands it the next slot and encodes its current index row.
-#[inline]
-fn mask_offset(
-    slots: &mut [u32],
-    arena: &mut Vec<u64>,
-    index: &SparseReplicas,
-    x: u32,
-    wpm: usize,
-) -> usize {
-    let slot = &mut slots[x as usize];
-    if *slot == NO_SLOT {
-        *slot = (arena.len() / wpm) as u32;
-        arena.resize(arena.len() + wpm, 0);
-        let a = arena.len() - wpm;
-        row_to_mask(index.parts_of(x), &mut arena[a..]);
-    }
-    *slot as usize * wpm
-}
-
-/// Partition loads with an ordered view: `by_load` holds `(load, part)`
-/// pairs sorted ascending, so the global minimum (and the least-loaded
-/// part with the lowest id — the serial `min_by_key` fallback) is the
-/// first element, and [`pick_partition`]'s class walk visits parts in
-/// exactly the per-class tie-break order. Loads only move by +1, so
-/// keeping the array sorted is two binary searches (the entry's slot and
-/// the end of the displaced run) plus a short rotate — at k ≤ a few
-/// hundred this stays in one or two cache lines, where a tree pays
-/// pointer chases and node traffic on every edge. `max` is maintained as
-/// a scalar (loads only grow).
+/// Partition loads grouped into buckets of equal load. `levels` holds the
+/// distinct loads in ascending order; bucket `i`'s members are the set
+/// bits of `members[i·wpm .. (i+1)·wpm]`. Every part sits in exactly one
+/// bucket and no bucket is empty, so there are as many buckets as distinct
+/// loads — few in practice (HDRF keeps loads close), at most k. Both
+/// vectors are allocated for k buckets up front and never reallocate:
+/// [`LoadTracker::increment`] only inserts a bucket while the one it
+/// leaves keeps another member. `max` is kept as a scalar (loads only
+/// grow).
 struct LoadTracker {
     loads: Vec<u64>,
-    by_load: Vec<(u64, u32)>,
+    levels: Vec<u64>,
+    members: Vec<u64>,
+    wpm: usize,
     max: u64,
 }
 
 impl LoadTracker {
     fn new(loads: Vec<u64>) -> Self {
-        let mut by_load: Vec<(u64, u32)> =
-            loads.iter().enumerate().map(|(p, &l)| (l, p as u32)).collect();
-        by_load.sort_unstable();
+        let k = loads.len();
+        let wpm = k.div_ceil(64);
+        let mut levels = loads.clone();
+        levels.sort_unstable();
+        levels.dedup();
+        let mut members = Vec::with_capacity(k * wpm);
+        members.resize(levels.len() * wpm, 0);
+        for (p, &l) in loads.iter().enumerate() {
+            let i = levels.partition_point(|&x| x < l);
+            // hep-lint: allow(HL011) -- levels holds every load, so i < levels.len(); p < k, so p / 64 < wpm
+            members[i * wpm + p / 64] |= 1 << (p % 64);
+        }
         // hep-lint: allow(HL007) -- check_inputs rejects k == 0 before any tracker is built
-        let max = by_load.last().expect("k >= 1").0;
-        LoadTracker { loads, by_load, max }
+        let max = *levels.last().expect("k >= 1");
+        LoadTracker { loads, levels, members, wpm, max }
     }
 
     #[inline]
@@ -123,34 +104,53 @@ impl LoadTracker {
         self.loads[p as usize]
     }
 
+    /// Member mask of bucket `i`.
+    #[inline]
+    fn bucket(&self, i: usize) -> &[u64] {
+        &self.members[i * self.wpm..(i + 1) * self.wpm]
+    }
+
     /// `(min load, lowest part id at that load)`.
     #[inline]
     fn min_entry(&self) -> (u64, u32) {
-        self.by_load[0]
+        // hep-lint: allow(HL007) -- buckets are never empty (increment removes or relabels a bucket the moment its last member leaves), and there is at least one since k >= 1
+        let p = first_one(self.bucket(0).iter().copied()).expect("non-empty first bucket");
+        (self.levels[0], p)
     }
 
     /// Adds one edge to `p`, saturating at `u64::MAX` (the all-at-cap
     /// fallback keeps assigning past the cap, so loads can approach the
     /// integer limit on adversarial inputs; a wrap would reset the balance
-    /// ordering mid-stream).
+    /// ordering mid-stream). `p` leaves bucket `l` for bucket `l + 1`:
+    /// merged into it when it exists (dropping bucket `l` if `p` was its
+    /// last member), by relabelling bucket `l` when `p` was alone there,
+    /// or else as a new one-member bucket inserted right after `l`.
     fn increment(&mut self, p: u32) {
-        debug_assert!(
-            (p as usize) < self.loads.len() && self.by_load.len() == self.loads.len(),
-            "partition id {p} out of range"
-        );
+        debug_assert!((p as usize) < self.loads.len(), "partition id {p} out of range");
         let l = self.loads[p as usize];
-        let nl = l.saturating_add(1);
-        if nl != l {
-            self.loads[p as usize] = nl;
-            let i = self.by_load.partition_point(|&e| e < (l, p));
-            debug_assert_eq!(self.by_load[i], (l, p));
-            // Final slot: just before the first entry ordered after the
-            // bumped key (entries in between shift one slot left).
-            let j = i + self.by_load[i + 1..].partition_point(|&e| e < (nl, p));
-            self.by_load[i..=j].rotate_left(1);
-            self.by_load[j] = (nl, p);
-        }
+        let Some(nl) = l.checked_add(1) else { return };
+        self.loads[p as usize] = nl;
         self.max = self.max.max(nl);
+        let wpm = self.wpm;
+        let (w, bit) = ((p >> 6) as usize, 1u64 << (p & 63));
+        let i = self.levels.partition_point(|&x| x < l);
+        debug_assert!(self.levels[i] == l && self.bucket(i)[w] & bit != 0);
+        self.members[i * wpm + w] &= !bit;
+        let emptied = self.bucket(i).iter().all(|&x| x == 0);
+        if self.levels.get(i + 1) == Some(&nl) {
+            self.members[(i + 1) * wpm + w] |= bit;
+            if emptied {
+                self.levels.remove(i);
+                self.members.drain(i * wpm..(i + 1) * wpm);
+            }
+        } else if emptied {
+            self.levels[i] = nl;
+            self.members[i * wpm + w] |= bit;
+        } else {
+            self.levels.insert(i + 1, nl);
+            let at = (i + 1) * wpm;
+            self.members.splice(at..at, (0..wpm).map(|j| if j == w { bit } else { 0 }));
+        }
     }
 }
 
@@ -166,33 +166,33 @@ const FAST_SPREAD_LIMIT: u64 = 1 << 50;
 /// argument above) nor overflow to a score-collapsing infinity.
 const FAST_LAMBDA_RANGE: std::ops::RangeInclusive<f64> = 1e-9..=1e12;
 
-/// Exact serial HDRF argmax over the candidate masks plus the best
-/// zero-replica candidate (DESIGN.md §7 argues these are the only parts
-/// that can win). Scores are combined in the same floating-point order as
+/// Per-class `(load, id)` minima, indexed by membership class (bit 0 = u
+/// replicated, bit 1 = v replicated). An uncollected class holds `EMPTY`;
+/// a collected one has `load < cap ≤ u64::MAX`, so the two never collide.
+type ClassMinima = [(u64, u32); 4];
+const EMPTY: (u64, u32) = (u64::MAX, u32::MAX);
+
+/// Exact serial HDRF argmax over the endpoints' replica rows (DESIGN.md §7).
+/// Scores are combined in the same floating-point order as
 /// [`ReplicaState::best_partition`], and ties resolve to the lowest part
 /// id, so the result is bitwise the serial choice.
 ///
-/// Fast path: within one membership class (u replicated / v / both /
-/// neither) the score varies only through `C_BAL`, a monotone
-/// non-increasing function of the integer load — and inside
-/// [`FAST_SPREAD_LIMIT`] / [`FAST_LAMBDA_RANGE`] *strictly* decreasing
-/// across distinct loads, with equal loads scoring bitwise-equal (the
-/// serial tie then goes to the lowest id). The serial argmax is therefore
-/// the best of ≤ 4 per-class `(load, id)` minima — and because
-/// [`LoadTracker::by_load`] orders parts by exactly that key, one short
-/// ascending walk collects all four (the first entry falling in each
-/// class is that class's minimum, the walk ends once every class known
-/// non-empty from the mask popcounts has one, or at the first at-cap
-/// entry since everything after it is at the cap too). A commit evaluates
-/// at most four floating-point scores however many candidates there are.
-/// Outside that envelope (huge load spreads
-/// where f64 rounding can collapse distinct loads to equal scores, or
-/// λ = 0 where every class ties wholesale and the ascending-id visit
-/// order decides) [`pick_serial_order`] reproduces the serial loop
-/// literally.
+/// Fast path: within one membership class the score varies only through
+/// `C_BAL`, a monotone non-increasing function of the integer load — and
+/// inside [`FAST_SPREAD_LIMIT`] / [`FAST_LAMBDA_RANGE`] *strictly*
+/// decreasing across distinct loads, with equal loads scoring
+/// bitwise-equal (the serial tie then goes to the lowest id). The serial
+/// argmax is therefore the best of ≤ 4 per-class `(load, id)` minima over
+/// the under-cap parts, found by [`union_minima`] when the replica union
+/// has at most as many parts as there are load buckets and by
+/// [`bucket_minima`] otherwise — each strategy's cost, compared live per
+/// edge. Outside that envelope (huge load spreads where f64 rounding can
+/// collapse distinct loads to equal scores, or λ = 0 where every class ties
+/// wholesale and the ascending-id visit order decides)
+/// [`pick_serial_order`] reproduces the serial loop literally.
 fn pick_partition(
-    mask_u: &[u64],
-    mask_v: &[u64],
+    row_u: &[u64],
+    row_v: &[u64],
     tracker: &LoadTracker,
     g_u: f64,
     g_v: f64,
@@ -202,76 +202,24 @@ fn pick_partition(
     let (min_load, min_part) = tracker.min_entry();
     if min_load >= cap {
         // Every partition at the cap: the serial loop scores nothing and
-        // falls back to `min_by_key(load)` — the first ordered entry.
+        // falls back to `min_by_key(load)` — the first bucket's lowest id.
         return min_part;
     }
     let max_load = tracker.max;
     if !(max_load - min_load < FAST_SPREAD_LIMIT && FAST_LAMBDA_RANGE.contains(&lambda)) {
-        return pick_serial_order(
-            mask_u, mask_v, tracker, g_u, g_v, lambda, cap, min_load, max_load,
-        );
+        return pick_serial_order(row_u, row_v, tracker, g_u, g_v, lambda, cap, min_load, max_load);
     }
     let denom = BAL_EPSILON + (max_load - min_load) as f64;
-    // Class non-emptiness from mask popcounts (class = membership bits:
-    // 0 = neither endpoint replicated, 1 = u only, 2 = v only, 3 = both),
-    // then one ascending walk over the ordered loads. The first entry
-    // falling in a class (two bit probes) is that class's `(load, id)`
-    // minimum. Walking ascending also yields a domination rule that ends
-    // the walk early: the balance reward only shrinks as loads grow
-    // (strictly across distinct loads inside the envelope, and a later
-    // equal load has a larger id and loses the tie), so once a class is
-    // collected, any *unseen* class whose `C_REP` is ≤ the collected
-    // class's can never produce the argmax. `g(u), g(v) ≥ 1`, so the
-    // both-replicated class dominates everything — when both rows are
-    // broad (the saturated-hub common case) the walk ends at the very
-    // first entry. The walk also stops at the first at-cap entry, since
-    // every later load is at the cap too and the serial loop skips those.
-    let mut need: u32 = 0;
-    let mut covered = 0u32;
-    for (&mu, &mv) in mask_u.iter().zip(mask_v) {
-        need |= u32::from(mu & !mv != 0) << 1;
-        need |= u32::from(mv & !mu != 0) << 2;
-        need |= u32::from(mu & mv != 0) << 3;
-        covered += (mu | mv).count_ones();
-    }
-    need |= u32::from(covered < tracker.loads.len() as u32);
-    let mut cand: [(u64, u32); 4] = [(0, 0); 4];
-    let mut have: u32 = 0;
-    for &(l, p) in &tracker.by_load {
-        if l >= cap {
-            break;
-        }
-        let (w, bit) = ((p >> 6) as usize, p & 63);
-        let c = ((mask_u[w] >> bit & 1) | (mask_v[w] >> bit & 1) << 1) as u32;
-        if need & (1 << c) != 0 {
-            // hep-lint: allow(HL011) -- c is two mask bits, so c < 4 == cand.len()
-            cand[c as usize] = (l, p);
-            have |= 1 << c;
-            need &= !(1 << c);
-            match c {
-                3 => need = 0,
-                1 => {
-                    need &= !1;
-                    if g_v <= g_u {
-                        need &= !(1 << 2);
-                    }
-                }
-                2 => {
-                    need &= !1;
-                    if g_u <= g_v {
-                        need &= !(1 << 1);
-                    }
-                }
-                _ => {}
-            }
-            if need == 0 {
-                break;
-            }
-        }
-    }
+    let covered: u32 = row_u.iter().zip(row_v).map(|(&mu, &mv)| (mu | mv).count_ones()).sum();
+    let want_zero = covered < tracker.loads.len() as u32;
+    let cand = if covered as usize <= tracker.levels.len() {
+        union_minima(row_u, row_v, tracker, cap, want_zero)
+    } else {
+        bucket_minima(row_u, row_v, tracker, cap, g_u, g_v, want_zero)
+    };
     let mut best: Option<(f64, u32)> = None;
     for (mem, &(l, p)) in cand.iter().enumerate() {
-        if have & (1 << mem) == 0 {
+        if (l, p) == EMPTY {
             continue;
         }
         let mut c_rep = 0.0;
@@ -292,14 +240,124 @@ fn pick_partition(
     best.expect("min_load < cap guarantees an under-cap candidate").1
 }
 
-/// Literal serial-order argmax: visits all k parts ascending with one mask
+/// Class minima by iterating the replica union `r(u) ∪ r(v)` in ascending
+/// id — cost ∝ the union's size. Each replicated class keeps its first
+/// strictly-smaller load, i.e. its `(load, id)` minimum. The zero-replica
+/// class is then looked up in the buckets, but only below the smallest
+/// collected minimum: class 0 has the lowest `C_REP` (0, against
+/// `g ≥ 1`), so at an equal or higher load it cannot win.
+fn union_minima(
+    row_u: &[u64],
+    row_v: &[u64],
+    tracker: &LoadTracker,
+    cap: u64,
+    want_zero: bool,
+) -> ClassMinima {
+    let mut cand = [EMPTY; 4];
+    for (w, (&mu, &mv)) in row_u.iter().zip(row_v).enumerate() {
+        let mut bits = mu | mv;
+        while bits != 0 {
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            let p = (w as u32) << 6 | b;
+            let l = tracker.load(p);
+            let c = ((mu >> b & 1) | (mv >> b & 1) << 1) as usize;
+            // hep-lint: allow(HL011) -- c is two mask bits, so c < 4 == cand.len()
+            let slot = &mut cand[c];
+            if l < cap && l < slot.0 {
+                *slot = (l, p);
+            }
+        }
+    }
+    if want_zero {
+        let bound = cand[1..].iter().fold(cap, |b, c| b.min(c.0));
+        for (i, &l) in tracker.levels.iter().enumerate() {
+            if l >= bound {
+                break;
+            }
+            let free = tracker.bucket(i).iter().zip(row_u.iter().zip(row_v));
+            if let Some(p) = first_one(free.map(|(&m, (&mu, &mv))| m & !(mu | mv))) {
+                cand[0] = (l, p);
+                break;
+            }
+        }
+    }
+    cand
+}
+
+/// Class minima by walking the buckets in ascending load — cost ∝ the
+/// buckets visited. In each bucket every class still needed is tested
+/// with one AND per word; the lowest id found is that class's minimum,
+/// since no earlier bucket held the class. After each bucket a domination
+/// rule drops classes that can no longer win: a later bucket has a
+/// strictly higher load, so its balance reward is strictly smaller, and
+/// `g(u), g(v) ≥ 1` — the both-replicated class beats every class after
+/// it, and a one-endpoint class beats the zero class and the other
+/// one-endpoint class when its `g` is no smaller. When both rows are broad
+/// (the saturated-hub common case) the walk ends at the first bucket. It
+/// also stops at the first at-cap bucket, since every later load is at
+/// the cap too and the serial loop skips those.
+fn bucket_minima(
+    row_u: &[u64],
+    row_v: &[u64],
+    tracker: &LoadTracker,
+    cap: u64,
+    g_u: f64,
+    g_v: f64,
+    want_zero: bool,
+) -> ClassMinima {
+    let mut need = u32::from(want_zero);
+    for (&mu, &mv) in row_u.iter().zip(row_v) {
+        need |= u32::from(mu & !mv != 0) << 1;
+        need |= u32::from(mv & !mu != 0) << 2;
+        need |= u32::from(mu & mv != 0) << 3;
+    }
+    let mut cand = [EMPTY; 4];
+    for (i, &l) in tracker.levels.iter().enumerate() {
+        if l >= cap || need == 0 {
+            break;
+        }
+        let mut found = 0u32;
+        for (w, (&m, (&mu, &mv))) in
+            tracker.bucket(i).iter().zip(row_u.iter().zip(row_v)).enumerate()
+        {
+            let classes = [m & !(mu | mv), m & mu & !mv, m & mv & !mu, m & mu & mv];
+            for (c, &x) in classes.iter().enumerate() {
+                if x != 0 && (need & !found) & (1 << c) != 0 {
+                    // hep-lint: allow(HL011) -- c enumerates `classes`, so c < 4 == cand.len()
+                    cand[c] = (l, (w as u32) << 6 | x.trailing_zeros());
+                    found |= 1 << c;
+                }
+            }
+        }
+        need &= !found;
+        if found & 8 != 0 {
+            need = 0;
+        }
+        if found & 2 != 0 {
+            need &= !1;
+            if g_v <= g_u {
+                need &= !4;
+            }
+        }
+        if found & 4 != 0 {
+            need &= !1;
+            if g_u <= g_v {
+                need &= !2;
+            }
+        }
+    }
+    cand
+}
+
+/// Literal serial-order argmax: visits all k parts ascending with one row
 /// bit probe per endpoint, reproducing [`ReplicaState::best_partition`]'s
 /// loop (and its first-wins strict `>`) operation for operation. Only
 /// reached outside the fast-path envelope.
 #[allow(clippy::too_many_arguments)]
 fn pick_serial_order(
-    mask_u: &[u64],
-    mask_v: &[u64],
+    row_u: &[u64],
+    row_v: &[u64],
     tracker: &LoadTracker,
     g_u: f64,
     g_v: f64,
@@ -318,10 +376,10 @@ fn pick_serial_order(
         }
         let (w, bit) = ((p >> 6) as usize, p & 63);
         let mut c_rep = 0.0;
-        if mask_u[w] >> bit & 1 != 0 {
+        if row_u[w] >> bit & 1 != 0 {
             c_rep += g_u;
         }
-        if mask_v[w] >> bit & 1 != 0 {
+        if row_v[w] >> bit & 1 != 0 {
             c_rep += g_v;
         }
         let score = c_rep + lambda * (max_load - l) as f64 / denom;
@@ -334,13 +392,15 @@ fn pick_serial_order(
 }
 
 /// Re-derives a commit decision with a serial-style full k-scan over the
-/// live sparse index — the debug enforcement of the shortlist-sufficiency
-/// proof obligation (DESIGN.md §7). Compiled out of release builds.
+/// two table rows and the raw load vector (not the buckets) — the debug
+/// enforcement of the class-minimum proof obligation (DESIGN.md §7).
+/// Compiled out of release builds.
 #[cfg(debug_assertions)]
 #[allow(clippy::too_many_arguments)]
 fn debug_check_full_scan(
-    index: &SparseReplicas,
-    tracker: &LoadTracker,
+    row_u: &[u64],
+    row_v: &[u64],
+    loads: &[u64],
     e: Edge,
     g_u: f64,
     g_v: f64,
@@ -348,22 +408,22 @@ fn debug_check_full_scan(
     cap: u64,
     chosen: PartitionId,
 ) {
+    let replicated = |row: &[u64], p: usize| row[p >> 6] >> (p & 63) & 1 != 0;
     // hep-lint: allow(HL007) -- check_inputs rejects k == 0, so loads is non-empty
-    let min_load = tracker.loads.iter().copied().min().expect("k >= 1");
+    let min_load = loads.iter().copied().min().expect("k >= 1");
     // hep-lint: allow(HL007) -- check_inputs rejects k == 0, so loads is non-empty
-    let max_load = tracker.loads.iter().copied().max().expect("k >= 1");
+    let max_load = loads.iter().copied().max().expect("k >= 1");
     let denom = BAL_EPSILON + (max_load - min_load) as f64;
-    let mut best: Option<(f64, u32)> = None;
-    for p in 0..index.k() {
-        let l = tracker.loads[p as usize];
+    let mut best: Option<(f64, usize)> = None;
+    for (p, &l) in loads.iter().enumerate() {
         if l >= cap {
             continue;
         }
         let mut c_rep = 0.0;
-        if index.is_replicated(e.src, p) {
+        if replicated(row_u, p) {
             c_rep += g_u;
         }
-        if index.is_replicated(e.dst, p) {
+        if replicated(row_v, p) {
             c_rep += g_v;
         }
         let score = c_rep + lambda * (max_load - l) as f64 / denom;
@@ -374,9 +434,13 @@ fn debug_check_full_scan(
     let want = match best {
         Some((_, p)) => p,
         // hep-lint: allow(HL007) -- check_inputs rejects k == 0, so the range is non-empty
-        None => (0..index.k()).min_by_key(|&p| tracker.loads[p as usize]).expect("k >= 1"),
+        None => (0..loads.len()).min_by_key(|&p| loads[p]).expect("k >= 1"),
     };
-    assert_eq!(chosen, want, "shortlist missed the serial argmax for edge ({}, {})", e.src, e.dst);
+    assert_eq!(
+        chosen as usize, want,
+        "class minima missed the serial argmax for edge ({}, {})",
+        e.src, e.dst
+    );
 }
 
 /// Streams `h2h` edges into partitions, starting from the in-memory phase's
@@ -405,67 +469,61 @@ pub fn stream_h2h<S: AssignSink + ?Sized>(
     let cap = capacity(total_edges, k, alpha);
     let n = degrees.len() as u32;
 
-    // Consume the dense seed sets into the sparse index immediately: the
-    // serial stream used to clone-and-hold all k DenseBitsets (k×|V| bits)
-    // for the whole stream; the index costs Σ min(δ(v), k) entries instead.
-    let mut index = SparseReplicas::from_seed_sets(&s_sets, degrees);
+    // The replica-mask table: row `v` is words `v·wpm .. (v+1)·wpm`, bit
+    // `p` set iff `v` is replicated on `p` — one transpose of the seed
+    // sets, which are dropped before the stream starts.
+    let wpm = (k as usize).div_ceil(64);
+    let mut table = vec![0u64; n as usize * wpm];
+    for (p, set) in s_sets.iter().enumerate() {
+        let (w, bit) = (p >> 6, 1u64 << (p & 63));
+        for v in set.iter_ones() {
+            table[v as usize * wpm + w] |= bit;
+        }
+    }
     drop(s_sets);
     let mut tracker = LoadTracker::new(ne_sizes);
 
-    // Live candidate masks for every vertex the stream has touched: a
-    // vertex's sparse row is encoded into mask form *once per stream* (at
-    // its first sighting, when `slots` hands it an arena slot) and kept
-    // equal to the row with one word-OR per commit. The arena holds
-    // ⌈k/64⌉ words (k bits) per touched vertex; a touched row holds
-    // min(δ(v), k) u32 entries, so for any h2h endpoint with two or more
-    // replicas the mask is no larger than the row it mirrors.
-    let wpm = (k as usize).div_ceil(64);
-    let mut slots: Vec<u32> = vec![NO_SLOT; degrees.len()];
-    let mut arena: Vec<u64> = Vec::new();
     for e in h2h {
         let max = e.src.max(e.dst);
         if max >= n {
             return Err(GraphError::VertexOutOfRange { vertex: max, num_vertices: n });
         }
-        let au = mask_offset(&mut slots, &mut arena, &index, e.src, wpm);
-        let av = mask_offset(&mut slots, &mut arena, &index, e.dst, wpm);
+        let (ou, ov) = (e.src as usize * wpm, e.dst as usize * wpm);
         let deg_u = degrees[e.src as usize] as u64;
         let deg_v = degrees[e.dst as usize] as u64;
         // θ normalized degrees; HDRF guards δ(u)+δ(v) > 0.
         let dsum = (deg_u + deg_v).max(1) as f64;
         let g_u = 1.0 + (1.0 - deg_u as f64 / dsum);
         let g_v = 1.0 + (1.0 - deg_v as f64 / dsum);
-        let p = pick_partition(
-            &arena[au..au + wpm],
-            &arena[av..av + wpm],
-            &tracker,
-            g_u,
-            g_v,
-            lambda,
-            cap,
-        );
+        let (row_u, row_v) = (&table[ou..ou + wpm], &table[ov..ov + wpm]);
+        let p = pick_partition(row_u, row_v, &tracker, g_u, g_v, lambda, cap);
         #[cfg(debug_assertions)]
-        debug_check_full_scan(&index, &tracker, e, g_u, g_v, lambda, cap, p);
-        // The live masks mirror the index rows exactly, so a set bit
-        // proves the endpoint is already replicated on `p` and the row
-        // insert can be skipped without touching the index.
+        debug_check_full_scan(row_u, row_v, &tracker.loads, e, g_u, g_v, lambda, cap, p);
         let (w, bit) = ((p >> 6) as usize, 1u64 << (p & 63));
-        for (x, a) in [(e.src, au + w), (e.dst, av + w)] {
-            // hep-lint: allow(HL011) -- p < k, so w < wpm and a lies inside x's arena mask
-            let word = &mut arena[a];
-            if *word & bit == 0 {
-                index.add_replica(x, p);
-                *word |= bit;
-            }
-        }
+        // hep-lint: allow(HL011) -- p < k, so w < wpm and both words lie inside their endpoint's row
+        table[ou + w] |= bit;
+        // hep-lint: allow(HL011) -- p < k, so w < wpm and both words lie inside their endpoint's row
+        table[ov + w] |= bit;
         tracker.increment(p);
         sink.assign(e.src, e.dst, p);
     }
-    Ok(ReplicaState::from_parts(index.to_dense(), tracker.loads))
+
+    // Transpose back to the k dense sets `ReplicaState` carries.
+    let mut sets: Vec<DenseBitset> = (0..k).map(|_| DenseBitset::new(n as usize)).collect();
+    for (v, row) in table.chunks_exact(wpm).enumerate() {
+        for (w, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                sets[w << 6 | bits.trailing_zeros() as usize].set(v as u32);
+                bits &= bits - 1;
+            }
+        }
+    }
+    Ok(ReplicaState::from_parts(sets, tracker.loads))
 }
 
 /// The reference serial stream: one dense O(k) HDRF scan per edge over
-/// [`ReplicaState`], exactly as phase 2 ran before the sparse engine. Kept
+/// [`ReplicaState`], exactly as phase 2 ran before [`stream_h2h`]. Kept
 /// as the bit-identity oracle for the determinism battery and the serial
 /// baseline of the phase-2 throughput bench.
 #[allow(clippy::too_many_arguments)]
@@ -603,7 +661,7 @@ mod tests {
     }
 
     /// A deterministic hub-heavy h2h workload: hub endpoints recur
-    /// constantly, so replica rows grow and masks are updated in place.
+    /// constantly, so replica rows grow toward all k parts.
     fn synth_stream(n: u32, m: usize, seed: u64) -> (Vec<Edge>, Vec<u32>) {
         let mut rng = hep_ds::SplitMix64::new(seed);
         let mut edges = Vec::with_capacity(m);
@@ -619,57 +677,175 @@ mod tests {
         (edges, degrees)
     }
 
+    /// Runs both engines on the same input and compares the assignment
+    /// sequence, the final loads and every replica set word for word.
+    fn assert_matches_serial(
+        edges: &[Edge],
+        degrees: &[u32],
+        seed_sets: Vec<DenseBitset>,
+        sizes: Vec<u64>,
+        total_edges: u64,
+        label: &str,
+    ) {
+        let k = sizes.len() as u32;
+        let mut serial_sink = CollectedAssignment::default();
+        let serial = stream_h2h_serial(
+            edges.iter().copied(),
+            degrees,
+            seed_sets.clone(),
+            sizes.clone(),
+            total_edges,
+            1.1,
+            1.05,
+            &mut serial_sink,
+        )
+        .unwrap();
+        let mut sink = CollectedAssignment::default();
+        let state = stream_h2h(
+            edges.iter().copied(),
+            degrees,
+            seed_sets,
+            sizes,
+            total_edges,
+            1.1,
+            1.05,
+            0,
+            &mut sink,
+        )
+        .unwrap();
+        assert_eq!(sink.assignments, serial_sink.assignments, "{label}");
+        for p in 0..k {
+            assert_eq!(state.load(p), serial.load(p), "{label} load {p}");
+            assert_eq!(
+                state.replica_sets()[p as usize].words(),
+                serial.replica_sets()[p as usize].words(),
+                "{label} replicas {p}"
+            );
+        }
+    }
+
     #[test]
-    fn sparse_engine_matches_serial_oracle() {
-        // k = 65 gives multi-word masks whose second word holds one bit;
+    fn table_engine_matches_serial_oracle() {
+        // k = 65 gives two-word rows whose second word holds one bit;
         // k = 128 fills both words.
         let (edges, degrees) = synth_stream(200, 3_000, 7);
         for k in [8u32, 65, 128] {
             let mut seed_sets: Vec<DenseBitset> =
                 (0..k).map(|_| DenseBitset::new(degrees.len())).collect();
-            let mut sizes = vec![0u64; k as usize];
             // Seed a few replicas + uneven loads, like NE++ would.
             for v in 0..40u32 {
                 seed_sets[(v % k) as usize].set(v);
             }
-            for (p, s) in sizes.iter_mut().enumerate() {
-                *s = (p as u64) * 37;
+            let sizes = (0..k as u64).map(|p| p * 37).collect();
+            assert_matches_serial(&edges, &degrees, seed_sets, sizes, 6_000, &format!("k {k}"));
+        }
+    }
+
+    #[test]
+    fn union_strategy_matches_serial_oracle() {
+        // Sparse unions over many buckets: uniform endpoints over 4 000
+        // vertices carry a replica or two each, and the seeded loads p·37
+        // are all distinct, so the union is smaller than the bucket count
+        // on nearly every edge and the zero-replica class is looked up
+        // below the replicated minima.
+        let n = 4_000u32;
+        let mut rng = hep_ds::SplitMix64::new(11);
+        let mut degrees = vec![0u32; n as usize];
+        let edges: Vec<Edge> = (0..6_000)
+            .map(|_| {
+                let e = Edge::new(rng.next_below(n as u64) as u32, rng.next_below(n as u64) as u32);
+                degrees[e.src as usize] += 1;
+                degrees[e.dst as usize] += 1;
+                e
+            })
+            .collect();
+        for k in [32u32, 65] {
+            let mut seed_sets: Vec<DenseBitset> =
+                (0..k).map(|_| DenseBitset::new(n as usize)).collect();
+            for v in 0..1_000u32 {
+                seed_sets[(v % k) as usize].set(v);
+                seed_sets[(v * 7 % k) as usize].set(v);
             }
-            let mut serial_sink = CollectedAssignment::default();
-            let serial = stream_h2h_serial(
-                edges.iter().copied(),
-                &degrees,
-                seed_sets.clone(),
-                sizes.clone(),
-                6_000,
-                1.1,
-                1.05,
-                &mut serial_sink,
-            )
-            .unwrap();
-            let mut sink = CollectedAssignment::default();
-            let state = stream_h2h(
-                edges.iter().copied(),
-                &degrees,
-                seed_sets,
-                sizes,
-                6_000,
-                1.1,
-                1.05,
-                0,
-                &mut sink,
-            )
-            .unwrap();
-            assert_eq!(sink.assignments, serial_sink.assignments, "k {k}");
-            for p in 0..k {
-                assert_eq!(state.load(p), serial.load(p), "k {k} load {p}");
-                assert_eq!(
-                    state.replica_sets()[p as usize].words(),
-                    serial.replica_sets()[p as usize].words(),
-                    "k {k} replicas {p}"
-                );
+            let sizes = (0..k as u64).map(|p| p * 37).collect();
+            assert_matches_serial(&edges, &degrees, seed_sets, sizes, 200_000, &format!("k {k}"));
+        }
+    }
+
+    #[test]
+    fn bucket_strategy_matches_serial_oracle() {
+        // Saturated unions over few buckets: the 50 hubs of a hub-skewed
+        // stream are seeded on four parts in five and every load starts
+        // equal, so unions cover most parts while loads stay within a few
+        // buckets — the ascending bucket walk with the domination rule.
+        let (edges, degrees) = synth_stream(300, 4_000, 5);
+        for k in [128u32, 65] {
+            let mut seed_sets: Vec<DenseBitset> =
+                (0..k).map(|_| DenseBitset::new(degrees.len())).collect();
+            for v in 0..50u32 {
+                for p in (0..k).filter(|p| (v + p) % 5 != 0) {
+                    seed_sets[p as usize].set(v);
+                }
+            }
+            let sizes = vec![100; k as usize];
+            assert_matches_serial(&edges, &degrees, seed_sets, sizes, 200_000, &format!("k {k}"));
+        }
+    }
+
+    /// Compares the buckets with a brute-force sort of `loads`.
+    fn check_buckets(t: &LoadTracker) {
+        let mut distinct = t.loads.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(t.levels, distinct, "ascending distinct loads, one bucket each");
+        assert_eq!(t.members.len(), t.levels.len() * t.wpm);
+        for (p, &l) in t.loads.iter().enumerate() {
+            let holders: Vec<usize> =
+                (0..t.levels.len()).filter(|&i| t.bucket(i)[p / 64] >> (p % 64) & 1 != 0).collect();
+            assert_eq!(holders.len(), 1, "part {p} in exactly one bucket");
+            assert_eq!(t.levels[holders[0]], l, "part {p} in its load's bucket");
+        }
+        let lowest = t.loads.iter().position(|&l| l == distinct[0]).unwrap() as u32;
+        assert_eq!(t.min_entry(), (distinct[0], lowest));
+        assert_eq!(t.max, *distinct.last().unwrap());
+    }
+
+    #[test]
+    fn load_buckets_match_brute_force_under_random_increments() {
+        // [lone part relabelled, merged into l + 1, new bucket inserted,
+        // saturated]
+        let mut cases = [0u32; 4];
+        let mut rng = hep_ds::SplitMix64::new(3);
+        let scenarios: [Vec<u64>; 3] = [
+            // Few distinct loads over two-word masks.
+            (0..70).map(|p| p % 4).collect(),
+            // All loads distinct: gaps close until parts start merging.
+            (0..70).map(|p| 2 * p).collect(),
+            // Loads at and just below the integer limit.
+            (0..5).map(|p| u64::MAX - p % 3).collect(),
+        ];
+        for loads in scenarios {
+            let k = loads.len() as u64;
+            let mut t = LoadTracker::new(loads);
+            check_buckets(&t);
+            for _ in 0..3_000 {
+                let p = rng.next_below(k) as usize;
+                let l = t.loads[p];
+                let shared = t.loads.iter().enumerate().any(|(q, &x)| q != p && x == l);
+                let case = if l == u64::MAX {
+                    3
+                } else if t.loads.contains(&(l + 1)) {
+                    1
+                } else if shared {
+                    2
+                } else {
+                    0
+                };
+                cases[case] += 1;
+                t.increment(p as u32);
+                check_buckets(&t);
             }
         }
+        assert!(cases.iter().all(|&c| c > 0), "every increment case reached: {cases:?}");
     }
 
     #[test]

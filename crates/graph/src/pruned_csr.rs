@@ -511,6 +511,12 @@ impl PrunedCsr {
         &self.stats
     }
 
+    /// Consumes the CSR and keeps only its degree table, freeing the
+    /// adjacency arrays — what phase 2 still needs after NE++.
+    pub fn into_degrees(self) -> Vec<u32> {
+        self.stats.degrees
+    }
+
     /// Whether `v` is high-degree (pruned).
     #[inline]
     pub fn is_high(&self, v: VertexId) -> bool {

@@ -139,8 +139,8 @@ fn tau_degrades_rather_than_exceeding_budget() {
 }
 
 /// The phase-2 companion bound: the streaming engine's measured peak heap
-/// — the sparse replica index, the mask slot table and arena, the load
-/// tracker, and the final dense export — stays under
+/// — the replica-mask table, the load buckets, and the final dense export
+/// — stays under
 /// [`estimate_stream_overhead_bytes`], the term `plan_ingest` charges
 /// against the budget. The h2h workload, degree table, and seed sets are
 /// built outside the measured region (the engine *consumes* the seed sets;

@@ -461,7 +461,7 @@ proptest! {
     ) {
         // The engine-level contract behind the pipeline property: on a raw
         // hub-skewed h2h stream with NE++-like seeded replicas and uneven
-        // loads, the sparse engine reproduces `stream_h2h_serial` exactly —
+        // loads, the mask-table engine reproduces `stream_h2h_serial` exactly —
         // assignment sequence, final loads, and every replica-set word — at
         // 1 and 8 workers.
         use hep::ds::DenseBitset;
