@@ -130,20 +130,20 @@ fn bench_parallel_graph_build(c: &mut Criterion) {
             hep_par::set_threads(t);
             b.iter(|| black_box(DegreeStats::new(&g, 10.0)).num_high)
         });
-        group.bench_with_input(BenchmarkId::new("csr_build", threads), &threads, |b, &t| {
-            hep_par::set_threads(t);
-            // Stats computed once outside the loop: this row isolates the
-            // CSR construction (the degree pass has its own row above);
-            // the O(|V|) clone is noise next to the O(|E|) build.
-            let stats = DegreeStats::new(&g, 10.0);
-            b.iter(|| {
-                let mut h2h = 0u64;
-                let csr = PrunedCsr::build_streaming_h2h(&g, stats.clone(), |_| h2h += 1);
-                black_box(csr.column_entries() + h2h)
-            })
-        });
     }
     hep_par::set_threads(0);
+    // The CSR build is one serial insertion pass: no thread dimension.
+    // Stats computed once outside the loop: this row isolates the CSR
+    // construction (the degree pass has its own rows above); the O(|V|)
+    // clone is noise next to the O(|E|) build.
+    let stats = DegreeStats::new(&g, 10.0);
+    group.bench_function("csr_build", |b| {
+        b.iter(|| {
+            let mut h2h = 0u64;
+            let csr = PrunedCsr::build_streaming_h2h(&g, stats.clone(), |_| h2h += 1);
+            black_box(csr.column_entries() + h2h)
+        })
+    });
     group.finish();
 }
 

@@ -3,7 +3,9 @@
 //! Following §3.2.1, edges between two high-degree vertices are written to
 //! an external file *while the CSR is built* and re-read as a stream in
 //! phase 2 — they never occupy memory, which is what lets τ trade quality
-//! for footprint.
+//! for footprint. The spill is a HEPB v2 file ([`EdgeFileWriter`]), so
+//! phase 2 reads it through the same checksummed passes and IO backends as
+//! the input.
 
 use crate::config::HepConfig;
 use crate::nepp::{run_nepp, NeppStats};
@@ -12,10 +14,9 @@ use crate::planner::{estimate_stream_overhead_bytes, plan_ingest, IngestPlan};
 use crate::streaming::stream_h2h;
 use hep_graph::partitioner::check_inputs;
 use hep_graph::{
-    AssignSink, BinaryEdgeFile, DegreeStats, Edge, EdgeList, EdgePartitioner, GraphError, IoMode,
-    PrunedCsr,
+    AssignSink, BinaryEdgeFile, DegreeStats, Edge, EdgeFileWriter, EdgeList, EdgePartitioner,
+    GraphError, IoMode, PrunedCsr,
 };
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -151,29 +152,16 @@ impl Hep {
     ) -> Result<HepRunReport, GraphError> {
         check_inputs(graph, k)?;
         self.config.validate()?;
-        // Phase 0: graph building (two passes over the edge list, §4.1;
-        // both chunk-parallel on the hep-par pool), spilling h2h edges to
-        // the external edge file as they are found.
+        // Phase 0: graph building (a degree pass and one insertion pass
+        // over the edge list, §4.1), spilling h2h edges to the external
+        // edge file as they are found.
         // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
         let build_start = Instant::now();
         let stats = DegreeStats::new(graph, self.config.tau);
-        let h2h_path = h2h_temp_path();
-        let guard = TempFileGuard(h2h_path.clone());
-        let mut writer = std::io::BufWriter::new(std::fs::File::create(&h2h_path)?);
-        let mut write_err: Option<std::io::Error> = None;
-        let csr = PrunedCsr::build_streaming_h2h(graph, stats, |e| {
-            let r = writer
-                .write_all(&e.src.to_le_bytes())
-                .and_then(|_| writer.write_all(&e.dst.to_le_bytes()));
-            if let Err(err) = r {
-                write_err.get_or_insert(err);
-            }
-        });
-        writer.flush()?;
-        drop(writer);
-        if let Some(err) = write_err {
-            return Err(err.into());
-        }
+        let guard = TempFileGuard(h2h_temp_path());
+        let mut spill = EdgeFileWriter::create(&guard.0, graph.num_vertices)?;
+        let csr = PrunedCsr::build_streaming_h2h(graph, stats, |e| spill.push(e));
+        spill.finish()?;
         self.finish_phases(csr, k, guard, build_start.elapsed().as_secs_f64(), None, sink)
     }
 
@@ -199,30 +187,17 @@ impl Hep {
         self.config.validate()?;
         // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
         let build_start = Instant::now();
-        let h2h_path = h2h_temp_path();
-        let guard = TempFileGuard(h2h_path.clone());
-        let mut writer = std::io::BufWriter::new(std::fs::File::create(&h2h_path)?);
-        let mut write_err: Option<std::io::Error> = None;
+        let guard = TempFileGuard(h2h_temp_path());
+        let mut spill = EdgeFileWriter::create(&guard.0, file.num_vertices())?;
         let (csr, plan) = ingest_file_budgeted(
             file,
             self.config.tau,
             self.config.memory_budget_bytes,
             self.config.io_mode,
             Some(k),
-            |e| {
-                let r = writer
-                    .write_all(&e.src.to_le_bytes())
-                    .and_then(|_| writer.write_all(&e.dst.to_le_bytes()));
-                if let Err(err) = r {
-                    write_err.get_or_insert(err);
-                }
-            },
+            |e| spill.push(e),
         )?;
-        writer.flush()?;
-        drop(writer);
-        if let Some(err) = write_err {
-            return Err(err.into());
-        }
+        spill.finish()?;
         self.finish_phases(csr, k, guard, build_start.elapsed().as_secs_f64(), Some(plan), sink)
     }
 
@@ -243,7 +218,6 @@ impl Hep {
         if self.config.csr_layout == crate::config::CsrLayout::DegreeSorted {
             csr.relayout_degree_sorted();
         }
-        let h2h_path = guard.0.clone();
         let num_vertices = csr.num_vertices();
         let total_edges = csr.num_edges_total();
         let mean_degree = csr.stats().mean_degree;
@@ -263,20 +237,19 @@ impl Hep {
             run_nepp(csr, k, &self.config, sink)
         };
         let nepp_secs = nepp_start.elapsed().as_secs_f64();
-        // Phase 2: informed stateful streaming over the h2h edge file.
+        // Phase 2: informed stateful streaming over the h2h edge file, one
+        // checksummed pass (`stream_h2h` range-checks every endpoint).
         // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
         let stream_start = Instant::now();
         let mut read_err: Option<GraphError> = None;
-        let reader =
-            EdgeList::stream_binary(&h2h_path)?.with_vertex_bound(num_vertices).map_while(|r| {
-                match r {
-                    Ok(e) => Some(e),
-                    Err(e) => {
-                        read_err.get_or_insert(e);
-                        None
-                    }
-                }
-            });
+        let reader = BinaryEdgeFile::open(&guard.0)?.with_io_mode(self.config.io_mode).pass()?;
+        let reader = reader.map_while(|r| match r {
+            Ok(e) => Some(e),
+            Err(e) => {
+                read_err.get_or_insert(e);
+                None
+            }
+        });
         // Ablation switch (§3.3): informed streaming starts from NE++'s
         // secondary sets and loads; uninformed starts cold like plain HDRF.
         let informed = self.config.informed_streaming;

@@ -194,8 +194,8 @@ pub struct IngestPlan {
     /// the requested τ cannot fit the budget at any sweep count).
     pub tau: f64,
     /// Column-insertion sweeps for
-    /// [`hep_graph::PrunedCsr::build_from_passes_budgeted`] (1 = the plain
-    /// two-pass build).
+    /// [`hep_graph::PrunedCsr::build_from_passes_budgeted`] (1 = one
+    /// insertion pass after the degree pass).
     pub column_passes: usize,
     /// Predicted peak heap bytes of the degree pass + CSR build.
     pub estimated_peak_bytes: u64,
@@ -225,8 +225,9 @@ fn ingest_resident_bytes(n: u64, column_entries: u64) -> u64 {
 }
 
 /// Predicted peak heap bytes of a budgeted ingestion+build at `sweeps`
-/// column passes: the resident arrays plus the transient relative cursors
-/// (`8·⌈n/sweeps⌉`) and the fixed overhead.
+/// column passes: the resident arrays plus a cursor term (`8·⌈n/sweeps⌉`)
+/// and the fixed overhead. The builder's cursors now live in the size
+/// fields, so the cursor term is headroom the build no longer allocates.
 pub fn ingest_peak_bytes(n: u64, column_entries: u64, sweeps: usize) -> u64 {
     ingest_resident_bytes(n, column_entries)
         + 8 * n.div_ceil(sweeps.max(1) as u64)

@@ -5,11 +5,14 @@
 //! single array. This module adds a self-describing container so HEP can
 //! run its degree pass and CSR construction as **streaming passes over the
 //! file** — the `EdgeList` never exists in memory (§4.1's "the graph
-//! building phase reads the edge list twice", applied to disk).
+//! building phase reads the edge list twice", applied to disk). The same
+//! container carries HEP's h2h spill: [`EdgeFileWriter`] appends edges as
+//! the CSR build discovers them, and phase 2 reads the spill back through
+//! an ordinary checksummed pass.
 //!
 //! # On-disk layout
 //!
-//! Version 2 (written by [`BinaryEdgeFile::write`]):
+//! Version 2 (written by [`EdgeFileWriter`] and [`BinaryEdgeFile::write`]):
 //!
 //! ```text
 //! offset  size  field
@@ -46,7 +49,9 @@
 //! environment variable by default, overridable per file with
 //! [`BinaryEdgeFile::with_io_mode`] — and falls back to buffered reads
 //! whenever mapping is unavailable (non-unix hosts, mapping failure).
-//! Both backends feed the same decoder and are bit-identical in output
+//! Both backends feed the same decoder, [`EdgePass`], which decodes up to
+//! 4096 records per refill into a reused buffer, so yielding
+//! an edge is an index bump; the two backends are bit-identical in output
 //! and in error behavior.
 
 use crate::degrees::DegreeStats;
@@ -84,6 +89,15 @@ pub const PAYLOAD_CHECKSUM_SEED: u64 = 0x4845_5042_0000_0003;
 /// Read-buffer capacity of a buffered streaming pass. One `fill_buf`
 /// amortizes the syscall over ~128k edges.
 const PASS_BUF: usize = 1 << 20;
+
+/// Most records an [`EdgePass`] decodes per refill (32 KiB of decoded
+/// edges): large enough that the per-refill `dyn PassSource` calls and
+/// checksum update vanish next to the per-edge work, small enough to stay
+/// in L1/L2 between decode and use.
+const DECODE_BLOCK: usize = 4096;
+
+/// Payload bytes an [`EdgeFileWriter`] hashes and writes at a time.
+const WRITE_BLOCK: usize = 1 << 16;
 
 /// How passes read the file. Resolved from the `HEP_IO_MODE` environment
 /// variable (`auto` / `buffered` / `mmap`, case-insensitive) at first use;
@@ -353,40 +367,11 @@ pub struct BinaryEdgeFile {
 impl BinaryEdgeFile {
     /// Writes `graph` to `path` in the current (v2, checksummed) format.
     pub fn write(path: impl AsRef<Path>, graph: &EdgeList) -> Result<BinaryEdgeFile, GraphError> {
-        let path = path.as_ref();
-        // The payload checksum lives in the header, before the payload, so
-        // it is computed in a pre-pass over the in-memory edges.
-        let mut payload = Hasher64::with_seed(PAYLOAD_CHECKSUM_SEED);
-        for e in &graph.edges {
-            payload.write(&e.src.to_le_bytes());
-            payload.write(&e.dst.to_le_bytes());
+        let mut writer = EdgeFileWriter::create(path, graph.num_vertices)?;
+        for &e in &graph.edges {
+            writer.push(e);
         }
-        let payload_checksum = payload.finish();
-
-        let mut head = [0u8; V1_HEADER_LEN as usize];
-        head[0..4].copy_from_slice(&MAGIC);
-        head[4..8].copy_from_slice(&VERSION.to_le_bytes());
-        head[8..12].copy_from_slice(&graph.num_vertices.to_le_bytes());
-        head[12..20].copy_from_slice(&graph.num_edges().to_le_bytes());
-        let header_checksum = hash64(&head, HEADER_CHECKSUM_SEED);
-
-        let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(&head)?;
-        w.write_all(&header_checksum.to_le_bytes())?;
-        w.write_all(&payload_checksum.to_le_bytes())?;
-        for e in &graph.edges {
-            w.write_all(&e.src.to_le_bytes())?;
-            w.write_all(&e.dst.to_le_bytes())?;
-        }
-        w.flush()?;
-        Ok(BinaryEdgeFile {
-            path: path.to_path_buf(),
-            num_vertices: graph.num_vertices,
-            num_edges: graph.num_edges(),
-            version: VERSION,
-            payload_checksum: Some(payload_checksum),
-            io_mode: IoMode::from_env(),
-        })
+        Ok(writer.finish()?)
     }
 
     /// Writes `graph` in the legacy v1 format (20-byte header, no
@@ -546,9 +531,9 @@ impl BinaryEdgeFile {
     }
 
     /// Starts a streaming pass over the edges. Each call reopens the file,
-    /// so passes are repeatable (HEP's graph build takes several: degrees,
-    /// capacity count, insertion). For v2 files the pass verifies the
-    /// payload checksum as it reads; the mismatch, if any, is the final
+    /// so passes are repeatable (HEP's graph build takes two: degrees, then
+    /// one insertion pass per column sweep). For v2 files the pass verifies
+    /// the payload checksum as it reads; the mismatch, if any, is the final
     /// item the iterator yields.
     pub fn pass(&self) -> Result<EdgePass, GraphError> {
         let file = File::open(&self.path)?;
@@ -570,13 +555,7 @@ impl BinaryEdgeFile {
                 None => Box::new(BufferedSource::new(file, self.header_len())?),
             }
         };
-        Ok(EdgePass {
-            source,
-            remaining: self.num_edges,
-            carry: Vec::new(),
-            hasher: self.payload_checksum.map(|_| Hasher64::with_seed(PAYLOAD_CHECKSUM_SEED)),
-            expected_checksum: self.payload_checksum,
-        })
+        Ok(EdgePass::new(source, self.num_edges, self.payload_checksum))
     }
 
     /// One streaming pass computing [`DegreeStats`] at threshold factor
@@ -585,15 +564,15 @@ impl BinaryEdgeFile {
     pub fn degree_stats(&self, tau: f64) -> Result<DegreeStats, GraphError> {
         let n = self.num_vertices;
         let mut degrees = vec![0u32; n as usize];
-        self.pass()?.for_each_pair(|src, dst| {
-            let m = src.max(dst);
+        for e in self.pass()? {
+            let e = e?;
+            let m = e.src.max(e.dst);
             if m >= n {
                 return Err(GraphError::VertexOutOfRange { vertex: m, num_vertices: n });
             }
-            degrees[src as usize] += 1;
-            degrees[dst as usize] += 1;
-            Ok(())
-        })?;
+            degrees[e.src as usize] += 1;
+            degrees[e.dst as usize] += 1;
+        }
         let mean = if n == 0 { 0.0 } else { 2.0 * self.num_edges as f64 / n as f64 };
         Ok(DegreeStats::from_degrees(degrees, mean, tau))
     }
@@ -609,15 +588,117 @@ impl BinaryEdgeFile {
     }
 }
 
-/// A streaming pass over a [`BinaryEdgeFile`]: decodes pairs directly from
-/// the backend's buffer (or mapping); a pair split across two buffer fills
-/// is reassembled in an 8-byte carry. For v2 files the payload bytes are
-/// hashed as they are consumed and the digest is checked against the
-/// header after the last edge.
+/// The v2 header of a file with the given counts and payload checksum.
+fn v2_header(
+    num_vertices: u32,
+    num_edges: u64,
+    payload_checksum: u64,
+) -> [u8; V2_HEADER_LEN as usize] {
+    let mut head = [0u8; V2_HEADER_LEN as usize];
+    head[0..4].copy_from_slice(&MAGIC);
+    head[4..8].copy_from_slice(&VERSION.to_le_bytes());
+    head[8..12].copy_from_slice(&num_vertices.to_le_bytes());
+    head[12..20].copy_from_slice(&num_edges.to_le_bytes());
+    let header_checksum = hash64(&head[..V1_HEADER_LEN as usize], HEADER_CHECKSUM_SEED);
+    head[20..28].copy_from_slice(&header_checksum.to_le_bytes());
+    head[28..36].copy_from_slice(&payload_checksum.to_le_bytes());
+    head
+}
+
+/// A streaming HEPB v2 writer for edges that arrive one at a time (HEP's
+/// h2h spill, discovered during the CSR build). The payload is hashed and
+/// written in 64 KiB blocks behind a placeholder header, which
+/// [`EdgeFileWriter::finish`] patches with the edge count and both
+/// checksums — so the written bytes equal [`BinaryEdgeFile::write`]'s for
+/// the same edges. The first IO error is kept, later pushes are dropped,
+/// and `finish` reports it: a push never fails mid-build.
+#[derive(Debug)]
+pub struct EdgeFileWriter {
+    file: File,
+    path: PathBuf,
+    num_vertices: u32,
+    num_edges: u64,
+    block: Vec<u8>,
+    hasher: Hasher64,
+    error: Option<std::io::Error>,
+}
+
+impl EdgeFileWriter {
+    /// Creates (truncates) `path` for a file over vertex ids
+    /// `0..num_vertices`.
+    pub fn create(path: impl AsRef<Path>, num_vertices: u32) -> std::io::Result<EdgeFileWriter> {
+        let path = path.as_ref();
+        let mut file = File::create(path)?;
+        file.write_all(&[0u8; V2_HEADER_LEN as usize])?;
+        Ok(EdgeFileWriter {
+            file,
+            path: path.to_path_buf(),
+            num_vertices,
+            num_edges: 0,
+            block: Vec::with_capacity(WRITE_BLOCK),
+            hasher: Hasher64::with_seed(PAYLOAD_CHECKSUM_SEED),
+            error: None,
+        })
+    }
+
+    /// Appends one edge.
+    #[inline]
+    pub fn push(&mut self, e: Edge) {
+        self.block.extend_from_slice(&e.src.to_le_bytes());
+        self.block.extend_from_slice(&e.dst.to_le_bytes());
+        self.num_edges += 1;
+        if self.block.len() >= WRITE_BLOCK {
+            self.write_block();
+        }
+    }
+
+    /// Hashes and writes the buffered block (dropped after an IO error).
+    fn write_block(&mut self) {
+        if self.error.is_none() {
+            self.hasher.write(&self.block);
+            if let Err(err) = self.file.write_all(&self.block) {
+                self.error = Some(err);
+            }
+        }
+        self.block.clear();
+    }
+
+    /// Writes the last block and the final header; returns the first IO
+    /// error of the whole write, if any.
+    pub fn finish(mut self) -> std::io::Result<BinaryEdgeFile> {
+        self.write_block();
+        if let Some(err) = self.error.take() {
+            return Err(err);
+        }
+        let payload_checksum = self.hasher.finish();
+        self.file.seek(SeekFrom::Start(0))?;
+        self.file.write_all(&v2_header(self.num_vertices, self.num_edges, payload_checksum))?;
+        Ok(BinaryEdgeFile {
+            path: self.path,
+            num_vertices: self.num_vertices,
+            num_edges: self.num_edges,
+            version: VERSION,
+            payload_checksum: Some(payload_checksum),
+            io_mode: IoMode::from_env(),
+        })
+    }
+}
+
+/// A streaming pass over a [`BinaryEdgeFile`]. Each refill decodes up to
+/// 4096 whole records from the backend's buffer (or mapping)
+/// into a reused block — through the aligned zero-copy [`u32_word_view`]
+/// when available, byte by byte otherwise — and hashes their bytes once;
+/// `next()` then only bumps an index. A record split across two buffer
+/// fills is reassembled in an 8-byte carry. For v2 files the digest is
+/// checked against the header after the last edge.
 #[derive(Debug)]
 pub struct EdgePass {
     source: Box<dyn PassSource>,
+    /// Records not yet decoded.
     remaining: u64,
+    /// The decoded block and the index of its next edge.
+    block: Vec<Edge>,
+    pos: usize,
     carry: Vec<u8>,
     /// Running payload hash; `None` for v1 files.
     hasher: Option<Hasher64>,
@@ -627,6 +708,20 @@ pub struct EdgePass {
 }
 
 impl EdgePass {
+    /// A pass over `num_edges` records read from `source`, verified
+    /// against `payload_checksum` when one is given.
+    fn new(source: Box<dyn PassSource>, num_edges: u64, payload_checksum: Option<u64>) -> Self {
+        EdgePass {
+            source,
+            remaining: num_edges,
+            block: Vec::with_capacity(num_edges.min(DECODE_BLOCK as u64) as usize),
+            pos: 0,
+            carry: Vec::new(),
+            hasher: payload_checksum.map(|_| Hasher64::with_seed(PAYLOAD_CHECKSUM_SEED)),
+            expected_checksum: payload_checksum,
+        }
+    }
+
     /// Which backend this pass reads through (after any fallback).
     pub fn backend(&self) -> IoBackend {
         self.source.backend()
@@ -650,75 +745,12 @@ impl EdgePass {
         self.expected_checksum = None;
     }
 
-    /// Drains the whole pass, invoking `f(src, dst)` per edge, decoding
-    /// whole buffer chunks through the aligned zero-copy `u32` view when
-    /// available ([`u32_word_view`]) and byte-by-byte otherwise. Behavior
-    /// — edge order, typed errors, end-of-pass checksum verification — is
-    /// identical to iterating, and the two are pinned equal by tests.
-    pub fn for_each_pair(
-        mut self,
-        mut f: impl FnMut(u32, u32) -> Result<(), GraphError>,
-    ) -> Result<(), GraphError> {
-        loop {
-            if self.remaining == 0 {
-                match self.finish_checksum() {
-                    Some(err) => return Err(err),
-                    None => return Ok(()),
-                }
-            }
-            if !self.carry.is_empty() {
-                // A record straddles a chunk boundary: take the slow
-                // single-record path.
-                match self.next() {
-                    Some(Ok(e)) => f(e.src, e.dst)?,
-                    Some(Err(err)) => return Err(err),
-                    None => unreachable!("next() yields while remaining > 0"),
-                }
-                continue;
-            }
-            let buf = match self.source.fill() {
-                Ok(b) => b,
-                Err(e) => return Err(GraphError::Io(e)),
-            };
-            if buf.is_empty() {
-                return Err(GraphError::TruncatedBinary { bytes: 0 });
-            }
-            let records = ((buf.len() / 8) as u64).min(self.remaining) as usize;
-            if records == 0 {
-                // Fewer than 8 bytes visible: the carry path reassembles.
-                match self.next() {
-                    Some(Ok(e)) => f(e.src, e.dst)?,
-                    Some(Err(err)) => return Err(err),
-                    None => unreachable!("next() yields while remaining > 0"),
-                }
-                continue;
-            }
-            let bytes = &buf[..records * 8];
-            if let Some(h) = self.hasher.as_mut() {
-                h.write(bytes);
-            }
-            match u32_word_view(bytes) {
-                Some(words) => {
-                    for pair in words.chunks_exact(2) {
-                        f(pair[0], pair[1])?;
-                    }
-                }
-                None => {
-                    for rec in bytes.chunks_exact(8) {
-                        f(hep_ds::bytes::u32_le_at(rec, 0), hep_ds::bytes::u32_le_at(rec, 4))?;
-                    }
-                }
-            }
-            self.source.consume(records * 8);
-            self.remaining -= records as u64;
-        }
-    }
-}
-
-impl Iterator for EdgePass {
-    type Item = Result<Edge, GraphError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// The slow path of `next()`: the block is used up, so decode the next
+    /// one (or reassemble a straddling record, or end the pass).
+    #[inline(never)]
+    fn refill(&mut self) -> Option<Result<Edge, GraphError>> {
+        self.block.clear();
+        self.pos = 0;
         if self.remaining == 0 {
             // The edges are all out; what may remain is the checksum
             // verdict, reported at most once.
@@ -744,14 +776,27 @@ impl Iterator for EdgePass {
                 return Some(Err(GraphError::TruncatedBinary { bytes }));
             }
             if self.carry.is_empty() && buf.len() >= 8 {
-                let e =
-                    Edge::new(hep_ds::bytes::u32_le_at(buf, 0), hep_ds::bytes::u32_le_at(buf, 4));
+                let records =
+                    ((buf.len() / 8).min(DECODE_BLOCK) as u64).min(self.remaining) as usize;
+                let bytes = &buf[..records * 8];
                 if let Some(h) = self.hasher.as_mut() {
-                    h.write(&buf[..8]);
+                    h.write(bytes);
                 }
-                self.source.consume(8);
-                self.remaining -= 1;
-                return Some(Ok(e));
+                match u32_word_view(bytes) {
+                    Some(words) => self
+                        .block
+                        .extend(words.chunks_exact(2).map(|pair| Edge::new(pair[0], pair[1]))),
+                    None => self.block.extend(bytes.chunks_exact(8).map(|rec| {
+                        Edge::new(
+                            hep_ds::bytes::u32_le_at(rec, 0),
+                            hep_ds::bytes::u32_le_at(rec, 4),
+                        )
+                    })),
+                }
+                self.source.consume(records * 8);
+                self.remaining -= records as u64;
+                self.pos = 1;
+                return self.block.first().map(|&e| Ok(e));
             }
             // Slow path: buffer boundary splits the record.
             let take = (8 - self.carry.len()).min(buf.len());
@@ -769,6 +814,21 @@ impl Iterator for EdgePass {
                 self.remaining -= 1;
                 return Some(Ok(e));
             }
+        }
+    }
+}
+
+impl Iterator for EdgePass {
+    type Item = Result<Edge, GraphError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        match self.block.get(self.pos) {
+            Some(&e) => {
+                self.pos += 1;
+                Some(Ok(e))
+            }
+            None => self.refill(),
         }
     }
 }
@@ -847,22 +907,143 @@ mod tests {
         assert_eq!(da, db);
     }
 
+    /// A test-only source that hands the payload out in chunks of 1..=13
+    /// bytes (cycling), so records straddle chunk boundaries and the carry
+    /// path runs — the file backends never split a record.
+    #[derive(Debug)]
+    struct ChunkedSource {
+        bytes: Vec<u8>,
+        pos: usize,
+        chunks: usize,
+    }
+
+    impl PassSource for ChunkedSource {
+        fn fill(&mut self) -> std::io::Result<&[u8]> {
+            let end = (self.pos + self.chunks % 13 + 1).min(self.bytes.len());
+            Ok(&self.bytes[self.pos..end])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+            self.chunks += 1;
+        }
+
+        fn backend(&self) -> IoBackend {
+            IoBackend::Buffered
+        }
+    }
+
+    /// Drains a pass into its edges and its terminal error, if any.
+    fn drain(pass: EdgePass) -> (Vec<Edge>, Option<String>) {
+        let mut edges = Vec::new();
+        for item in pass {
+            match item {
+                Ok(e) => edges.push(e),
+                Err(err) => return (edges, Some(format!("{err:?}"))),
+            }
+        }
+        (edges, None)
+    }
+
+    /// A larger pseudo-random graph: several decode blocks and write blocks.
+    fn many_edges() -> EdgeList {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let pairs = (0..20_000).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state % 3000) as u32, (state >> 32) as u32 % 3000)
+        });
+        EdgeList::with_vertices(3000, pairs).unwrap()
+    }
+
     #[test]
-    fn for_each_pair_matches_iterator() {
-        let g = sample();
-        let p = tmp("foreach");
-        let f = BinaryEdgeFile::write(&p, &g).unwrap();
-        let mut pairs = Vec::new();
-        f.pass()
-            .unwrap()
-            .for_each_pair(|s, d| {
-                pairs.push(Edge::new(s, d));
-                Ok(())
-            })
-            .unwrap();
-        let iterated: Vec<Edge> = f.pass().unwrap().collect::<Result<_, _>>().unwrap();
+    fn chunked_source_decodes_like_the_buffered_backend() {
+        for (name, g) in [("sample", sample()), ("many", many_edges())] {
+            let p = tmp(&format!("chunked_{name}"));
+            let f = BinaryEdgeFile::write(&p, &g).unwrap().with_io_mode(IoMode::Buffered);
+            let pristine = std::fs::read(&p).unwrap();
+            let header = V2_HEADER_LEN as usize;
+            let chunked = |bytes: &[u8]| {
+                let source = ChunkedSource { bytes: bytes[header..].to_vec(), pos: 0, chunks: 0 };
+                drain(EdgePass::new(Box::new(source), f.num_edges(), f.payload_checksum()))
+            };
+            // Pristine: the same edges, no error.
+            let want = drain(f.pass().unwrap());
+            assert_eq!(want, (g.edges.clone(), None), "{name}: buffered pass");
+            assert_eq!(chunked(&pristine), want, "{name}: pristine");
+            // A flipped payload byte: the same edges up to the same
+            // payload ChecksumMismatch.
+            let mut flipped = pristine.clone();
+            flipped[header + 8 * (g.edges.len() / 2) + 1] ^= 0x10;
+            std::fs::write(&p, &flipped).unwrap();
+            let want = drain(f.pass().unwrap());
+            assert!(want.1.as_deref().is_some_and(|e| e.contains("ChecksumMismatch")), "{want:?}");
+            assert_eq!(chunked(&flipped), want, "{name}: flipped byte");
+            // A short payload: the same TruncatedBinary, carry included.
+            let short = &pristine[..header + 8 * 3 + 5];
+            std::fs::write(&p, short).unwrap();
+            let want = drain(f.pass().unwrap());
+            assert_eq!(want.1.as_deref(), Some("TruncatedBinary { bytes: 5 }"), "{name}");
+            assert_eq!(chunked(short), want, "{name}: short payload");
+            std::fs::remove_file(&p).ok();
+        }
+    }
+
+    #[test]
+    fn streaming_writer_bytes_equal_the_file_format() {
+        for (name, g) in [("sample", sample()), ("many", many_edges())] {
+            // The expected bytes, assembled independently of the writer:
+            // the header fields, then the payload, hashed in one shot.
+            let payload: Vec<u8> = g
+                .edges
+                .iter()
+                .flat_map(|e| e.src.to_le_bytes().into_iter().chain(e.dst.to_le_bytes()))
+                .collect();
+            let mut want = Vec::new();
+            want.extend_from_slice(&MAGIC);
+            want.extend_from_slice(&VERSION.to_le_bytes());
+            want.extend_from_slice(&g.num_vertices.to_le_bytes());
+            want.extend_from_slice(&g.num_edges().to_le_bytes());
+            want.extend_from_slice(&hash64(&want, HEADER_CHECKSUM_SEED).to_le_bytes());
+            want.extend_from_slice(&hash64(&payload, PAYLOAD_CHECKSUM_SEED).to_le_bytes());
+            want.extend_from_slice(&payload);
+
+            let p = tmp(&format!("writer_{name}"));
+            let mut w = EdgeFileWriter::create(&p, g.num_vertices).unwrap();
+            for &e in &g.edges {
+                w.push(e);
+            }
+            let streamed = w.finish().unwrap();
+            assert_eq!(std::fs::read(&p).unwrap(), want, "{name}: streaming writer");
+            assert_eq!(streamed.num_edges(), g.num_edges());
+            BinaryEdgeFile::write(&p, &g).unwrap();
+            assert_eq!(std::fs::read(&p).unwrap(), want, "{name}: BinaryEdgeFile::write");
+            assert_eq!(BinaryEdgeFile::open(&p).unwrap().load().unwrap(), g);
+            std::fs::remove_file(&p).ok();
+        }
+    }
+
+    #[test]
+    fn written_spill_with_a_flipped_byte_fails_its_pass() {
+        let g = many_edges();
+        let p = tmp("spill_flip");
+        let mut w = EdgeFileWriter::create(&p, g.num_vertices).unwrap();
+        for &e in &g.edges {
+            w.push(e);
+        }
+        let spill = w.finish().unwrap();
+        let mut bytes = std::fs::read(&p).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&p, &bytes).unwrap();
+        for mode in [IoMode::Buffered, IoMode::Mmap] {
+            let (edges, err) = drain(spill.clone().with_io_mode(mode).pass().unwrap());
+            assert_eq!(edges.len(), g.edges.len(), "{mode:?}: every edge decodes");
+            let err = err.unwrap_or_default();
+            assert!(err.contains("ChecksumMismatch") && err.contains("payload"), "{mode:?}: {err}");
+        }
         std::fs::remove_file(&p).ok();
-        assert_eq!(pairs, iterated);
     }
 
     #[test]

@@ -153,8 +153,8 @@ impl EdgeList {
 
     /// Opens a streaming reader over a binary edge-list file (the format of
     /// [`EdgeList::write_binary`]), yielding edges without loading the file.
-    /// HEP's streaming phase consumes the externalized h2h edge file this
-    /// way (§3.3).
+    /// (HEP's own h2h spill is a checksummed HEPB file read through
+    /// [`crate::BinaryEdgeFile::pass`], not this raw format.)
     ///
     /// The file length is validated up front: a length that is not a
     /// multiple of 8 is a typed [`GraphError::TruncatedBinary`] at open
@@ -213,9 +213,8 @@ pub struct BinaryEdgeReader {
 impl BinaryEdgeReader {
     /// Enforces an endpoint contract: every yielded edge's ids must be
     /// `< num_vertices`, else the reader yields a typed
-    /// [`GraphError::VertexOutOfRange`]. HEP wires its header-declared
-    /// vertex count through here so a corrupt h2h spill file is rejected
-    /// at the read, before any index arithmetic.
+    /// [`GraphError::VertexOutOfRange`], so a corrupt file is rejected at
+    /// the read, before any index arithmetic.
     #[must_use]
     pub fn with_vertex_bound(mut self, num_vertices: u32) -> BinaryEdgeReader {
         self.vertex_bound = Some(num_vertices);

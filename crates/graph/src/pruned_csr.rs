@@ -19,18 +19,6 @@ use crate::degrees::DegreeStats;
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
 use crate::types::{Edge, VertexId};
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Minimum edges per construction chunk of the parallel builder.
-const BUILD_CHUNK_MIN: usize = 1 << 16;
-
-/// Upper bound on the number of construction chunks. The parallel builder
-/// keeps one `2 · |V| · 4`-byte offset table per chunk, so the bound caps
-/// the transient memory of a build at `≤ 8 · BUILD_MAX_CHUNKS · |V|` bytes
-/// regardless of `|E|`. It is a function of nothing but this constant —
-/// never of the worker count — so the chunk decomposition (and therefore
-/// the built CSR) is identical at any `HEP_THREADS` value.
-const BUILD_MAX_CHUNKS: usize = 16;
 
 /// Pruned CSR with dual index arrays, size fields and an h2h edge buffer.
 #[derive(Clone, Debug, PartialEq)]
@@ -83,210 +71,36 @@ impl PrunedCsr {
     /// buffering them — the paper's "write out edges between two high-degree
     /// vertices to an external file while building the CSR" (§3.2.1). The
     /// returned CSR has an empty [`PrunedCsr::h2h_edges`] buffer but a
-    /// correct [`PrunedCsr::num_inmem_edges`].
+    /// correct [`PrunedCsr::num_inmem_edges`]. h2h edges reach the sink in
+    /// input order.
     ///
-    /// Both construction passes run on the `hep-par` pool when it has more
-    /// than one worker: fixed edge chunks count per-chunk histograms that
-    /// are folded **in chunk order** into per-chunk insertion offsets, so
-    /// every chunk scatters into provably disjoint column slots and the
-    /// resulting CSR (including the order of entries within every adjacency
-    /// list, which NE++'s scan order depends on) is byte-identical to the
-    /// serial build at any `HEP_THREADS` value. h2h edges reach the sink in
-    /// input order in both paths.
+    /// `stats` must be `graph`'s own degree statistics (as from
+    /// [`DegreeStats::new`]); this is the one-sweep
+    /// [`PrunedCsr::build_from_passes`] over the edge slice.
     pub fn build_streaming_h2h(
         graph: &EdgeList,
         stats: DegreeStats,
         h2h_sink: impl FnMut(Edge),
     ) -> Self {
         debug_assert_eq!(stats.degrees.len(), graph.num_vertices as usize);
-        let pool = hep_par::Pool::current();
-        if pool.threads() <= 1 || graph.edges.len() < 2 * BUILD_CHUNK_MIN {
-            Self::build_serial(graph, stats, h2h_sink)
-        } else {
-            Self::build_parallel(graph, stats, h2h_sink)
-        }
+        let pass = || Ok(graph.edges.iter().copied().map(Ok));
+        // hep-lint: allow(HL007) -- an EdgeList's ids are < num_vertices and `stats` holds its exact degrees, so neither the range check nor a segment guard can fire
+        Self::build_from_passes(stats, pass, h2h_sink).expect("stats are the graph's own degrees")
     }
 
-    /// The serial two-pass construction (also the `HEP_THREADS=1` path).
-    fn build_serial(graph: &EdgeList, stats: DegreeStats, mut h2h_sink: impl FnMut(Edge)) -> Self {
-        let n = graph.num_vertices as usize;
-        // Pass 1: per-vertex out/in capacities, skipping pruned lists.
-        let mut out_cap = vec![0u32; n];
-        let mut in_cap = vec![0u32; n];
-        let mut num_h2h = 0u64;
-        for e in &graph.edges {
-            debug_assert!(!e.is_self_loop(), "input must be canonicalized");
-            let src_high = stats.is_high(e.src);
-            let dst_high = stats.is_high(e.dst);
-            if src_high && dst_high {
-                num_h2h += 1;
-                continue;
-            }
-            if !src_high {
-                out_cap[e.src as usize] += 1;
-            }
-            if !dst_high {
-                in_cap[e.dst as usize] += 1;
-            }
-        }
-        let (index_out, index_in) = Self::index_arrays(&out_cap, &in_cap);
-        let total = index_out[n] as usize;
-        let mut col = vec![0u32; total];
-        // Pass 2: insertion.
-        let mut out_cursor: Vec<u64> = index_out[..n].to_vec();
-        let mut in_cursor = index_in.clone();
-        for e in &graph.edges {
-            let src_high = stats.is_high(e.src);
-            let dst_high = stats.is_high(e.dst);
-            if src_high && dst_high {
-                h2h_sink(*e);
-                continue;
-            }
-            if !src_high {
-                col[out_cursor[e.src as usize] as usize] = e.dst;
-                out_cursor[e.src as usize] += 1;
-            }
-            if !dst_high {
-                col[in_cursor[e.dst as usize] as usize] = e.src;
-                in_cursor[e.dst as usize] += 1;
-            }
-        }
-        PrunedCsr {
-            stats,
-            index_out,
-            index_in,
-            col,
-            out_size: out_cap,
-            in_size: in_cap,
-            h2h: Vec::new(),
-            num_h2h,
-            num_edges_total: graph.num_edges(),
-        }
-    }
-
-    /// The chunk-parallel construction. Chunk `c`'s insertion offset for a
-    /// vertex segment is the sum of chunk `0..c`'s counts for that vertex,
-    /// so all writes land in disjoint slots and match the serial insertion
-    /// order exactly; the column array is scattered through relaxed atomic
-    /// stores (no two chunks share a slot) and unwrapped afterwards.
-    fn build_parallel(
-        graph: &EdgeList,
-        stats: DegreeStats,
-        mut h2h_sink: impl FnMut(Edge),
-    ) -> Self {
-        let n = graph.num_vertices as usize;
-        let edges = &graph.edges;
-        let pool = hep_par::Pool::current();
-        let chunk = BUILD_CHUNK_MIN.max(edges.len().div_ceil(BUILD_MAX_CHUNKS));
-        let ranges = hep_par::chunk_ranges(edges.len(), chunk);
-        let stats_ref = &stats;
-        // Pass 1: per-chunk histograms (out-count, in-count, h2h tally).
-        let mut counts: Vec<(Vec<u32>, Vec<u32>, u64)> = pool.par_map(ranges.len(), |i| {
-            let (a, b) = ranges[i];
-            let mut out = vec![0u32; n];
-            let mut inn = vec![0u32; n];
-            let mut h2h = 0u64;
-            for e in &edges[a..b] {
-                debug_assert!(!e.is_self_loop(), "input must be canonicalized");
-                let src_high = stats_ref.is_high(e.src);
-                let dst_high = stats_ref.is_high(e.dst);
-                if src_high && dst_high {
-                    h2h += 1;
-                    continue;
-                }
-                if !src_high {
-                    out[e.src as usize] += 1;
-                }
-                if !dst_high {
-                    inn[e.dst as usize] += 1;
-                }
-            }
-            (out, inn, h2h)
-        });
-        // Chunk-ordered fold: totals per vertex, and each chunk's histogram
-        // is rewritten in place into its within-segment start offset.
-        let mut out_cap = vec![0u32; n];
-        let mut in_cap = vec![0u32; n];
-        let mut num_h2h = 0u64;
-        for (out, inn, h2h) in counts.iter_mut() {
-            num_h2h += *h2h;
-            // Not a copy (clippy::manual_memcpy misfires): this rewrites
-            // each chunk histogram into its exclusive running prefix while
-            // accumulating the totals in place.
-            #[allow(clippy::manual_memcpy)]
-            for v in 0..n {
-                let t = out[v];
-                out[v] = out_cap[v];
-                out_cap[v] += t;
-                let t = inn[v];
-                inn[v] = in_cap[v];
-                in_cap[v] += t;
-            }
-        }
-        let (index_out, index_in) = Self::index_arrays(&out_cap, &in_cap);
-        let total = index_out[n] as usize;
-        // Pass 2: disjoint-slot scatter; h2h edges come back per chunk, in
-        // chunk order, which concatenates to input order.
-        let col_atomic: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-        let (counts_ref, col_ref) = (&counts, &col_atomic);
-        let (index_out_ref, index_in_ref) = (&index_out, &index_in);
-        let h2h_chunks: Vec<Vec<Edge>> = pool.par_map(ranges.len(), |i| {
-            let (a, b) = ranges[i];
-            let mut out_cur = counts_ref[i].0.clone();
-            let mut in_cur = counts_ref[i].1.clone();
-            let mut h2h = Vec::new();
-            for e in &edges[a..b] {
-                let src_high = stats_ref.is_high(e.src);
-                let dst_high = stats_ref.is_high(e.dst);
-                if src_high && dst_high {
-                    h2h.push(*e);
-                    continue;
-                }
-                if !src_high {
-                    let v = e.src as usize;
-                    let pos = index_out_ref[v] + out_cur[v] as u64;
-                    col_ref[pos as usize].store(e.dst, Ordering::Relaxed);
-                    out_cur[v] += 1;
-                }
-                if !dst_high {
-                    let v = e.dst as usize;
-                    let pos = index_in_ref[v] + in_cur[v] as u64;
-                    col_ref[pos as usize].store(e.src, Ordering::Relaxed);
-                    in_cur[v] += 1;
-                }
-            }
-            h2h
-        });
-        drop(counts);
-        let col: Vec<u32> = col_atomic.into_iter().map(AtomicU32::into_inner).collect();
-        for e in h2h_chunks.into_iter().flatten() {
-            h2h_sink(e);
-        }
-        PrunedCsr {
-            stats,
-            index_out,
-            index_in,
-            col,
-            out_size: out_cap,
-            in_size: in_cap,
-            h2h: Vec::new(),
-            num_h2h,
-            num_edges_total: graph.num_edges(),
-        }
-    }
-
-    /// Builds the pruned CSR from two streaming passes over an external edge
+    /// Builds the pruned CSR from streaming passes over an external edge
     /// source (the binary edge file of [`crate::binfile::BinaryEdgeFile`]),
-    /// without ever materializing an [`EdgeList`]: pass 1 counts segment
-    /// capacities, pass 2 inserts. Both passes must yield the same edge
-    /// sequence; `make_pass` is called twice. h2h edges go to `h2h_sink` in
-    /// input order, exactly like [`PrunedCsr::build_streaming_h2h`].
+    /// without ever materializing an [`EdgeList`]: one insertion pass, sized
+    /// by the degree table in `stats` (the degree pass already made). h2h
+    /// edges go to `h2h_sink` in input order.
     ///
     /// Endpoint ids are validated against `stats.num_vertices()` on every
     /// pass (external sources are untrusted, and the file may even change
     /// between passes): an out-of-range id returns
     /// [`GraphError::VertexOutOfRange`] instead of panicking on an
-    /// out-of-bounds index.
+    /// out-of-bounds index. A source that disagrees with the degree table —
+    /// more entries for a vertex than `d(v)`, or fewer — returns
+    /// [`GraphError::TruncatedBinary`].
     pub fn build_from_passes<I>(
         stats: DegreeStats,
         make_pass: impl FnMut() -> Result<I, GraphError>,
@@ -298,20 +112,25 @@ impl PrunedCsr {
         Self::build_from_passes_budgeted(stats, make_pass, h2h_sink, 1)
     }
 
-    /// [`PrunedCsr::build_from_passes`] with the column-insertion phase
-    /// split into `column_passes` sequential sweeps — the spillable column
-    /// construction of the bounded-memory pipeline (paper §4.2: the memory
-    /// budget, not |E|, dictates what is held at once).
+    /// [`PrunedCsr::build_from_passes`] with the insertion split into
+    /// `column_passes` sequential sweeps, sweep `r` re-reading the source
+    /// and inserting only entries owned by vertices in the `r`-th
+    /// contiguous slice of the id space. The h2h sequence is emitted during
+    /// the first sweep only, and the built CSR is **bit-identical for any
+    /// `column_passes`**. Sweeps no longer save memory (the insertion
+    /// cursors are the size fields themselves); they remain because the
+    /// ingest planner still plans them.
     ///
-    /// Sweep `r` re-reads the edge source and inserts only entries owned
-    /// by vertices in the `r`-th contiguous slice of the id space, so the
-    /// transient insertion state shrinks from cursors over all of `V` to
-    /// cursors over `|V| / column_passes` vertices (`8·⌈|V|/S⌉` bytes
-    /// instead of `16·|V|`) — IO passes traded for peak memory. Per-vertex
-    /// insertion order equals input order in every sweep, so the built CSR
-    /// (and the h2h sequence, emitted during the first sweep only) is
-    /// **bit-identical for any `column_passes`**, which the determinism
-    /// tests pin.
+    /// The fill is two-ended: a low vertex's segment is exactly `d(v)`
+    /// entries long, so the index is a prefix sum over the degree table;
+    /// out-entries fill upward from the segment start and in-entries
+    /// downward from its end, with `out_size`/`in_size` as the cursors. A
+    /// write that would cross into the other list means the source grew
+    /// since the degree pass; a segment not exactly full at the end of its
+    /// sweep means it shrank. Both are [`GraphError::TruncatedBinary`] — a
+    /// typed error, never a scatter into a neighbouring segment or a
+    /// zero-filled phantom entry. Finally each in-list is reversed once, so
+    /// every list holds its entries in input order.
     pub fn build_from_passes_budgeted<I>(
         stats: DegreeStats,
         mut make_pass: impl FnMut() -> Result<I, GraphError>,
@@ -322,110 +141,95 @@ impl PrunedCsr {
         I: Iterator<Item = Result<Edge, GraphError>>,
     {
         let n = stats.num_vertices() as usize;
-        let check_range = |e: Edge| -> Result<Edge, GraphError> {
-            let max = e.src.max(e.dst);
-            if max as usize >= n {
-                return Err(GraphError::VertexOutOfRange { vertex: max, num_vertices: n as u32 });
+        let mut index_out = Vec::with_capacity(n + 1);
+        let mut end = 0u64;
+        index_out.push(end);
+        for (v, &d) in stats.degrees.iter().enumerate() {
+            if !stats.is_high(v as VertexId) {
+                end += d as u64;
             }
-            Ok(e)
-        };
-        let mut out_cap = vec![0u32; n];
-        let mut in_cap = vec![0u32; n];
+            index_out.push(end);
+        }
+        let mut col = vec![0u32; end as usize];
+        let mut out_size = vec![0u32; n];
+        let mut in_size = vec![0u32; n];
         let mut num_h2h = 0u64;
         let mut num_edges_total = 0u64;
-        for e in make_pass()? {
-            let e = check_range(e?)?;
-            num_edges_total += 1;
-            let src_high = stats.is_high(e.src);
-            let dst_high = stats.is_high(e.dst);
-            if src_high && dst_high {
-                num_h2h += 1;
-                continue;
-            }
-            if !src_high {
-                out_cap[e.src as usize] += 1;
-            }
-            if !dst_high {
-                in_cap[e.dst as usize] += 1;
-            }
-        }
-        let (index_out, index_in) = Self::index_arrays(&out_cap, &in_cap);
-        let total = index_out[n] as usize;
-        let mut col = vec![0u32; total];
-        let sweeps = column_passes.clamp(1, n.max(1));
-        let seg_len = n.div_ceil(sweeps).max(1);
-        // Cursors are *relative* to the vertex's list start (u32: a list
-        // holds at most `u32` entries by construction), sized to one
-        // segment, and reused across sweeps.
-        let mut out_rel = vec![0u32; seg_len.min(n)];
-        let mut in_rel = vec![0u32; seg_len.min(n)];
+        let seg_len = n.div_ceil(column_passes.clamp(1, n.max(1))).max(1);
         let mut lo = 0usize;
-        while lo < n || (n == 0 && lo == 0) {
+        loop {
             let hi = (lo + seg_len).min(n);
             let first_sweep = lo == 0;
-            out_rel[..hi - lo].fill(0);
-            in_rel[..hi - lo].fill(0);
             for e in make_pass()? {
-                let e = check_range(e?)?;
+                let e = e?;
+                let max = e.src.max(e.dst);
+                if max as usize >= n {
+                    return Err(GraphError::VertexOutOfRange {
+                        vertex: max,
+                        num_vertices: n as u32,
+                    });
+                }
                 let src_high = stats.is_high(e.src);
                 let dst_high = stats.is_high(e.dst);
-                if src_high && dst_high {
-                    if first_sweep {
+                if first_sweep {
+                    num_edges_total += 1;
+                    if src_high && dst_high {
+                        num_h2h += 1;
                         h2h_sink(e);
                     }
-                    continue;
                 }
                 let src = e.src as usize;
                 if !src_high && (lo..hi).contains(&src) {
-                    let rel = &mut out_rel[src - lo];
-                    if *rel >= out_cap[src] {
-                        // More entries than the counting pass saw: the
-                        // source changed between passes. A typed error,
-                        // not a scatter into another vertex's segment.
+                    let (start, filled) = (index_out[src], out_size[src] + in_size[src]);
+                    if start + filled as u64 >= index_out[src + 1] {
+                        // The segment is full: the source grew since the
+                        // degree pass.
                         return Err(GraphError::TruncatedBinary { bytes: 0 });
                     }
-                    col[(index_out[src] + *rel as u64) as usize] = e.dst;
-                    *rel += 1;
+                    // hep-lint: allow(HL011) -- the guard above gives start + out_size < index_out[src + 1] <= col.len()
+                    col[(start + out_size[src] as u64) as usize] = e.dst;
+                    out_size[src] += 1;
                 }
                 let dst = e.dst as usize;
                 if !dst_high && (lo..hi).contains(&dst) {
-                    let rel = &mut in_rel[dst - lo];
-                    if *rel >= in_cap[dst] {
+                    let (start, filled) = (index_out[dst], out_size[dst] + in_size[dst]);
+                    let seg_end = index_out[dst + 1];
+                    if start + filled as u64 >= seg_end {
                         return Err(GraphError::TruncatedBinary { bytes: 0 });
                     }
-                    col[(index_in[dst] + *rel as u64) as usize] = e.src;
-                    *rel += 1;
+                    in_size[dst] += 1;
+                    col[(seg_end - in_size[dst] as u64) as usize] = e.src;
+                }
+            }
+            // Every low segment of the sweep must be exactly full: a short
+            // one means the source shrank since the degree pass.
+            for v in lo..hi {
+                if index_out[v] + (out_size[v] + in_size[v]) as u64 != index_out[v + 1] {
+                    return Err(GraphError::TruncatedBinary { bytes: 0 });
                 }
             }
             lo = hi;
-            if n == 0 {
+            if lo >= n {
                 break;
             }
+        }
+        let mut index_in = Vec::with_capacity(n);
+        for v in 0..n {
+            let split = index_out[v] + out_size[v] as u64;
+            col[split as usize..index_out[v + 1] as usize].reverse();
+            index_in.push(split);
         }
         Ok(PrunedCsr {
             stats,
             index_out,
             index_in,
             col,
-            out_size: out_cap,
-            in_size: in_cap,
+            out_size,
+            in_size,
             h2h: Vec::new(),
             num_h2h,
             num_edges_total,
         })
-    }
-
-    /// Dual index arrays from per-vertex capacities: the segment of `v` is
-    /// its out-list followed by its in-list.
-    fn index_arrays(out_cap: &[u32], in_cap: &[u32]) -> (Vec<u64>, Vec<u64>) {
-        let n = out_cap.len();
-        let mut index_out = vec![0u64; n + 1];
-        let mut index_in = vec![0u64; n];
-        for v in 0..n {
-            index_in[v] = index_out[v] + out_cap[v] as u64;
-            index_out[v + 1] = index_in[v] + in_cap[v] as u64;
-        }
-        (index_out, index_in)
     }
 
     /// Rewrites the column array into a cache-conscious degree-sorted
@@ -777,98 +581,193 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_build_is_byte_identical_to_serial() {
-        // Large enough to engage the chunked path (>= 2 * BUILD_CHUNK_MIN).
-        let mut g = EdgeList::from_pairs(pseudo_pairs(150_000, 9_000, 42));
-        g.canonicalize();
-        assert!(g.edges.len() >= 2 * BUILD_CHUNK_MIN, "input must reach the parallel path");
-        for tau in [1.0, 4.0] {
-            let build = || {
-                let mut h2h = Vec::new();
-                let csr =
-                    PrunedCsr::build_streaming_h2h(&g, DegreeStats::new(&g, tau), |e| h2h.push(e));
-                (csr, h2h)
-            };
-            let (serial_csr, serial_h2h) = hep_par::with_threads(1, build);
-            for threads in [2usize, 8] {
-                let (par_csr, par_h2h) = hep_par::with_threads(threads, build);
-                assert_eq!(par_csr, serial_csr, "CSR diverged at {threads} threads, tau={tau}");
-                assert_eq!(par_h2h, serial_h2h, "h2h order diverged at {threads} threads");
+    /// The two-pass build the one-pass builder replaced, kept as its
+    /// oracle: a count pass sizes every out- and in-list, a fill pass
+    /// inserts in input order. h2h edges are returned in input order.
+    fn reference_build(edges: &[Edge], stats: DegreeStats) -> (PrunedCsr, Vec<Edge>) {
+        let n = stats.num_vertices() as usize;
+        let mut out_cap = vec![0u32; n];
+        let mut in_cap = vec![0u32; n];
+        let mut h2h = Vec::new();
+        for e in edges {
+            let (src_high, dst_high) = (stats.is_high(e.src), stats.is_high(e.dst));
+            if src_high && dst_high {
+                h2h.push(*e);
+                continue;
+            }
+            if !src_high {
+                out_cap[e.src as usize] += 1;
+            }
+            if !dst_high {
+                in_cap[e.dst as usize] += 1;
             }
         }
-    }
-
-    #[test]
-    fn build_from_passes_matches_slice_build() {
-        let g = figure4_graph();
-        let stats = DegreeStats::new(&g, 1.5);
-        let mut h2h_a = Vec::new();
-        let a = PrunedCsr::build_streaming_h2h(&g, stats.clone(), |e| h2h_a.push(e));
-        let mut h2h_b = Vec::new();
-        let b = PrunedCsr::build_from_passes(
+        let mut index_out = vec![0u64; n + 1];
+        let mut index_in = vec![0u64; n];
+        for v in 0..n {
+            index_in[v] = index_out[v] + out_cap[v] as u64;
+            index_out[v + 1] = index_in[v] + in_cap[v] as u64;
+        }
+        let mut col = vec![0u32; index_out[n] as usize];
+        let mut out_cursor = index_out[..n].to_vec();
+        let mut in_cursor = index_in.clone();
+        for e in edges {
+            let (src_high, dst_high) = (stats.is_high(e.src), stats.is_high(e.dst));
+            if src_high && dst_high {
+                continue;
+            }
+            if !src_high {
+                col[out_cursor[e.src as usize] as usize] = e.dst;
+                out_cursor[e.src as usize] += 1;
+            }
+            if !dst_high {
+                col[in_cursor[e.dst as usize] as usize] = e.src;
+                in_cursor[e.dst as usize] += 1;
+            }
+        }
+        let csr = PrunedCsr {
             stats,
-            || Ok(g.edges.iter().copied().map(Ok)),
-            |e| h2h_b.push(e),
-        )
-        .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(h2h_a, h2h_b);
-        assert_eq!(b.num_edges_total(), g.num_edges());
+            index_out,
+            index_in,
+            col,
+            out_size: out_cap,
+            in_size: in_cap,
+            h2h: Vec::new(),
+            num_h2h: h2h.len() as u64,
+            num_edges_total: edges.len() as u64,
+        };
+        (csr, h2h)
+    }
+
+    /// The graph shapes the builder oracle covers, each with a τ.
+    fn oracle_shapes() -> Vec<(&'static str, EdgeList, f64)> {
+        let mut random = EdgeList::from_pairs(pseudo_pairs(5_000, 600, 7));
+        random.canonicalize();
+        // A high hub (degree 40 against mean ≈ 2) with low leaves, plus
+        // a few leaf-leaf edges.
+        let mut star: Vec<(u32, u32)> =
+            (1..=40).map(|v| if v % 2 == 0 { (0, v) } else { (v, 0) }).collect();
+        star.extend([(1, 2), (3, 4), (5, 6)]);
+        vec![
+            ("figure4", figure4_graph(), 1.5),
+            ("random", random, 1.5),
+            ("star", EdgeList::from_pairs(star), 2.0),
+            // Every vertex is high: every edge is h2h, the column array is empty.
+            ("all_high", EdgeList::from_pairs([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]), 0.5),
+            ("all_low", EdgeList::from_pairs(pseudo_pairs(800, 90, 3)), 1e9),
+            (
+                "isolated_top",
+                EdgeList::with_vertices(50, [(0, 1), (1, 2), (2, 0), (3, 1), (1, 4)]).unwrap(),
+                1.0,
+            ),
+            (
+                "self_loops",
+                EdgeList::from_pairs([(0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (1, 3)]),
+                1.0,
+            ),
+            ("empty", EdgeList::with_vertices(0, std::iter::empty()).unwrap(), 1.0),
+            ("edgeless", EdgeList::with_vertices(5, std::iter::empty()).unwrap(), 1.0),
+        ]
+    }
+
+    /// Builds from `pass` at `sweeps` and compares with the reference.
+    fn check_builder<I: Iterator<Item = Result<Edge, GraphError>>>(
+        what: &str,
+        stats: &DegreeStats,
+        sweeps: usize,
+        want: &(PrunedCsr, Vec<Edge>),
+        pass: impl FnMut() -> Result<I, GraphError>,
+    ) {
+        let mut h2h = Vec::new();
+        let csr =
+            PrunedCsr::build_from_passes_budgeted(stats.clone(), pass, |e| h2h.push(e), sweeps)
+                .unwrap();
+        assert_eq!(csr, want.0, "{what}: CSR at {sweeps} sweeps");
+        assert_eq!(h2h, want.1, "{what}: h2h at {sweeps} sweeps");
     }
 
     #[test]
-    fn budgeted_build_is_identical_for_any_sweep_count() {
-        let mut g = EdgeList::from_pairs(pseudo_pairs(5_000, 600, 7));
-        g.canonicalize();
-        let stats = DegreeStats::new(&g, 1.5);
-        let build = |sweeps: usize| {
-            let mut h2h = Vec::new();
-            let csr = PrunedCsr::build_from_passes_budgeted(
-                stats.clone(),
-                || Ok(g.edges.iter().copied().map(Ok)),
-                |e| h2h.push(e),
-                sweeps,
-            )
-            .unwrap();
-            (csr, h2h)
-        };
-        let (base_csr, base_h2h) = build(1);
-        assert_eq!(
-            base_csr,
-            PrunedCsr::build_streaming_h2h(&g, stats.clone(), |_| {}),
-            "single-sweep budgeted build must equal the in-memory build"
-        );
-        for sweeps in [2usize, 3, 7, 64, 601, usize::MAX] {
-            let (csr, h2h) = build(sweeps);
-            assert_eq!(csr, base_csr, "CSR diverged at {sweeps} sweeps");
-            assert_eq!(h2h, base_h2h, "h2h order diverged at {sweeps} sweeps");
+    fn builder_matches_two_pass_reference() {
+        use crate::binfile::{BinaryEdgeFile, IoMode};
+        for (name, g, tau) in oracle_shapes() {
+            let stats = DegreeStats::new(&g, tau);
+            let want = reference_build(&g.edges, stats.clone());
+            if name == "star" {
+                assert!(stats.is_high(0) && stats.num_high == 1, "star needs one high hub");
+            }
+            if name == "all_high" {
+                assert!(want.1.len() == g.edges.len() && want.0.column_entries() == 0);
+            }
+            let mut in_memory = PrunedCsr::build_with_stats(&g, stats.clone());
+            assert_eq!(in_memory.h2h_edges(), &want.1[..], "{name}: in-memory h2h");
+            in_memory.h2h = Vec::new();
+            assert_eq!(in_memory, want.0, "{name}: in-memory builder");
+
+            let mut path = std::env::temp_dir();
+            path.push(format!("hep_pruned_csr_oracle_{}_{name}.hepb", std::process::id()));
+            let file = BinaryEdgeFile::write(&path, &g).unwrap();
+            for sweeps in [1usize, 2, 3, 7, 64, usize::MAX] {
+                let slice = || Ok(g.edges.iter().copied().map(Ok));
+                check_builder(&format!("{name}: slice"), &stats, sweeps, &want, slice);
+                for mode in [IoMode::Buffered, IoMode::Mmap] {
+                    let f = file.clone().with_io_mode(mode);
+                    let what = format!("{name}: {mode:?} file");
+                    check_builder(&what, &stats, sweeps, &want, || f.pass());
+                }
+            }
+            std::fs::remove_file(&path).ok();
         }
     }
 
     #[test]
     fn budgeted_build_rejects_source_growing_between_passes() {
-        // Pass 1 sees one edge, later passes see two for the same vertex:
-        // without the cursor guard this would scatter into a neighbouring
-        // vertex's column segment.
-        let stats = DegreeStats::from_degrees(vec![2, 1, 1], 1.0, 10.0);
-        let mut calls = 0;
-        let err = PrunedCsr::build_from_passes_budgeted(
-            stats,
-            move || {
-                calls += 1;
-                let edges: Vec<Result<Edge, GraphError>> = if calls == 1 {
-                    vec![Ok(Edge::new(0, 1))]
-                } else {
-                    vec![Ok(Edge::new(0, 1)), Ok(Edge::new(0, 2))]
-                };
-                Ok(edges.into_iter())
-            },
-            |_| {},
-            1,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GraphError::TruncatedBinary { .. }), "got {err}");
+        // The degree pass saw one edge per low vertex; the build passes
+        // yield two more at one low vertex. Without the segment guard the
+        // extra entries would run off the segment: past the column array's
+        // end for vertex 3's out-list (the last low segment; vertex 4 is
+        // high), below its start for vertex 0's in-list.
+        for extra in [Edge::new(3, 4), Edge::new(4, 0)] {
+            for column_passes in [1, 2] {
+                let stats = DegreeStats::from_degrees(vec![1, 1, 1, 1, 100], 1.0, 10.0);
+                let err = PrunedCsr::build_from_passes_budgeted(
+                    stats,
+                    || Ok([Edge::new(0, 1), Edge::new(2, 3), extra, extra].into_iter().map(Ok)),
+                    |_| {},
+                    column_passes,
+                )
+                .unwrap_err();
+                assert!(matches!(err, GraphError::TruncatedBinary { .. }), "got {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn budgeted_build_rejects_source_shrinking_between_passes() {
+        // The degree table promises four entries; a later pass yields
+        // fewer. Without the end check the unfilled slots would stay
+        // zero and count as valid entries — phantom edges to vertex 0.
+        let shrinks = |column_passes: usize| {
+            let stats = DegreeStats::from_degrees(vec![1, 1, 1, 1], 1.0, 10.0);
+            let mut calls = 0;
+            PrunedCsr::build_from_passes_budgeted(
+                stats,
+                move || {
+                    calls += 1;
+                    let mut edges = vec![Ok(Edge::new(0, 1))];
+                    if calls == 1 && column_passes > 1 {
+                        edges.push(Ok(Edge::new(2, 3)));
+                    }
+                    Ok(edges.into_iter())
+                },
+                |_| {},
+                column_passes,
+            )
+            .unwrap_err()
+        };
+        for column_passes in [1, 2] {
+            let err = shrinks(column_passes);
+            assert!(matches!(err, GraphError::TruncatedBinary { .. }), "got {err}");
+        }
     }
 
     #[test]
@@ -886,10 +785,11 @@ mod tests {
             matches!(err, GraphError::VertexOutOfRange { vertex: 9, num_vertices: 3 }),
             "got {err}"
         );
-        // The second pass is validated too: pass 1 clean, pass 2 corrupt
-        // (an external source can change between passes).
+        // Every sweep's pass is validated: with two column sweeps, pass 1
+        // clean, pass 2 corrupt (an external source can change between
+        // passes).
         let mut calls = 0;
-        let err = PrunedCsr::build_from_passes(
+        let err = PrunedCsr::build_from_passes_budgeted(
             stats,
             move || {
                 calls += 1;
@@ -897,6 +797,7 @@ mod tests {
                 Ok([Ok(e)].into_iter())
             },
             |_| {},
+            2,
         )
         .unwrap_err();
         assert!(matches!(err, GraphError::VertexOutOfRange { vertex: 7, .. }), "got {err}");

@@ -117,9 +117,9 @@ proptest! {
 
     #[test]
     fn graph_build_is_thread_invariant(seed in 0u64..1000) {
-        // The chunked degree pass and pruned-CSR construction must produce
-        // byte-identical structures at any worker count (entry order within
-        // every adjacency list included — NE++'s scans depend on it).
+        // The chunked degree pass, and the pruned CSR built over it, must
+        // be byte-identical at any worker count (entry order within every
+        // adjacency list included — NE++'s scans depend on it).
         let g = hep::gen::GraphSpec::ChungLu { n: 20_000, m: 150_000, gamma: 2.2 }.generate(seed);
         let (a, b) = serial_vs_parallel(|| {
             let stats = hep::graph::DegreeStats::new(&g, 4.0);
