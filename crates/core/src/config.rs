@@ -27,27 +27,6 @@ pub struct HepConfig {
     /// plain HDRF state (empty replica sets, zero loads), re-creating the
     /// "uninformed assignment problem" the hybrid design removes.
     pub informed_streaming: bool,
-    /// Sub-partitions per final partition for the parallel NE++ phase
-    /// (SNE-style splitting): `k · split_factor` sub-partitions expand in
-    /// deterministic BSP rounds and a pack stage merges them back into `k`
-    /// parts. `1` (the default) runs the exact serial NE++ of §3.2.
-    /// Defaults to the `HEP_SPLIT_FACTOR` environment variable when set.
-    pub split_factor: u32,
-    /// Gate for the sub-partitioned expansion: when false, NE++ runs
-    /// serially regardless of [`HepConfig::split_factor`]. Results at any
-    /// `HEP_THREADS` value are identical for a fixed `(parallel_nepp,
-    /// split_factor)` pair; only wall-clock differs.
-    pub parallel_nepp: bool,
-    /// Boundary-aware FM refinement passes over the packed parts of the
-    /// sub-partitioned parallel NE++ (see [`crate::refine`]): each pass
-    /// moves whole vertex-bundles of boundary edges between final parts
-    /// when the move strictly reduces `Σ|V(p_i)|`, with filler-edge
-    /// compensation so the serial balanced caps stay exact. Also enables
-    /// hub-aware conflict resolution in the BSP merge. Only the split path
-    /// (`split_factor > 1`) is affected; `0` reproduces the unrefined pack
-    /// output exactly. Defaults to the `HEP_REFINE_PASSES` environment
-    /// variable when set, else [`DEFAULT_REFINE_PASSES`].
-    pub refine_passes: u32,
     /// Memory budget for the out-of-core ingestion pipeline (§4.2: the
     /// machine's memory budget is the planner's primary input). When set,
     /// [`crate::planner::plan_ingest`] chooses τ and the column-sweep
@@ -55,76 +34,15 @@ pub struct HepConfig {
     /// **degraded** (never the budget exceeded) when the configured τ
     /// does not fit. `None` ingests unbounded at the configured τ.
     /// Defaults to the `HEP_MEMORY_BUDGET` environment variable when set
-    /// (bytes, with optional `K`/`M`/`G` suffix).
+    /// (bytes, with optional `K`/`M`/`G` suffix); a set value that does not
+    /// parse or is zero makes [`HepConfig::validate`] fail rather than run
+    /// unbounded.
     pub memory_budget_bytes: Option<u64>,
     /// How file-backed passes read the edge file (buffered vs mmap); the
     /// config-level override of the `HEP_IO_MODE` environment default.
     /// Backends are bit-identical in output; this only trades syscalls
     /// for page faults.
     pub io_mode: IoMode,
-    /// Column-array segment layout of the pruned CSR (see
-    /// [`CsrLayout`]). Layouts are bit-identical in partition output —
-    /// only the cache behavior of phase 1's adjacency walks differs.
-    /// Defaults to the `HEP_CSR_LAYOUT` environment variable when set.
-    pub csr_layout: CsrLayout,
-}
-
-/// Placement of the per-vertex adjacency segments in the pruned CSR's
-/// column array. Both layouts expose identical per-vertex lists, so the
-/// partition output is bit-identical; the choice only changes the cache
-/// locality of phase 1's walks (`HEP_CSR_LAYOUT=input|degree`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CsrLayout {
-    /// The builders' native layout: segments in vertex-id order.
-    #[default]
-    InputOrder,
-    /// Cache-conscious relayout after build: segments in descending
-    /// degree order ([`hep_graph::PrunedCsr::relayout_degree_sorted`]),
-    /// packing the hub lists NE++ hammers hardest into adjacent blocks.
-    DegreeSorted,
-}
-
-/// `HEP_CSR_LAYOUT` environment default, resolved once per process.
-fn env_csr_layout() -> CsrLayout {
-    use std::sync::OnceLock;
-    static LAYOUT: OnceLock<CsrLayout> = OnceLock::new();
-    *LAYOUT.get_or_init(|| match env_registry::read("HEP_CSR_LAYOUT").as_deref() {
-        Some("degree") => CsrLayout::DegreeSorted,
-        Some("input") | None => CsrLayout::InputOrder,
-        Some(other) => {
-            eprintln!("unknown HEP_CSR_LAYOUT={other:?} (want input|degree); using input order");
-            CsrLayout::InputOrder
-        }
-    })
-}
-
-/// Default [`HepConfig::refine_passes`] when `HEP_REFINE_PASSES` is unset:
-/// refinement is on by default for `split_factor > 1`, where the pack
-/// output otherwise carries an SNE-like replication-factor gap over the
-/// serial path.
-pub const DEFAULT_REFINE_PASSES: u32 = 2;
-
-/// `HEP_SPLIT_FACTOR` environment default, resolved once per process.
-fn env_split_factor() -> u32 {
-    use std::sync::OnceLock;
-    static SPLIT: OnceLock<u32> = OnceLock::new();
-    *SPLIT.get_or_init(|| {
-        env_registry::read("HEP_SPLIT_FACTOR")
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&s| s >= 1)
-            .unwrap_or(1)
-    })
-}
-
-/// `HEP_REFINE_PASSES` environment default, resolved once per process.
-fn env_refine_passes() -> u32 {
-    use std::sync::OnceLock;
-    static PASSES: OnceLock<u32> = OnceLock::new();
-    *PASSES.get_or_init(|| {
-        env_registry::read("HEP_REFINE_PASSES")
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .unwrap_or(DEFAULT_REFINE_PASSES)
-    })
 }
 
 /// Parses a byte count with an optional `K`/`M`/`G` (binary) suffix,
@@ -144,13 +62,24 @@ pub fn parse_byte_size(s: &str) -> Option<u64> {
     value.checked_mul(mult)
 }
 
+/// Resolves a raw `HEP_MEMORY_BUDGET` value. Unset means unbounded; a set
+/// value must be a positive [`parse_byte_size`] count, and anything else
+/// is an error naming the knob and its value, never a silent "unbounded".
+fn parse_memory_budget(raw: Option<&str>) -> Result<Option<u64>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    match parse_byte_size(raw) {
+        Some(bytes) if bytes > 0 => Ok(Some(bytes)),
+        _ => Err(format!(
+            "HEP_MEMORY_BUDGET={raw:?} is not a positive byte count (want e.g. 1048576, 64M, 2G)"
+        )),
+    }
+}
+
 /// `HEP_MEMORY_BUDGET` environment default, resolved once per process.
-fn env_memory_budget() -> Option<u64> {
+fn env_memory_budget() -> &'static Result<Option<u64>, String> {
     use std::sync::OnceLock;
-    static BUDGET: OnceLock<Option<u64>> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        env_registry::read("HEP_MEMORY_BUDGET").and_then(|v| parse_byte_size(&v)).filter(|&b| b > 0)
-    })
+    static BUDGET: OnceLock<Result<Option<u64>, String>> = OnceLock::new();
+    BUDGET.get_or_init(|| parse_memory_budget(env_registry::read("HEP_MEMORY_BUDGET").as_deref()))
 }
 
 impl Default for HepConfig {
@@ -161,12 +90,8 @@ impl Default for HepConfig {
             lambda: 1.1,
             record_trace: false,
             informed_streaming: true,
-            split_factor: env_split_factor(),
-            parallel_nepp: true,
-            refine_passes: env_refine_passes(),
-            memory_budget_bytes: env_memory_budget(),
+            memory_budget_bytes: env_memory_budget().clone().unwrap_or(None),
             io_mode: IoMode::from_env(),
-            csr_layout: env_csr_layout(),
         }
     }
 }
@@ -177,7 +102,8 @@ impl HepConfig {
         HepConfig { tau, ..Default::default() }
     }
 
-    /// Validates parameter domains.
+    /// Validates parameter domains, including a set but malformed
+    /// `HEP_MEMORY_BUDGET` when the config takes its budget from it.
     pub fn validate(&self) -> Result<(), hep_graph::GraphError> {
         if self.tau.is_nan() || self.tau <= 0.0 {
             return Err(hep_graph::GraphError::InvalidConfig(format!(
@@ -197,17 +123,13 @@ impl HepConfig {
                 self.lambda
             )));
         }
-        if !(1..=1024).contains(&self.split_factor) {
-            return Err(hep_graph::GraphError::InvalidConfig(format!(
-                "split_factor must be in 1..=1024, got {}",
-                self.split_factor
-            )));
-        }
-        if self.refine_passes > 64 {
-            return Err(hep_graph::GraphError::InvalidConfig(format!(
-                "refine_passes must be in 0..=64, got {}",
-                self.refine_passes
-            )));
+        // A malformed knob leaves the default unbounded; refuse to run
+        // without the §4.2 budget the user asked for. An explicit budget
+        // overrides the knob.
+        if self.memory_budget_bytes.is_none() {
+            if let Err(msg) = env_memory_budget() {
+                return Err(hep_graph::GraphError::InvalidConfig(msg.clone()));
+            }
         }
         if self.memory_budget_bytes == Some(0) {
             return Err(hep_graph::GraphError::InvalidConfig(
@@ -215,20 +137,6 @@ impl HepConfig {
             ));
         }
         Ok(())
-    }
-
-    /// Whether this configuration routes NE++ through the sub-partitioned
-    /// BSP expansion. Trace recording forces the serial path: the column
-    /// trace is defined by the serial access sequence (§5.5).
-    pub fn uses_parallel_nepp(&self) -> bool {
-        self.parallel_nepp && self.split_factor > 1 && !self.record_trace
-    }
-
-    /// Whether the split path runs the post-pack refinement (and the
-    /// hub-aware merge). `refine_passes = 0` keeps the unrefined pack
-    /// output bit-for-bit; the serial path never refines.
-    pub fn uses_refinement(&self) -> bool {
-        self.uses_parallel_nepp() && self.refine_passes > 0
     }
 }
 
@@ -250,10 +158,6 @@ mod tests {
         assert!(HepConfig { tau: -1.0, ..Default::default() }.validate().is_err());
         assert!(HepConfig { alpha: 0.9, ..Default::default() }.validate().is_err());
         assert!(HepConfig { lambda: -0.1, ..Default::default() }.validate().is_err());
-        assert!(HepConfig { split_factor: 0, ..Default::default() }.validate().is_err());
-        assert!(HepConfig { split_factor: 2048, ..Default::default() }.validate().is_err());
-        assert!(HepConfig { refine_passes: 65, ..Default::default() }.validate().is_err());
-        assert!(HepConfig { refine_passes: 0, ..Default::default() }.validate().is_ok());
         assert!(HepConfig::with_tau(1.0).validate().is_ok());
     }
 
@@ -281,36 +185,16 @@ mod tests {
     }
 
     #[test]
-    fn refinement_gate() {
-        let base = HepConfig { split_factor: 4, refine_passes: 2, ..Default::default() };
-        assert!(base.uses_refinement());
-        assert!(!HepConfig { refine_passes: 0, ..base.clone() }.uses_refinement());
-        assert!(
-            !HepConfig { split_factor: 1, ..base.clone() }.uses_refinement(),
-            "the serial path never refines"
-        );
-        assert!(!HepConfig { record_trace: true, ..base }.uses_refinement());
-    }
-
-    #[test]
-    fn csr_layout_defaults_to_input_order() {
-        // The suite never sets HEP_CSR_LAYOUT, so the resolved default is
-        // the builders' native layout.
-        assert_eq!(HepConfig::default().csr_layout, CsrLayout::InputOrder);
-        assert_eq!(CsrLayout::default(), CsrLayout::InputOrder);
-    }
-
-    #[test]
-    fn parallel_nepp_gate() {
-        let mut c = HepConfig { split_factor: 4, ..Default::default() };
-        assert!(c.uses_parallel_nepp());
-        c.record_trace = true;
-        assert!(!c.uses_parallel_nepp(), "trace recording forces the serial path");
-        c.record_trace = false;
-        c.parallel_nepp = false;
-        assert!(!c.uses_parallel_nepp());
-        c.parallel_nepp = true;
-        c.split_factor = 1;
-        assert!(!c.uses_parallel_nepp());
+    fn memory_budget_knob_parsing() {
+        assert_eq!(parse_memory_budget(None), Ok(None), "unset is unbounded");
+        assert_eq!(parse_memory_budget(Some("64M")), Ok(Some(64 << 20)));
+        for bad in ["200MB", "0", "lots", "1.5G", ""] {
+            let err = parse_memory_budget(Some(bad)).unwrap_err();
+            assert!(err.contains("HEP_MEMORY_BUDGET") && err.contains(bad), "{err}");
+        }
+        let overflow = format!("{}", u128::from(u64::MAX) + 1);
+        assert!(parse_memory_budget(Some(&overflow)).is_err(), "u64 overflow");
+        let overflow = format!("{}G", u64::MAX);
+        assert!(parse_memory_budget(Some(&overflow)).is_err(), "suffix overflow");
     }
 }

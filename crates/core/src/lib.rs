@@ -21,22 +21,17 @@
 pub mod config;
 pub mod hep;
 pub mod nepp;
-pub mod nepp_par;
 pub mod planner;
-pub mod refine;
 pub mod simple_hybrid;
 pub mod streaming;
 
-pub use config::{parse_byte_size, CsrLayout, HepConfig, DEFAULT_REFINE_PASSES};
+pub use config::{parse_byte_size, HepConfig};
 pub use hep::{ingest_file_budgeted, Hep, HepRunReport, PhaseTimings};
 pub use nepp::{NeppResult, NeppStats};
-pub use nepp_par::run_nepp_par;
 pub use planner::{
-    estimate_footprint_bytes, estimate_parallel_nepp_overhead_bytes,
-    estimate_refine_overhead_bytes, estimate_stream_overhead_bytes, ingest_peak_bytes, plan_ingest,
+    estimate_footprint_bytes, estimate_stream_overhead_bytes, ingest_peak_bytes, plan_ingest,
     plan_stream_batch, plan_tau, IngestPlan, TauPlan, INGEST_FIXED_OVERHEAD_BYTES,
     INGEST_SWEEP_GRID,
 };
-pub use refine::{RefineProbe, RefineProbeRun};
 pub use simple_hybrid::SimpleHybrid;
 pub use streaming::{stream_h2h, stream_h2h_serial};

@@ -52,21 +52,6 @@ pub struct NeppStats {
     pub secondary_only_degree_sum: u64,
     /// In-memory edges assigned (must equal `|E \ E_h2h|` at the end).
     pub assigned_edges: u64,
-    /// Committed vertex-bundle moves of the split path's boundary-aware FM
-    /// refinement ([`crate::refine`]); 0 on the serial path or at
-    /// `refine_passes = 0`.
-    pub refine_moves: u64,
-    /// `Σ_i |V(p_i)|` of the packed parts before refinement and after each
-    /// executed pass (non-increasing); empty when refinement did not run.
-    /// Feeds the per-pass replication-factor delta rows of
-    /// `table4_processing`.
-    pub refine_cover_sums: Vec<u64>,
-    /// Stale refine commit-queue entries whose live ownership re-check
-    /// failed mid-move and were skipped (with the half-applied move rolled
-    /// back) instead of corrupting the owner table. Always 0 in a correct
-    /// run — the counter exists so release builds surface the anomaly
-    /// instead of compiling the old `debug_assert` away.
-    pub refine_stale_skips: u64,
 }
 
 impl NeppStats {
@@ -115,9 +100,8 @@ pub struct NeppResult {
     pub stats: NeppStats,
     /// Column-array access trace (word indices), when requested.
     pub trace: Option<Vec<u64>>,
-    /// Wall-clock seconds spent in the clean-up passes (Algorithm 2), or in
-    /// the pack stage of the sub-partitioned parallel path. Feeds the
-    /// phase-timing breakdown of `HepRunReport`; not part of the
+    /// Wall-clock seconds spent in the clean-up passes (Algorithm 2). Feeds
+    /// the phase-timing breakdown of `HepRunReport`; not part of the
     /// deterministic output.
     pub cleanup_seconds: f64,
 }
@@ -148,11 +132,8 @@ struct Nepp<'a, S: AssignSink + ?Sized> {
 
 /// The adapted capacity bound (§3.2.3): `total` edges split over `parts`
 /// with balanced rounding — every cap is `⌊total/parts⌋` or `⌈total/parts⌉`
-/// and the caps sum to exactly `total`. Shared by the serial phase, the
-/// sub-partition caps and the pack-stage caps of [`crate::nepp_par`], which
-/// must all agree for the parallel path's "serial bounds hold exactly"
-/// invariant.
-pub(crate) fn balanced_caps(total: u64, parts: u32) -> Vec<u64> {
+/// and the caps sum to exactly `total`.
+fn balanced_caps(total: u64, parts: u32) -> Vec<u64> {
     (0..parts as u64)
         .map(|i| (total * (i + 1)) / parts as u64 - (total * i) / parts as u64)
         .collect()

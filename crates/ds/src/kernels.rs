@@ -1,10 +1,10 @@
 //! Runtime-dispatched kernels for the word-level set operations that
 //! dominate HEP's hot loops.
 //!
-//! Phase 1's Figure-5 cleanup bookkeeping, the `nepp_par` overlap/pack
-//! matrix, `replication_factor`, and the hypergraph min-max tie-break all
-//! bottom out in a handful of primitives over `&[u64]` bit words:
-//! popcounts, AND/OR/AND-NOT merges, and sparse membership counts. This
+//! Phase 1's Figure-5 cleanup bookkeeping, `replication_factor`, and the
+//! hypergraph min-max tie-break all bottom out in a handful of primitives
+//! over `&[u64]` bit words: popcounts, AND/OR/AND-NOT merges, and sparse
+//! membership counts. This
 //! module provides each primitive twice — a portable word-level scalar
 //! path (the exact code the callers used to inline) and an explicit
 //! `std::arch` AVX2 path — and selects between them **once** at first

@@ -1,7 +1,7 @@
 //! Poison-tolerant lock accessors: the workspace's uniform lock-poisoning
 //! policy, stated once.
 //!
-//! Every `Mutex`/`RwLock` in the workspace guards state inside a
+//! Every `Mutex` in the workspace guards state inside a
 //! `hep-par` scope (or a test-only override), and `hep-par` already
 //! propagates worker panics to the caller at scope join. A poisoned lock
 //! can therefore only be observed *after* a panic that is already on its
@@ -11,7 +11,7 @@
 //! structurally: the only panics left in library code are waived,
 //! documented invariants.
 
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Locks a mutex, recovering the guard if a panicking thread poisoned it.
 #[inline]
@@ -31,18 +31,6 @@ pub fn into_inner<T>(m: Mutex<T>) -> T {
     m.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Takes a read lock, recovering from poison.
-#[inline]
-pub fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Takes a write lock, recovering from poison.
-#[inline]
-pub fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,10 +40,6 @@ mod tests {
         let m = Mutex::new(3);
         *lock(&m) += 1;
         assert_eq!(into_inner(m), 4);
-        let l = RwLock::new(7);
-        assert_eq!(*read(&l), 7);
-        *write(&l) = 8;
-        assert_eq!(*read(&l), 8);
         let mut m = Mutex::new(1);
         *get_mut(&mut m) = 2;
         assert_eq!(into_inner(m), 2);

@@ -24,10 +24,7 @@ use crate::types::{Edge, VertexId};
 #[derive(Clone, Debug, PartialEq)]
 pub struct PrunedCsr {
     stats: DegreeStats,
-    /// `index_out[v]` = start of v's segment. In the input-order layout
-    /// produced by the builders, `index_out[v+1]` is also its end; after
-    /// [`PrunedCsr::relayout_degree_sorted`] segments are permuted and
-    /// only the per-vertex starts (plus the size fields) are meaningful.
+    /// `index_out[v]` = start of v's segment; `index_out[v+1]` is its end.
     index_out: Vec<u64>,
     /// `index_in[v]` = start of v's in-list (end of its out-list).
     index_in: Vec<u64>,
@@ -230,51 +227,6 @@ impl PrunedCsr {
             num_h2h,
             num_edges_total,
         })
-    }
-
-    /// Rewrites the column array into a cache-conscious degree-sorted
-    /// block layout: vertex segments are placed in descending order of
-    /// segment capacity (out + in lists), ties broken by vertex id
-    /// ascending, so the hub adjacency lists that NE++'s expansion and
-    /// cleanup hammer hardest pack densely at the front of the array
-    /// instead of being scattered across it in vertex-id order.
-    ///
-    /// Only the *placement* of segments changes — each vertex keeps its
-    /// out/in entry order and sizes, so every `out_bounds`/`in_bounds`/
-    /// [`PrunedCsr::col`] observation, and therefore the partition
-    /// output, is bit-identical to the input-order layout (the
-    /// determinism suite pins this). Must be called on the freshly built
-    /// input-order layout, before any lazy removal.
-    pub fn relayout_degree_sorted(&mut self) {
-        let n = self.num_vertices() as usize;
-        if n == 0 {
-            return;
-        }
-        debug_assert!(
-            self.index_out.windows(2).all(|w| w[0] <= w[1]),
-            "relayout requires the builders' input-order layout"
-        );
-        let out_cap: Vec<u64> = (0..n).map(|v| self.index_in[v] - self.index_out[v]).collect();
-        let seg_cap: Vec<u64> = (0..n).map(|v| self.index_out[v + 1] - self.index_out[v]).collect();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&v| (std::cmp::Reverse(seg_cap[v as usize]), v));
-        let mut new_col = vec![0u32; self.col.len()];
-        let mut new_index_out = vec![0u64; n + 1];
-        let mut new_index_in = vec![0u64; n];
-        let mut cursor = 0u64;
-        for &v in &order {
-            let vu = v as usize;
-            let (old, seg) = (self.index_out[vu] as usize, seg_cap[vu] as usize);
-            new_col[cursor as usize..cursor as usize + seg]
-                .copy_from_slice(&self.col[old..old + seg]);
-            new_index_out[vu] = cursor;
-            new_index_in[vu] = cursor + out_cap[vu];
-            cursor += seg as u64;
-        }
-        new_index_out[n] = cursor;
-        self.col = new_col;
-        self.index_out = new_index_out;
-        self.index_in = new_index_in;
     }
 
     /// Number of vertices.
@@ -555,30 +507,6 @@ mod tests {
             state
         };
         (0..count).map(|_| ((next() % n as u64) as u32, (next() % n as u64) as u32)).collect()
-    }
-
-    #[test]
-    fn degree_sorted_relayout_preserves_every_list() {
-        let mut g = EdgeList::from_pairs(pseudo_pairs(5_000, 700, 7));
-        g.canonicalize();
-        for tau in [1.0, 4.0, 1e9] {
-            let base = PrunedCsr::build(&g, tau);
-            let mut sorted = base.clone();
-            sorted.relayout_degree_sorted();
-            for v in 0..base.num_vertices() {
-                assert_eq!(base.out_neighbors(v), sorted.out_neighbors(v), "out list of {v}");
-                assert_eq!(base.in_neighbors(v), sorted.in_neighbors(v), "in list of {v}");
-                assert_eq!(base.valid_degree(v), sorted.valid_degree(v));
-            }
-            assert_eq!(base.column_entries(), sorted.column_entries());
-            // Segments really did move: the heaviest segment now leads.
-            let heaviest = (0..base.num_vertices())
-                .max_by_key(|&v| (base.valid_degree(v), std::cmp::Reverse(v)))
-                .unwrap();
-            if base.valid_degree(heaviest) > 0 {
-                assert_eq!(sorted.out_bounds(heaviest).0, 0, "heaviest segment leads");
-            }
-        }
     }
 
     /// The two-pass build the one-pass builder replaced, kept as its

@@ -210,7 +210,7 @@ reported site."
             }
             Rule::Hl013 => {
                 "\
-Closures passed to `hep_par::{par_map, par_reduce, par_chunks, par_rounds,\n\
+Closures passed to `hep_par::{par_map, par_reduce, par_chunks,\n\
 par_for_each_init, …}` must keep output bit-identical at any thread\n\
 count: no non-associative float folding in a reduce, no mutation of a\n\
 captured hash-keyed collection, no order-sensitive atomic RMW (`swap`,\n\

@@ -92,7 +92,7 @@ mod tests {
                 msg: "untrusted \"header\" value".into(),
             },
             Diagnostic {
-                file: "crates/core/src/refine.rs".into(),
+                file: "crates/core/src/nepp.rs".into(),
                 line: 44,
                 col: 9,
                 rule: Rule::Hl011,

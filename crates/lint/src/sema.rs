@@ -119,15 +119,8 @@ const SANITIZERS: &[&str] = &[
 ];
 
 /// `hep_par` entry points whose closures must be order-insensitive.
-const PAR_ENTRIES: &[&str] = &[
-    "par_map",
-    "par_for_each",
-    "par_for_each_init",
-    "par_reduce",
-    "par_chunks",
-    "par_chunks_mut",
-    "par_rounds",
-];
+const PAR_ENTRIES: &[&str] =
+    &["par_map", "par_for_each", "par_for_each_init", "par_reduce", "par_chunks", "par_chunks_mut"];
 
 /// Hash-keyed collection mutators (capturing one of these in a parallel
 /// closure makes insertion order thread-schedule-dependent).

@@ -231,161 +231,6 @@ impl Pool {
         }
         acc
     }
-
-    /// Runs a bulk-synchronous round loop on **persistent workers**: one
-    /// thread spawn per call instead of one per round, for callers whose
-    /// rounds are far too small to amortize [`Pool::par_map`]'s spawn cost
-    /// (e.g. the refine commit, whose conflict groups hold at most `k / 2`
-    /// moves each).
-    ///
-    /// The protocol alternates between the caller's thread and the
-    /// workers, synchronized by barriers:
-    ///
-    /// 1. `plan` runs on the calling thread with **exclusive** access to
-    ///    `state` and the previous round's results (in task order; empty
-    ///    on the first call). It returns the next round's tasks, or `None`
-    ///    to stop.
-    /// 2. The workers execute `work` on every task of the round
-    ///    concurrently, with **shared** access to `state` (tasks are
-    ///    claimed from an atomic cursor, so irregular costs balance).
-    ///
-    /// `state` is handed back and forth under a `RwLock`, but the barriers
-    /// guarantee the lock is never contended — the alternation is the
-    /// synchronization, the lock only carries the aliasing proof. A panic
-    /// in `plan` or `work` tears the loop down and propagates to the
-    /// caller. With one worker (or when `plan` never emits more than one
-    /// task) everything runs inline on the calling thread.
-    ///
-    /// Determinism contract: results reach `plan` in task order and `plan`
-    /// is the only writer of `state`, so — as with [`Pool::par_map`] — the
-    /// outcome depends only on the task decomposition `plan` produces,
-    /// never on the worker count. Callers remain responsible for emitting
-    /// rounds whose tasks commute (or are independent) under `work`.
-    pub fn par_rounds<S, T, U, P, W>(&self, state: &mut S, mut plan: P, work: W)
-    where
-        S: Send + Sync,
-        T: Send + Sync,
-        U: Send,
-        P: FnMut(&mut S, Vec<U>) -> Option<Vec<T>>,
-        W: Fn(&S, &T) -> U + Sync,
-    {
-        if self.threads <= 1 {
-            let mut results: Vec<U> = Vec::new();
-            while let Some(tasks) = plan(state, std::mem::take(&mut results)) {
-                results = tasks.iter().map(|t| work(&*state, t)).collect();
-            }
-            return;
-        }
-        use std::sync::{Barrier, RwLock};
-        struct Round<T, U> {
-            tasks: Vec<T>,
-            slots: Vec<Mutex<Option<U>>>,
-            next: AtomicUsize,
-            done: bool,
-        }
-        let workers = self.threads;
-        let state_lock: RwLock<&mut S> = RwLock::new(state);
-        let round: RwLock<Round<T, U>> = RwLock::new(Round {
-            tasks: Vec::new(),
-            slots: Vec::new(),
-            next: AtomicUsize::new(0),
-            done: false,
-        });
-        let start = Barrier::new(workers + 1);
-        let end = Barrier::new(workers + 1);
-        let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    start.wait();
-                    {
-                        let r = sync::read(&round);
-                        if r.done {
-                            break;
-                        }
-                        let guard = sync::read(&state_lock);
-                        let s: &S = &guard;
-                        loop {
-                            let i = r.next.fetch_add(1, Ordering::Relaxed);
-                            if i >= r.tasks.len() {
-                                break;
-                            }
-                            // Panics are parked, not unwound through the
-                            // barrier protocol — a worker unwinding past
-                            // `end.wait()` would deadlock everyone else.
-                            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                work(s, &r.tasks[i])
-                            })) {
-                                Ok(u) => {
-                                    *sync::lock(&r.slots[i]) = Some(u);
-                                }
-                                Err(payload) => {
-                                    sync::lock(&panicked).get_or_insert(payload);
-                                }
-                            }
-                        }
-                    }
-                    end.wait();
-                });
-            }
-            let mut results: Vec<U> = Vec::new();
-            loop {
-                let next_tasks = {
-                    let mut guard = sync::write(&state_lock);
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        plan(*guard, std::mem::take(&mut results))
-                    })) {
-                        Ok(t) => t,
-                        Err(payload) => {
-                            sync::lock(&panicked).get_or_insert(payload);
-                            None
-                        }
-                    }
-                };
-                match next_tasks {
-                    Some(tasks) if !tasks.is_empty() => {
-                        {
-                            let mut r = sync::write(&round);
-                            r.slots = (0..tasks.len()).map(|_| Mutex::new(None)).collect();
-                            r.tasks = tasks;
-                            r.next = AtomicUsize::new(0);
-                        }
-                        start.wait();
-                        end.wait();
-                        if sync::lock(&panicked).is_some() {
-                            let mut r = sync::write(&round);
-                            r.done = true;
-                            drop(r);
-                            start.wait();
-                            break;
-                        }
-                        let mut r = sync::write(&round);
-                        results = r
-                            .slots
-                            .drain(..)
-                            // hep-lint: allow(HL007) -- both barriers passed with no parked panic, so every round slot was filled before the drain
-                            .map(|s| sync::into_inner(s).expect("task ran"))
-                            .collect();
-                    }
-                    Some(_) => {
-                        // An empty round needs no workers; loop straight
-                        // back into plan with empty results.
-                        results = Vec::new();
-                    }
-                    None => {
-                        let mut r = sync::write(&round);
-                        r.done = true;
-                        drop(r);
-                        start.wait();
-                        break;
-                    }
-                }
-            }
-        });
-        if let Some(payload) = sync::into_inner(panicked) {
-            std::panic::resume_unwind(payload);
-        }
-    }
 }
 
 /// Splits `len` items into contiguous `(start, end)` ranges of at most

@@ -1,0 +1,95 @@
+//! Golden output of the serial HEP pipeline. The determinism battery
+//! compares the code with itself (threads, kernels, IO backends); this
+//! suite pins the *absolute* assignment: the XXH64 fingerprint of the
+//! `(u, v, p)` emission sequence, as `perfbench` computes it, of small
+//! seeded generator graphs at the paper's τ ∈ {100, 10, 1} and
+//! k ∈ {4, 32}.
+
+use hep::core::Hep;
+use hep::ds::Hasher64;
+use hep::gen::rmat::RmatParams;
+use hep::gen::GraphSpec;
+use hep::graph::{AssignSink, EdgePartitioner, PartitionId, VertexId};
+
+/// XXH64 (seed 0) of the little-endian `(u, v, p)` records, in emission
+/// order, plus the record count.
+struct FingerprintSink {
+    hasher: Hasher64,
+    edges: u64,
+}
+
+impl AssignSink for FingerprintSink {
+    fn assign(&mut self, u: VertexId, v: VertexId, p: PartitionId) {
+        let mut record = [0u8; 12];
+        record[..4].copy_from_slice(&u.to_le_bytes());
+        record[4..8].copy_from_slice(&v.to_le_bytes());
+        record[8..].copy_from_slice(&p.to_le_bytes());
+        self.hasher.write(&record);
+        self.edges += 1;
+    }
+}
+
+fn graphs() -> [(&'static str, GraphSpec, u64); 4] {
+    [
+        ("chung-lu", GraphSpec::ChungLu { n: 2_000, m: 16_000, gamma: 2.1 }, 1),
+        ("rmat", GraphSpec::Rmat { scale: 12, m: 16_000, params: RmatParams::weblike() }, 2),
+        ("barabasi-albert", GraphSpec::BarabasiAlbert { n: 4_000, m_per_vertex: 4 }, 3),
+        ("erdos-renyi", GraphSpec::ErdosRenyi { n: 3_000, m: 12_000 }, 4),
+    ]
+}
+
+/// `(graph, τ, k) → fingerprint`, recorded from the serial NE++ pipeline.
+const GOLDEN: [(&str, f64, u32, u64); 24] = [
+    ("chung-lu", 100.0, 4, 0xaab79d625ef0fe5e),
+    ("chung-lu", 100.0, 32, 0xbb443ccbfb597f55),
+    ("chung-lu", 10.0, 4, 0x07307104c1bf7d7a),
+    ("chung-lu", 10.0, 32, 0xc3936fd239199e60),
+    ("chung-lu", 1.0, 4, 0xc41c31cce9f57585),
+    ("chung-lu", 1.0, 32, 0xf7fa4f70ed29e253),
+    ("rmat", 100.0, 4, 0xa07ae971ee332468),
+    ("rmat", 100.0, 32, 0xbed4a272bc75a1a6),
+    ("rmat", 10.0, 4, 0x8065406f6cd7e94e),
+    ("rmat", 10.0, 32, 0xb1b59d20db72b3d2),
+    ("rmat", 1.0, 4, 0x12c04688841da163),
+    ("rmat", 1.0, 32, 0x3b33dd2a9508a4f3),
+    ("barabasi-albert", 100.0, 4, 0x0dea54d44c288dfc),
+    ("barabasi-albert", 100.0, 32, 0x644df5e40ddd0ec8),
+    ("barabasi-albert", 10.0, 4, 0x8876386e0c58035c),
+    ("barabasi-albert", 10.0, 32, 0x5bb041a206c29e98),
+    ("barabasi-albert", 1.0, 4, 0x5d14154e66743372),
+    ("barabasi-albert", 1.0, 32, 0xcb082237c822c683),
+    ("erdos-renyi", 100.0, 4, 0x461c4bf00b31df81),
+    ("erdos-renyi", 100.0, 32, 0x662b775a8fd0c035),
+    ("erdos-renyi", 10.0, 4, 0x461c4bf00b31df81),
+    ("erdos-renyi", 10.0, 32, 0x662b775a8fd0c035),
+    ("erdos-renyi", 1.0, 4, 0xd924f33121312392),
+    ("erdos-renyi", 1.0, 32, 0xc89a15db81dac533),
+];
+
+#[test]
+fn serial_pipeline_output_matches_golden_fingerprints() {
+    let mut mismatches = Vec::new();
+    for (name, spec, seed) in graphs() {
+        let graph = spec.generate(seed);
+        for tau in [100.0, 10.0, 1.0] {
+            for k in [4u32, 32] {
+                let mut sink = FingerprintSink { hasher: Hasher64::with_seed(0), edges: 0 };
+                Hep::with_tau(tau).partition(&graph, k, &mut sink).expect("partition");
+                assert_eq!(sink.edges, graph.num_edges(), "{name} τ={tau} k={k}");
+                let got = sink.hasher.finish();
+                let want =
+                    GOLDEN.iter().find(|g| g.0 == name && g.1 == tau && g.2 == k).map(|g| g.3);
+                if want != Some(got) {
+                    mismatches
+                        .push(format!("{name} τ={tau} k={k}: got {got:016x}, want {want:016x?}"));
+                }
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "HEP's assignment changed:\n  {}\nThese hashes may change only with an intentional output \
+         change that is documented in CHANGES.md; otherwise a refactor altered the output.",
+        mismatches.join("\n  ")
+    );
+}

@@ -118,9 +118,8 @@ proptest! {
     }
 }
 
-/// The full-pipeline fingerprint: HEP end to end (serial and split paths,
-/// refinement on) under `HEP_KERNEL=scalar` vs the auto-dispatched
-/// kernel, compared assignment-for-assignment. This is what makes the
+/// The full-pipeline fingerprint: HEP end to end under `HEP_KERNEL=scalar`
+/// vs the auto-dispatched kernel, compared assignment-for-assignment. This is what makes the
 /// kernel layer safe to enable unconditionally: no partition anyone
 /// computes can depend on the host's instruction set.
 #[test]
@@ -128,28 +127,23 @@ fn full_pipeline_fingerprint_is_kernel_invariant() {
     let auto = if kernels::avx2_available() { Kernel::Avx2 } else { Kernel::Scalar };
     for seed in [7u64, 21] {
         let g = hep::gen::GraphSpec::ChungLu { n: 2_000, m: 16_000, gamma: 2.2 }.generate(seed);
-        for split in [1u32, 4] {
-            let run = |k: Kernel| {
-                kernels::with_kernel(k, || {
-                    let mut config = hep::core::HepConfig::with_tau(10.0);
-                    config.split_factor = split;
-                    let hep = hep::core::Hep { config };
-                    let mut sink = hep::graph::partitioner::CollectedAssignment::default();
-                    let report = hep.partition_with_report(&g, 8, &mut sink).unwrap();
-                    let m =
-                        hep::metrics::PartitionMetrics::from_assignment(8, g.num_vertices, &sink);
-                    (
-                        sink.assignments,
-                        report.partition_sizes,
-                        m.replication_factor().to_bits(),
-                        m.replica_counts(),
-                    )
-                })
-            };
-            let scalar = run(Kernel::Scalar);
-            let dispatched = run(auto);
-            assert_eq!(scalar, dispatched, "pipelines diverged at seed={seed} split={split}");
-        }
+        let run = |k: Kernel| {
+            kernels::with_kernel(k, || {
+                let hep = hep::core::Hep::with_tau(10.0);
+                let mut sink = hep::graph::partitioner::CollectedAssignment::default();
+                let report = hep.partition_with_report(&g, 8, &mut sink).unwrap();
+                let m = hep::metrics::PartitionMetrics::from_assignment(8, g.num_vertices, &sink);
+                (
+                    sink.assignments,
+                    report.partition_sizes,
+                    m.replication_factor().to_bits(),
+                    m.replica_counts(),
+                )
+            })
+        };
+        let scalar = run(Kernel::Scalar);
+        let dispatched = run(auto);
+        assert_eq!(scalar, dispatched, "pipelines diverged at seed={seed}");
     }
 }
 

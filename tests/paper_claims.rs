@@ -11,15 +11,10 @@ fn rf(p: &mut dyn EdgePartitioner, g: &EdgeList, k: u32) -> f64 {
     m.replication_factor()
 }
 
-/// HEP pinned to the serial NE++ of §3.2. These tests certify the *paper's*
-/// claims, which are about the serial algorithm; the `HEP_SPLIT_FACTOR`
-/// environment ablation (sub-partitioned parallel NE++) trades some
-/// replication factor for parallelism and has its own bounds in
-/// `tests/parallel_determinism.rs`.
+/// HEP as the paper evaluates it: the serial NE++ of §3.2 followed by
+/// informed streaming, with the paper's defaults.
 fn serial_hep(tau: f64) -> hep::core::Hep {
-    let mut config = hep::core::HepConfig::with_tau(tau);
-    config.split_factor = 1;
-    hep::core::Hep { config }
+    hep::core::Hep::with_tau(tau)
 }
 
 fn web_graph() -> EdgeList {
