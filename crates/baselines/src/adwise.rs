@@ -1,4 +1,4 @@
-//! ADWISE: adaptive window-based streaming partitioning [47].
+//! ADWISE: adaptive window-based streaming partitioning \[47\].
 //!
 //! Instead of committing to each edge as it arrives, ADWISE keeps a sliding
 //! window of buffered edges and, at every step, assigns the *best-scoring*

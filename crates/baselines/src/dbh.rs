@@ -1,4 +1,4 @@
-//! DBH: Degree-Based Hashing [64].
+//! DBH: Degree-Based Hashing \[64\].
 //!
 //! Stateless streaming partitioner: each edge is placed by hashing the
 //! endpoint with the *smaller* degree, so low-degree vertices get all their

@@ -1,4 +1,4 @@
-//! DNE: distributed neighbourhood expansion (Hanai et al., VLDB'19 [30]).
+//! DNE: distributed neighbourhood expansion (Hanai et al., VLDB'19 \[30\]).
 //!
 //! DNE grows all `k` partitions *concurrently*, each claiming edges from a
 //! shared pool. We reproduce it as a bulk-synchronous sequence of expansion

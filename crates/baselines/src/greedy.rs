@@ -1,4 +1,4 @@
-//! Greedy streaming partitioner (PowerGraph's heuristic [28]).
+//! Greedy streaming partitioner (PowerGraph's heuristic \[28\]).
 //!
 //! Identical loop to HDRF but with the unweighted replica score
 //! (`g(u,p) ∈ {0,1}`): no degree term, so it does not preferentially cut

@@ -1,4 +1,4 @@
-//! Grid partitioner (GraphBuilder [32]).
+//! Grid partitioner (GraphBuilder \[32\]).
 //!
 //! Stateless constrained hashing: partitions form an `r × c` grid; each
 //! vertex hashes to a cell, whose *constraint set* is its whole row and

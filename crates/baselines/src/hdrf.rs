@@ -1,4 +1,4 @@
-//! HDRF: High-Degree (are) Replicated First [51].
+//! HDRF: High-Degree (are) Replicated First \[51\].
 //!
 //! Stateful streaming partitioner — the strongest streaming baseline in the
 //! paper and the scoring function of HEP's own streaming phase. Processes the

@@ -1,5 +1,5 @@
 //! A METIS-style multilevel vertex partitioner with edge-partition
-//! conversion (paper baseline [34], configured per Appendix A).
+//! conversion (paper baseline \[34\], configured per Appendix A).
 //!
 //! Three phases, as in the multilevel family (§6 Related Work):
 //!

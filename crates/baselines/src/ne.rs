@@ -1,4 +1,4 @@
-//! NE: neighbourhood expansion (Zhang et al., KDD'17 [66]) — the strongest
+//! NE: neighbourhood expansion (Zhang et al., KDD'17 \[66\]) — the strongest
 //! in-memory baseline and the algorithm NE++ descends from.
 //!
 //! This follows the *reference* design the paper critiques (§3.2.2): a full

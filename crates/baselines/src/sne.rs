@@ -1,4 +1,4 @@
-//! SNE: streaming NE [66] — neighbourhood expansion over bounded chunks.
+//! SNE: streaming NE \[66\] — neighbourhood expansion over bounded chunks.
 //!
 //! SNE trades quality for memory by loading only `s · |E| / k` edges at a
 //! time (the paper configures sample size `s = 2`, Appendix A) and running

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::Range;
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: Range<usize>,

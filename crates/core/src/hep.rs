@@ -245,7 +245,7 @@ impl Hep {
             let empty = (0..k).map(|_| hep_ds::DenseBitset::new(num_vertices as usize)).collect();
             (empty, vec![0; k as usize])
         };
-        let state = stream_h2h(
+        let loads = stream_h2h(
             reader,
             &degrees,
             seed_sets,
@@ -259,11 +259,13 @@ impl Hep {
         if let Some(err) = read_err {
             return Err(err);
         }
-        let state = state?;
+        let mut partition_sizes = loads?;
         let stream_secs = stream_start.elapsed().as_secs_f64();
-        let partition_sizes = (0..k)
-            .map(|p| state.load(p) + if informed { 0 } else { ne_sizes[p as usize] })
-            .collect();
+        if !informed {
+            for (size, ne) in partition_sizes.iter_mut().zip(&ne_sizes) {
+                *size += ne;
+            }
+        }
         Ok(HepRunReport {
             nepp: nepp.stats,
             h2h_edges,

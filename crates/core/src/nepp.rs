@@ -189,12 +189,15 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
         }
     }
 
+    /// Entry `i` of `v`'s out-list (`out`) or in-list, recording its
+    /// column position when tracing.
     #[inline]
-    fn read_col(&mut self, idx: u64) -> VertexId {
+    fn read_entry(&mut self, v: VertexId, out: bool, i: u32) -> VertexId {
+        let (pos, u) = self.csr.entry(v, out, i);
         if let Some(t) = &mut self.trace {
-            t.push(idx);
+            t.push(pos);
         }
-        self.csr.col(idx)
+        u
     }
 
     #[inline]
@@ -252,36 +255,23 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
         }
         self.s_sets[self.cur as usize].set(v);
         let mut dext = 0u64;
-        // Out-list: entries are edges (v, u).
-        let (start, mut size) = self.csr.out_bounds(v);
-        let mut i = 0u32;
-        while i < size {
-            let u = self.read_col(start + i as u64);
-            if self.is_member(u) {
-                self.assign_edge(v, u);
-                self.csr.swap_remove_out(v, i);
-                self.stats.scan_removed += 1;
-                size -= 1;
-                self.heap.decrease_key_by(u, 1);
-            } else {
-                dext += 1;
-                i += 1;
-            }
-        }
-        // In-list: entries are edges (u, v).
-        let (start, mut size) = self.csr.in_bounds(v);
-        let mut i = 0u32;
-        while i < size {
-            let u = self.read_col(start + i as u64);
-            if self.is_member(u) {
-                self.assign_edge(u, v);
-                self.csr.swap_remove_in(v, i);
-                self.stats.scan_removed += 1;
-                size -= 1;
-                self.heap.decrease_key_by(u, 1);
-            } else {
-                dext += 1;
-                i += 1;
+        // Out-list entries are edges (v, u), in-list entries edges (u, v).
+        for out in [true, false] {
+            let mut size = self.csr.list_len(v, out);
+            let mut i = 0u32;
+            while i < size {
+                let u = self.read_entry(v, out, i);
+                if self.is_member(u) {
+                    let (src, dst) = if out { (v, u) } else { (u, v) };
+                    self.assign_edge(src, dst);
+                    self.csr.swap_remove(v, out, i);
+                    self.stats.scan_removed += 1;
+                    size -= 1;
+                    self.heap.decrease_key_by(u, 1);
+                } else {
+                    dext += 1;
+                    i += 1;
+                }
             }
         }
         self.heap.insert(v, dext);
@@ -302,10 +292,10 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
     }
 
     fn scan_core_list(&mut self, v: VertexId, out: bool) {
-        let (start, mut size) = if out { self.csr.out_bounds(v) } else { self.csr.in_bounds(v) };
+        let mut size = self.csr.list_len(v, out);
         let mut i = 0u32;
         while i < size {
-            let u = self.read_col(start + i as u64);
+            let u = self.read_entry(v, out, i);
             let (src, dst) = if out { (v, u) } else { (u, v) };
             if self.csr.is_high(u) {
                 // Rules (a)/(b): the edge to a high-degree vertex is
@@ -318,11 +308,7 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
                     self.s_sets[self.cur as usize].set(u);
                 }
                 self.assign_edge(src, dst);
-                if out {
-                    self.csr.swap_remove_out(v, i);
-                } else {
-                    self.csr.swap_remove_in(v, i);
-                }
+                self.csr.swap_remove(v, out, i);
                 self.stats.scan_removed += 1;
                 size -= 1;
             } else if self.is_member(u) {
@@ -390,10 +376,10 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
     }
 
     fn cleanup_list(&mut self, v: VertexId, out: bool) {
-        let (start, mut size) = if out { self.csr.out_bounds(v) } else { self.csr.in_bounds(v) };
+        let mut size = self.csr.list_len(v, out);
         let mut i = 0u32;
         while i < size {
-            let u = self.read_col(start + i as u64);
+            let u = self.read_entry(v, out, i);
             if self.is_member(u) {
                 if self.csr.is_high(u) {
                     // Rule (c): a surviving low->high entry into S_i is
@@ -403,11 +389,7 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
                     self.assign_edge(src, dst);
                     self.stats.cleanup_assigned += 1;
                 }
-                if out {
-                    self.csr.swap_remove_out(v, i);
-                } else {
-                    self.csr.swap_remove_in(v, i);
-                }
+                self.csr.swap_remove(v, out, i);
                 self.stats.cleanup_removed += 1;
                 size -= 1;
             } else {
@@ -461,14 +443,12 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
             if self.core.get(v) || self.csr.is_high(v) {
                 continue;
             }
-            let (start, size) = self.csr.out_bounds(v);
-            for i in 0..size {
-                let u = self.read_col(start + i as u64);
+            for i in 0..self.csr.list_len(v, true) {
+                let u = self.read_entry(v, true, i);
                 self.assign_edge_last(v, u);
             }
-            let (start, size) = self.csr.in_bounds(v);
-            for i in 0..size {
-                let u = self.read_col(start + i as u64);
+            for i in 0..self.csr.list_len(v, false) {
+                let u = self.read_entry(v, false, i);
                 if self.csr.is_high(u) {
                     self.assign_edge_last(u, v);
                 }

@@ -58,14 +58,13 @@ pub fn plan_stream_batch(_k: u32, _memory_budget_bytes: Option<u64>) -> usize {
 /// * the **load tracker**: the load vector and the bucket levels (8 B per
 ///   part each, inside the 56 B per part charged), plus the bucket member
 ///   masks, `8·k·⌈k/64⌉` bytes — allocated for k buckets up front, so the
-///   bound holds even when k ≫ |V|;
-/// * the **final dense export**: the k replica bitsets the table is
-///   transposed back into while it is still live.
+///   bound holds even when k ≫ |V|.
 ///
-/// Terms kept as headroom: the sparse replica index the engine used to
-/// keep (`12·|V| + 8` bytes plus 4 B per row entry, each row charged
-/// `min(k, 3·min(d(v), k) + 1)` entries) and its 4 B per vertex slot
-/// table. The engine allocates neither. Dropping them would give the
+/// Terms kept as headroom: the k dense replica bitsets the engine used
+/// to transpose the table back into (it now returns only the loads), the
+/// sparse replica index it used to keep (`12·|V| + 8` bytes plus 4 B per
+/// row entry, each row charged `min(k, 3·min(d(v), k) + 1)` entries) and
+/// its 4 B per vertex slot table. The engine allocates none of them. Dropping them would give the
 /// honest estimate — 11.9 MiB on the `web-budget` benchmark workload
 /// (|V| = 1.04M, k = 32) against 123.1 MiB with them — and would let the
 /// quality-first planner keep τ = 10 under that workload's 200 MiB budget
@@ -120,12 +119,17 @@ pub const INGEST_FIXED_OVERHEAD_BYTES: u64 = 2 << 20;
 pub const INGEST_SWEEP_GRID: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Heap bytes resident after a budgeted build: degree statistics (degrees
-/// + high bitset), size fields, index arrays and the column array.
+/// and the high bitset), size fields, the segment index and the column
+/// array. The CSR holds 20 bytes per vertex
+/// ([`hep_graph::PrunedCsr::heap_bytes`]); the second `8·n` below is
+/// headroom for the in-list index the CSR no longer allocates (in-lists
+/// are anchored at their segment's end), kept so the plans, and the
+/// workloads they pick, do not move with the layout.
 fn ingest_resident_bytes(n: u64, column_entries: u64) -> u64 {
     4 * n                      // DegreeStats::degrees
         + n.div_ceil(64) * 8   // DegreeStats high bitset
         + 8 * n                // out/in size fields
-        + 8 * (n + 1) + 8 * n  // dual index arrays
+        + 8 * (n + 1) + 8 * n  // segment index + headroom (see above)
         + 4 * column_entries // column array
 }
 
@@ -449,9 +453,9 @@ mod tests {
     fn stream_overhead_covers_the_table_engine() {
         // What the engine allocates beyond its inputs: the mask table, the
         // load vector, bucket levels and bucket masks (sized for k
-        // buckets), and the k dense bitsets of the final export with their
-        // 32 B headers — including k > |V|, where the buckets outweigh the
-        // table.
+        // buckets) — including k > |V|, where the buckets outweigh the
+        // table. The estimate still covers the k dense bitsets (with their
+        // 32 B headers) of the export it charges as headroom.
         for n in [1u64, 3, 100, 5_000] {
             for k in [1u32, 2, 63, 64, 65, 128, 1_000, 4_096] {
                 let degrees = vec![1u32; n as usize];

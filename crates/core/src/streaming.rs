@@ -6,7 +6,7 @@
 //! NE++'s secondary set `S_i`, partition loads start at the in-memory phase's
 //! sizes, and vertex degrees are exact (from the degree pass) rather than
 //! streamed partial counts. This removes the "uninformed assignment problem"
-//! [47] for the early edges of the stream.
+//! \[47\] for the early edges of the stream.
 //!
 //! # The mask-table engine
 //!
@@ -17,11 +17,11 @@
 //!
 //! 1. **Replica-mask table** — one ⌈k/64⌉-word row per vertex, bit `p` set
 //!    iff the vertex is replicated on partition `p`. It is made by one
-//!    transpose of NE++'s k secondary sets, which are then dropped, and
-//!    transposed back to k `DenseBitset`s once at the end. An edge reads
-//!    its two endpoint rows in place: membership classes are word
-//!    AND/NOTs, and the commit is two word-ORs.
-//! 2. **Load buckets** — [`LoadTracker`] groups the k partitions by
+//!    transpose of NE++'s k secondary sets, which are then dropped. An
+//!    edge reads its two endpoint rows in place: membership classes are
+//!    word AND/NOTs, and the commit is two word-ORs. Only the final loads
+//!    leave the engine.
+//! 2. **Load buckets** — `LoadTracker` groups the k partitions by
 //!    distinct load, ascending, each bucket a ⌈k/64⌉-word member mask.
 //!    Loads only move by +1, so an increment moves one bit into the next
 //!    bucket, relabels a bucket the part had alone, or inserts one bucket.
@@ -30,7 +30,7 @@
 //!
 //! Within one membership class (u replicated / v / both / neither) the
 //! HDRF score only falls as the load grows, so the serial argmax is the
-//! best of ≤ 4 per-class `(load, id)` minima. [`pick_partition`] finds
+//! best of ≤ 4 per-class `(load, id)` minima. `pick_partition` finds
 //! them with whichever of two exact strategies costs less for the edge at
 //! hand: iterating the endpoints' replica union bit by bit when it holds
 //! no more parts than there are buckets, or else walking the buckets in
@@ -447,6 +447,9 @@ fn debug_check_full_scan(
 /// state. `total_edges` is `|E|` (the balance constraint of Algorithm 4 is
 /// over the whole edge set, not just the streamed part). The edge source is
 /// an iterator so the externalized edge file never has to be materialized.
+/// Returns the final per-partition loads (in-memory sizes plus streamed
+/// edges); the replica sets follow from the seed sets and the emitted
+/// assignments, and nothing downstream reads them.
 ///
 /// Output is bit-identical to [`stream_h2h_serial`] — see the module docs
 /// and DESIGN.md §7. `_batch` is ignored: edges are scored and committed
@@ -462,7 +465,7 @@ pub fn stream_h2h<S: AssignSink + ?Sized>(
     alpha: f64,
     _batch: usize,
     sink: &mut S,
-) -> Result<ReplicaState, GraphError> {
+) -> Result<Vec<u64>, GraphError> {
     assert_eq!(s_sets.len(), ne_sizes.len(), "one replica set per partition");
     assert!(!s_sets.is_empty(), "need k >= 1");
     let k = s_sets.len() as u32;
@@ -507,19 +510,7 @@ pub fn stream_h2h<S: AssignSink + ?Sized>(
         tracker.increment(p);
         sink.assign(e.src, e.dst, p);
     }
-
-    // Transpose back to the k dense sets `ReplicaState` carries.
-    let mut sets: Vec<DenseBitset> = (0..k).map(|_| DenseBitset::new(n as usize)).collect();
-    for (v, row) in table.chunks_exact(wpm).enumerate() {
-        for (w, &word) in row.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                sets[w << 6 | bits.trailing_zeros() as usize].set(v as u32);
-                bits &= bits - 1;
-            }
-        }
-    }
-    Ok(ReplicaState::from_parts(sets, tracker.loads))
+    Ok(tracker.loads)
 }
 
 /// The reference serial stream: one dense O(k) HDRF scan per edge over
@@ -613,12 +604,13 @@ mod tests {
         let degrees = vec![1u32; 4];
         let h2h = [Edge::new(0, 1)];
         let mut sink = CollectedAssignment::default();
-        let state =
+        let loads =
             stream_h2h(h2h.iter().copied(), &degrees, s_sets, sizes, 10, 1.1, 1.05, 0, &mut sink)
                 .unwrap();
         let p = sink.assignments[0].1;
-        assert!(state.is_replicated(0, p) && state.is_replicated(1, p));
-        assert_eq!(state.load(p), 1);
+        assert_eq!(loads.len(), 2);
+        assert_eq!(loads[p as usize], 1);
+        assert_eq!(loads[1 - p as usize], 0);
     }
 
     #[test]
@@ -677,6 +669,19 @@ mod tests {
         (edges, degrees)
     }
 
+    /// The replica sets a stream leaves behind: the seed sets plus both
+    /// endpoints of every emitted `(u, v, p)`.
+    fn replay_replicas(
+        mut sets: Vec<DenseBitset>,
+        assignments: &[(Edge, PartitionId)],
+    ) -> Vec<DenseBitset> {
+        for &(e, p) in assignments {
+            sets[p as usize].set(e.src);
+            sets[p as usize].set(e.dst);
+        }
+        sets
+    }
+
     /// Runs both engines on the same input and compares the assignment
     /// sequence, the final loads and every replica set word for word.
     fn assert_matches_serial(
@@ -701,10 +706,10 @@ mod tests {
         )
         .unwrap();
         let mut sink = CollectedAssignment::default();
-        let state = stream_h2h(
+        let loads = stream_h2h(
             edges.iter().copied(),
             degrees,
-            seed_sets,
+            seed_sets.clone(),
             sizes,
             total_edges,
             1.1,
@@ -714,10 +719,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sink.assignments, serial_sink.assignments, "{label}");
+        assert_eq!(loads.len(), k as usize, "{label}");
+        let replicas = replay_replicas(seed_sets, &sink.assignments);
         for p in 0..k {
-            assert_eq!(state.load(p), serial.load(p), "{label} load {p}");
+            assert_eq!(loads[p as usize], serial.load(p), "{label} load {p}");
             assert_eq!(
-                state.replica_sets()[p as usize].words(),
+                replicas[p as usize].words(),
                 serial.replica_sets()[p as usize].words(),
                 "{label} replicas {p}"
             );
@@ -886,7 +893,7 @@ mod tests {
         let degrees = vec![2u32; 4];
         let h2h = [Edge::new(0, 1), Edge::new(2, 3)];
         let mut sink = CollectedAssignment::default();
-        let state = stream_h2h(
+        let loads = stream_h2h(
             h2h.iter().copied(),
             &degrees,
             seed_sets,
@@ -898,7 +905,6 @@ mod tests {
             &mut sink,
         )
         .unwrap();
-        assert_eq!(state.load(0), u64::MAX);
-        assert_eq!(state.load(1), u64::MAX);
+        assert_eq!(loads, [u64::MAX, u64::MAX]);
     }
 }

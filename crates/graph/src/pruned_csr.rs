@@ -8,31 +8,35 @@
 //!   written to an external buffer (`h2h`) during construction and later
 //!   partitioned by the streaming phase.
 //! * Every stored adjacency list is split into an **out-list** (edges where
-//!   the vertex is the left endpoint of the input pair) followed by an
-//!   **in-list**; a second index array marks the split (§3.2.3 "Building the
-//!   Last Partition").
+//!   the vertex is the left endpoint of the input pair) and an **in-list**
+//!   (§3.2.3 "Building the Last Partition"). The two lists are anchored at
+//!   opposite ends of the vertex's segment: out-entry `i` lives at
+//!   `index_out[v] + i`, in-entry `i` at `index_out[v+1] − 1 − i`. No second
+//!   index array marks the split.
 //! * Each sub-list carries a **size field** counting its valid entries.
 //!   Removing an entry swaps it with the last valid entry and decrements the
 //!   size — the constant-time *lazy edge removal* of §3.2.2.
+//!
+//! Per-vertex state is 20 bytes: the `u64` segment index, two `u32` size
+//! fields and the `u32` degree (plus one bit of the V_h bitset). That is
+//! below the paper's `6·b_id` = 24 bytes (§4.2).
 
 use crate::degrees::DegreeStats;
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
 use crate::types::{Edge, VertexId};
 
-/// Pruned CSR with dual index arrays, size fields and an h2h edge buffer.
+/// Pruned CSR with one index array, size fields and an h2h edge buffer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PrunedCsr {
     stats: DegreeStats,
     /// `index_out[v]` = start of v's segment; `index_out[v+1]` is its end.
     index_out: Vec<u64>,
-    /// `index_in[v]` = start of v's in-list (end of its out-list).
-    index_in: Vec<u64>,
     /// Column array holding all low-degree adjacency entries.
     col: Vec<VertexId>,
-    /// Valid entries in each out-list.
+    /// Valid entries in each out-list (counted up from the segment start).
     out_size: Vec<u32>,
-    /// Valid entries in each in-list.
+    /// Valid entries in each in-list (counted down from the segment end).
     in_size: Vec<u32>,
     /// Externalized edges between two high-degree vertices. Empty when the
     /// builder streamed them to an external sink (the paper's edge file).
@@ -126,8 +130,8 @@ impl PrunedCsr {
     /// since the degree pass; a segment not exactly full at the end of its
     /// sweep means it shrank. Both are [`GraphError::TruncatedBinary`] — a
     /// typed error, never a scatter into a neighbouring segment or a
-    /// zero-filled phantom entry. Finally each in-list is reversed once, so
-    /// every list holds its entries in input order.
+    /// zero-filled phantom entry. The two-ended layout is the CSR's own:
+    /// in-entry `i` (in input order) stays at `index_out[v+1] − 1 − i`.
     pub fn build_from_passes_budgeted<I>(
         stats: DegreeStats,
         mut make_pass: impl FnMut() -> Result<I, GraphError>,
@@ -210,16 +214,9 @@ impl PrunedCsr {
                 break;
             }
         }
-        let mut index_in = Vec::with_capacity(n);
-        for v in 0..n {
-            let split = index_out[v] + out_size[v] as u64;
-            col[split as usize..index_out[v + 1] as usize].reverse();
-            index_in.push(split);
-        }
         Ok(PrunedCsr {
             stats,
             index_out,
-            index_in,
             col,
             out_size,
             in_size,
@@ -279,25 +276,36 @@ impl PrunedCsr {
         self.stats.is_high(v)
     }
 
-    /// `(start, len)` of the valid out-list of `v` in the column array.
+    /// Number of valid entries in `v`'s out-list (`out`) or in-list.
     #[inline]
-    pub fn out_bounds(&self, v: VertexId) -> (u64, u32) {
+    pub fn list_len(&self, v: VertexId, out: bool) -> u32 {
         debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        (self.index_out[v as usize], self.out_size[v as usize])
+        if out {
+            self.out_size[v as usize]
+        } else {
+            self.in_size[v as usize]
+        }
     }
 
-    /// `(start, len)` of the valid in-list of `v` in the column array.
+    /// Entry `i` of `v`'s out-list (`out`) or in-list, as its column
+    /// position and the neighbour stored there. Out-entries count up from
+    /// the segment start, in-entries down from the segment end.
     #[inline]
-    pub fn in_bounds(&self, v: VertexId) -> (u64, u32) {
-        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        (self.index_in[v as usize], self.in_size[v as usize])
+    pub fn entry(&self, v: VertexId, out: bool, i: u32) -> (u64, VertexId) {
+        let pos = self.position(v, out, i);
+        // hep-lint: allow(HL011) -- position() stays inside v's segment, and segments tile the column array
+        (pos, self.col[pos as usize])
     }
 
-    /// Column array entry at absolute position `idx`.
     #[inline]
-    pub fn col(&self, idx: u64) -> VertexId {
-        debug_assert!((idx as usize) < self.col.len(), "column position {idx} out of range");
-        self.col[idx as usize]
+    fn position(&self, v: VertexId, out: bool, i: u32) -> u64 {
+        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
+        debug_assert!(i < self.list_len(v, out), "entry {i} past the valid list");
+        if out {
+            self.index_out[v as usize] + i as u64
+        } else {
+            self.index_out[v as usize + 1] - 1 - i as u64
+        }
     }
 
     /// Number of valid (unassigned) entries in `v`'s adjacency list.
@@ -307,52 +315,38 @@ impl PrunedCsr {
         self.out_size[v as usize] + self.in_size[v as usize]
     }
 
-    /// Lazy removal (§3.2.2): swap the out-entry at `offset` with the last
-    /// valid out-entry of `v` and shrink the size field. O(1).
+    /// Lazy removal (§3.2.2): swap entry `i` of `v`'s out-list (`out`) or
+    /// in-list with the list's last valid entry and shrink its size field.
+    /// O(1).
     #[inline]
-    pub fn swap_remove_out(&mut self, v: VertexId, offset: u32) {
+    pub fn swap_remove(&mut self, v: VertexId, out: bool, i: u32) {
         debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        let start = self.index_out[v as usize];
-        let size = &mut self.out_size[v as usize];
-        debug_assert!(offset < *size);
-        *size -= 1;
-        self.col.swap((start + offset as u64) as usize, (start + *size as u64) as usize);
-    }
-
-    /// Lazy removal of the in-entry at `offset` of `v`. O(1).
-    #[inline]
-    pub fn swap_remove_in(&mut self, v: VertexId, offset: u32) {
-        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        let start = self.index_in[v as usize];
-        let size = &mut self.in_size[v as usize];
-        debug_assert!(offset < *size);
-        *size -= 1;
-        self.col.swap((start + offset as u64) as usize, (start + *size as u64) as usize);
+        let last = self.list_len(v, out) - 1;
+        let (a, b) = (self.position(v, out, i), self.position(v, out, last));
+        self.col.swap(a as usize, b as usize);
+        if out {
+            self.out_size[v as usize] = last;
+        } else {
+            self.in_size[v as usize] = last;
+        }
     }
 
     /// Valid out-neighbours of `v` (test/diagnostic convenience).
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let (s, n) = self.out_bounds(v);
-        debug_assert!(
-            s + n as u64 <= self.col.len() as u64,
-            "adjacency range within the column array"
-        );
-        &self.col[s as usize..(s + n as u64) as usize]
+        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
+        let start = self.index_out[v as usize] as usize;
+        &self.col[start..start + self.out_size[v as usize] as usize]
     }
 
-    /// Valid in-neighbours of `v` (test/diagnostic convenience).
-    pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let (s, n) = self.in_bounds(v);
-        debug_assert!(
-            s + n as u64 <= self.col.len() as u64,
-            "adjacency range within the column array"
-        );
-        &self.col[s as usize..(s + n as u64) as usize]
+    /// Valid in-neighbours of `v` in list order (test/diagnostic
+    /// convenience).
+    pub fn in_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        (0..self.list_len(v, false)).map(move |i| self.entry(v, false, i).1)
     }
 
     /// Valid neighbours (out then in) of `v`.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.out_neighbors(v).iter().chain(self.in_neighbors(v).iter()).copied()
+        self.out_neighbors(v).iter().copied().chain(self.in_neighbors(v))
     }
 
     /// Total column-array capacity (the paper's Σ_{v∈V_l} d(v); Figure 4's
@@ -368,19 +362,22 @@ impl PrunedCsr {
     }
 
     /// The paper's §4.2 memory accounting with `b_id = 4`, in bytes:
-    /// `Σ_{v∈V_l} d(v)·b_id + 6·|V|·b_id + |V|·(k+1)/8`.
+    /// `Σ_{v∈V_l} d(v)·b_id + 6·|V|·b_id + |V|·(k+1)/8`. The paper's
+    /// `6·b_id` = 24 bytes per vertex is an upper bound on this
+    /// implementation's 20 (see [`PrunedCsr::heap_bytes`]).
     pub fn memory_footprint_paper(&self, k: u32) -> u64 {
         let b_id = 4u64;
         let n = self.num_vertices() as u64;
         self.column_entries() * b_id + 6 * n * b_id + n * (k as u64 + 1) / 8
     }
 
-    /// Actual heap bytes of this representation as implemented (u64 index
-    /// arrays; the h2h buffer is conceptually on disk and excluded).
+    /// Actual heap bytes of this representation as implemented:
+    /// `4·column_entries + 8·(|V|+1) + 12·|V| + ⌈|V|/64⌉·8` (the `u64`
+    /// index, two size fields, the degree table and the V_h bitset; the h2h
+    /// buffer is conceptually on disk and excluded).
     pub fn heap_bytes(&self) -> usize {
         self.col.len() * 4
             + self.index_out.len() * 8
-            + self.index_in.len() * 8
             + self.out_size.len() * 4
             + self.in_size.len() * 4
             + self.stats.degrees.len() * 4
@@ -435,7 +432,7 @@ mod tests {
         // v7 appears as left endpoint of (7,8) and right endpoint of (0,5->no),
         // (0,7) and (5,7).
         assert_eq!(csr.out_neighbors(7), &[8]);
-        let mut inn: Vec<u32> = csr.in_neighbors(7).to_vec();
+        let mut inn: Vec<u32> = csr.in_neighbors(7).collect();
         inn.sort_unstable();
         assert_eq!(inn, vec![0, 5]);
         // Low-high edges remain reachable from the low side: v1's out-list
@@ -450,14 +447,35 @@ mod tests {
         let g = EdgeList::from_pairs([(0, 1), (0, 2), (0, 3)]);
         let mut csr = PrunedCsr::build(&g, 100.0);
         assert_eq!(csr.out_neighbors(0), &[1, 2, 3]);
-        csr.swap_remove_out(0, 0); // removes entry "1", swapping in "3"
+        csr.swap_remove(0, true, 0); // removes entry "1", swapping in "3"
         assert_eq!(csr.out_neighbors(0), &[3, 2]);
-        csr.swap_remove_out(0, 1);
+        csr.swap_remove(0, true, 1);
         assert_eq!(csr.out_neighbors(0), &[3]);
-        csr.swap_remove_out(0, 0);
+        csr.swap_remove(0, true, 0);
         assert!(csr.out_neighbors(0).is_empty());
         // In-lists of the leaves are untouched.
-        assert_eq!(csr.in_neighbors(2), &[0]);
+        assert_eq!(csr.in_neighbors(2).collect::<Vec<_>>(), [0]);
+    }
+
+    #[test]
+    fn swap_remove_in_is_constant_time_swap() {
+        // Vertex 0's segment is [out: 4 | in: 1, 2, 3], the in-list
+        // anchored at the segment end and counted down in input order.
+        let g = EdgeList::from_pairs([(1, 0), (2, 0), (0, 4), (3, 0)]);
+        let mut csr = PrunedCsr::build(&g, 100.0);
+        let in_list = |csr: &PrunedCsr| csr.in_neighbors(0).collect::<Vec<_>>();
+        assert_eq!(in_list(&csr), [1, 2, 3]);
+        assert_eq!(csr.entry(0, false, 0), (3, 1), "in-entry 0 is the segment's last slot");
+        assert_eq!(csr.entry(0, false, 2), (1, 3));
+        csr.swap_remove(0, false, 0); // removes entry "1", swapping in "3"
+        assert_eq!(in_list(&csr), [3, 2]);
+        csr.swap_remove(0, false, 1);
+        assert_eq!(in_list(&csr), [3]);
+        csr.swap_remove(0, false, 0);
+        assert!(in_list(&csr).is_empty());
+        // The out-list sharing the segment is untouched.
+        assert_eq!(csr.out_neighbors(0), &[4]);
+        assert_eq!(csr.valid_degree(0), 1);
     }
 
     #[test]
@@ -511,7 +529,9 @@ mod tests {
 
     /// The two-pass build the one-pass builder replaced, kept as its
     /// oracle: a count pass sizes every out- and in-list, a fill pass
-    /// inserts in input order. h2h edges are returned in input order.
+    /// inserts in input order, out-lists upward from the segment start and
+    /// in-lists downward from the segment end. h2h edges are returned in
+    /// input order.
     fn reference_build(edges: &[Edge], stats: DegreeStats) -> (PrunedCsr, Vec<Edge>) {
         let n = stats.num_vertices() as usize;
         let mut out_cap = vec![0u32; n];
@@ -531,14 +551,12 @@ mod tests {
             }
         }
         let mut index_out = vec![0u64; n + 1];
-        let mut index_in = vec![0u64; n];
         for v in 0..n {
-            index_in[v] = index_out[v] + out_cap[v] as u64;
-            index_out[v + 1] = index_in[v] + in_cap[v] as u64;
+            index_out[v + 1] = index_out[v] + (out_cap[v] + in_cap[v]) as u64;
         }
         let mut col = vec![0u32; index_out[n] as usize];
         let mut out_cursor = index_out[..n].to_vec();
-        let mut in_cursor = index_in.clone();
+        let mut in_cursor = index_out[1..].to_vec();
         for e in edges {
             let (src_high, dst_high) = (stats.is_high(e.src), stats.is_high(e.dst));
             if src_high && dst_high {
@@ -549,14 +567,13 @@ mod tests {
                 out_cursor[e.src as usize] += 1;
             }
             if !dst_high {
+                in_cursor[e.dst as usize] -= 1;
                 col[in_cursor[e.dst as usize] as usize] = e.src;
-                in_cursor[e.dst as usize] += 1;
             }
         }
         let csr = PrunedCsr {
             stats,
             index_out,
-            index_in,
             col,
             out_size: out_cap,
             in_size: in_cap,
@@ -750,7 +767,7 @@ mod tests {
                 for &u in csr.out_neighbors(v) {
                     *found.entry(Edge::new(v, u).canonical()).or_insert(0u32) += 1;
                 }
-                for &u in csr.in_neighbors(v) {
+                for u in csr.in_neighbors(v) {
                     if csr.is_high(u) {
                         *found.entry(Edge::new(u, v).canonical()).or_insert(0) += 1;
                     }
@@ -766,7 +783,7 @@ mod tests {
             prop_assert_eq!(found.len(), g.edges.len());
             // In-entries mirror out-entries for low-low edges.
             for v in 0..csr.num_vertices() {
-                for &u in csr.in_neighbors(v) {
+                for u in csr.in_neighbors(v) {
                     prop_assert!(!csr.is_high(v));
                     let e = Edge::new(u, v);
                     prop_assert!(g.edges.contains(&e), "in-entry without edge {:?}", e);

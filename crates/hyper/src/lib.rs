@@ -1,7 +1,7 @@
 //! Hybrid hyperedge partitioning — the extension the paper names as future
 //! work (§7: "we aim to explore the extension of the hybrid in-memory and
-//! streaming partitioning paradigm to hypergraphs", citing HYPE [46] and
-//! streaming min-max partitioning [15]).
+//! streaming partitioning paradigm to hypergraphs", citing HYPE \[46\] and
+//! streaming min-max partitioning \[15\]).
 //!
 //! The problem generalizes edge partitioning (§2): divide the *hyperedges*
 //! into `k` balanced partitions; a vertex is replicated on every partition

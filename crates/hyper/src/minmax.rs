@@ -1,4 +1,4 @@
-//! Streaming min-max hyperedge partitioning (Alistarh et al. [15]): each
+//! Streaming min-max hyperedge partitioning (Alistarh et al. \[15\]): each
 //! hyperedge goes to the eligible partition already containing the most of
 //! its pins — the hypergraph analog of Greedy/HDRF streaming.
 

@@ -1,7 +1,7 @@
 //! Pass 2 of the semantic analyzer: flow-aware rules over the
 //! [`crate::model`] call graph.
 //!
-//! A bounded fixpoint computes one [`Summary`] per function — may-panic
+//! A bounded fixpoint computes one `Summary` per function — may-panic
 //! (direct or via a callee), taint-out (returns an untrusted decoder/env
 //! value), and param-in sinks (an unguarded index, narrowing cast or
 //! allocation fed by a parameter) — then a final emission pass walks each

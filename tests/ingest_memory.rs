@@ -108,6 +108,28 @@ fn peak_ingestion_within_estimate_within_budget_across_scales() {
     }
 }
 
+/// [`PrunedCsr::heap_bytes`] is exactly what a built CSR holds on the heap:
+/// `20·|V| + 8 + 4·column_entries + ⌈|V|/64⌉·8` (the `u64` segment index,
+/// two size fields, the degree table, the V_h bitset and the column
+/// array). A per-vertex array added to the CSR without its accounting
+/// fails here.
+#[test]
+fn csr_heap_bytes_equal_allocator_measured_bytes() {
+    let _region = region();
+    let g = hep::gen::GraphSpec::ChungLu { n: 20_000, m: 160_000, gamma: 2.2 }.generate(2);
+    let (file, _guard) = write_file(&g, "heap_bytes");
+    for tau in [1.0, 10.0] {
+        let (csr, _, _, _) = measured_ingest(&file, tau, None);
+        let n = csr.num_vertices() as usize;
+        let formula = 20 * n + 8 + 4 * csr.column_entries() as usize + n.div_ceil(64) * 8;
+        assert_eq!(csr.heap_bytes(), formula, "τ {tau}: heap_bytes() against the formula");
+        let held = alloc_track::current_bytes();
+        drop(csr);
+        let freed = held - alloc_track::current_bytes();
+        assert_eq!(freed, formula, "τ {tau}: bytes the CSR held against heap_bytes()");
+    }
+}
+
 /// When no sweep count fits the requested τ, the planner degrades τ — more
 /// edges go to the streaming side, the CSR shrinks into the budget — and
 /// the measured peak still honors both the estimate and the budget.
@@ -139,8 +161,7 @@ fn tau_degrades_rather_than_exceeding_budget() {
 }
 
 /// The phase-2 companion bound: the streaming engine's measured peak heap
-/// — the replica-mask table, the load buckets, and the final dense export
-/// — stays under
+/// — the replica-mask table and the load buckets — stays under
 /// [`estimate_stream_overhead_bytes`], the term `plan_ingest` charges
 /// against the budget. The h2h workload, degree table, and seed sets are
 /// built outside the measured region (the engine *consumes* the seed sets;
@@ -192,9 +213,9 @@ fn stream_engine_peak_stays_within_planner_estimate() {
             &mut sink,
         );
         let peak = alloc_track::peak_bytes().saturating_sub(baseline) as u64;
-        let state = result.unwrap();
+        let loads = result.unwrap();
         assert_eq!(assigned, m as u64);
-        assert_eq!((0..k).map(|p| state.load(p)).sum::<u64>(), m as u64 + seeded_load);
+        assert_eq!(loads.iter().sum::<u64>(), m as u64 + seeded_load);
         assert!(peak <= estimate, "k {k}: stream peak {peak} exceeds planner estimate {estimate}");
     }
 }

@@ -247,9 +247,9 @@ proptest! {
         )
         .unwrap();
         for threads in [1usize, 8] {
-            let (assignments, state) = hep::par::with_threads(threads, || {
+            let (assignments, loads) = hep::par::with_threads(threads, || {
                 let mut sink = hep::graph::partitioner::CollectedAssignment::default();
-                let state = hep::core::stream_h2h(
+                let loads = hep::core::stream_h2h(
                     edges.iter().copied(),
                     &degrees,
                     seed_sets.clone(),
@@ -261,13 +261,21 @@ proptest! {
                     &mut sink,
                 )
                 .unwrap();
-                (sink.assignments, state)
+                (sink.assignments, loads)
             });
             prop_assert_eq!(&assignments, &serial_sink.assignments);
+            prop_assert_eq!(loads.len(), k as usize);
+            // The replica sets follow from the seed sets plus the emitted
+            // (u, v, p) sequence.
+            let mut replicas = seed_sets.clone();
+            for &(e, p) in &assignments {
+                replicas[p as usize].set(e.src);
+                replicas[p as usize].set(e.dst);
+            }
             for p in 0..k {
-                prop_assert_eq!(state.load(p), serial.load(p), "load {} diverged", p);
+                prop_assert_eq!(loads[p as usize], serial.load(p), "load {} diverged", p);
                 prop_assert_eq!(
-                    state.replica_sets()[p as usize].words(),
+                    replicas[p as usize].words(),
                     serial.replica_sets()[p as usize].words(),
                     "replica set {} diverged", p
                 );
