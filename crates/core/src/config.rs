@@ -41,7 +41,8 @@ pub struct HepConfig {
     /// How file-backed passes read the edge file (buffered vs mmap); the
     /// config-level override of the `HEP_IO_MODE` environment default.
     /// Backends are bit-identical in output; this only trades syscalls
-    /// for page faults.
+    /// for page faults. A set `HEP_IO_MODE` that is not a mode name makes
+    /// [`HepConfig::validate`] fail rather than run on `Auto`.
     pub io_mode: IoMode,
 }
 
@@ -103,7 +104,8 @@ impl HepConfig {
     }
 
     /// Validates parameter domains, including a set but malformed
-    /// `HEP_MEMORY_BUDGET` when the config takes its budget from it.
+    /// `HEP_MEMORY_BUDGET` or `HEP_IO_MODE` when the config takes its
+    /// budget or mode from it.
     pub fn validate(&self) -> Result<(), hep_graph::GraphError> {
         if self.tau.is_nan() || self.tau <= 0.0 {
             return Err(hep_graph::GraphError::InvalidConfig(format!(
@@ -128,6 +130,13 @@ impl HepConfig {
         // overrides the knob.
         if self.memory_budget_bytes.is_none() {
             if let Err(msg) = env_memory_budget() {
+                return Err(hep_graph::GraphError::InvalidConfig(msg.clone()));
+            }
+        }
+        // Likewise a malformed HEP_IO_MODE leaves the default at Auto; an
+        // explicit buffered or mmap mode overrides the knob.
+        if self.io_mode == IoMode::Auto {
+            if let Err(msg) = IoMode::env_knob() {
                 return Err(hep_graph::GraphError::InvalidConfig(msg.clone()));
             }
         }

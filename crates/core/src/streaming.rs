@@ -91,7 +91,7 @@ impl LoadTracker {
         members.resize(levels.len() * wpm, 0);
         for (p, &l) in loads.iter().enumerate() {
             let i = levels.partition_point(|&x| x < l);
-            // hep-lint: allow(HL011) -- levels holds every load, so i < levels.len(); p < k, so p / 64 < wpm
+            // levels holds every load, so i < levels.len(); p < k, so p / 64 < wpm
             members[i * wpm + p / 64] |= 1 << (p % 64);
         }
         // hep-lint: allow(HL007) -- check_inputs rejects k == 0 before any tracker is built
@@ -262,7 +262,7 @@ fn union_minima(
             let p = (w as u32) << 6 | b;
             let l = tracker.load(p);
             let c = ((mu >> b & 1) | (mv >> b & 1) << 1) as usize;
-            // hep-lint: allow(HL011) -- c is two mask bits, so c < 4 == cand.len()
+            // c is two mask bits, so c < 4 == cand.len()
             let slot = &mut cand[c];
             if l < cap && l < slot.0 {
                 *slot = (l, p);
@@ -324,7 +324,7 @@ fn bucket_minima(
             let classes = [m & !(mu | mv), m & mu & !mv, m & mv & !mu, m & mu & mv];
             for (c, &x) in classes.iter().enumerate() {
                 if x != 0 && (need & !found) & (1 << c) != 0 {
-                    // hep-lint: allow(HL011) -- c enumerates `classes`, so c < 4 == cand.len()
+                    // c enumerates `classes`, so c < 4 == cand.len()
                     cand[c] = (l, (w as u32) << 6 | x.trailing_zeros());
                     found |= 1 << c;
                 }
@@ -503,9 +503,8 @@ pub fn stream_h2h<S: AssignSink + ?Sized>(
         #[cfg(debug_assertions)]
         debug_check_full_scan(row_u, row_v, &tracker.loads, e, g_u, g_v, lambda, cap, p);
         let (w, bit) = ((p >> 6) as usize, 1u64 << (p & 63));
-        // hep-lint: allow(HL011) -- p < k, so w < wpm and both words lie inside their endpoint's row
+        // p < k, so w < wpm and both words lie inside their endpoint's row
         table[ou + w] |= bit;
-        // hep-lint: allow(HL011) -- p < k, so w < wpm and both words lie inside their endpoint's row
         table[ov + w] |= bit;
         tracker.increment(p);
         sink.assign(e.src, e.dst, p);
@@ -620,21 +619,17 @@ mod tests {
         // corrupt HEPB file — panicked with a raw index-out-of-bounds
         // instead of the typed error every other ingestion layer reports.
         // The stream here really comes from a forged binfile: the header
-        // claims 4 vertices, the payload holds edge (2, 9).
-        use hep_graph::BinaryEdgeFile;
+        // claims 4 vertices, the payload holds edge (2, 9), and both
+        // checksums are computed over the forged bytes, so the file passes
+        // every integrity check.
+        use hep_graph::{BinaryEdgeFile, EdgeFileWriter};
         let mut path = std::env::temp_dir();
         path.push(format!("hep_stream_forged_{}.hepb", std::process::id()));
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&hep_graph::binfile::MAGIC);
-        // v1: checksum-free, so the forged payload needs no digest forgery.
-        bytes.extend_from_slice(&hep_graph::binfile::VERSION_V1.to_le_bytes());
-        bytes.extend_from_slice(&4u32.to_le_bytes()); // |V| = 4
-        bytes.extend_from_slice(&2u64.to_le_bytes()); // 2 edges
+        let mut writer = EdgeFileWriter::create(&path, 4).unwrap();
         for (s, d) in [(0u32, 1u32), (2, 9)] {
-            bytes.extend_from_slice(&s.to_le_bytes());
-            bytes.extend_from_slice(&d.to_le_bytes());
+            writer.push(Edge::new(s, d));
         }
-        std::fs::write(&path, &bytes).unwrap();
+        writer.finish().unwrap();
         let file = BinaryEdgeFile::open(&path).unwrap();
         let h2h: Vec<Edge> = file.pass().unwrap().collect::<Result<_, _>>().unwrap();
         std::fs::remove_file(&path).ok();

@@ -11,8 +11,8 @@
 //!
 //! For offsets that come from *untrusted* input (file headers, section
 //! tables) use the total [`try_u32_le_at`]/[`try_u64_le_at`] variants:
-//! they return `None` instead of panicking, and the taint lint (`HL012`)
-//! recognizes them as checked sources.
+//! they return `None` instead of panicking, so a forged header becomes a
+//! typed error.
 
 /// Reads the little-endian `u32` at byte offset `off`.
 ///

@@ -42,7 +42,7 @@ pub const KNOBS: &[EnvKnob] = &[
     EnvKnob {
         name: "HEP_IO_MODE",
         default: "auto",
-        doc: "HEPB pass backend: buffered reads or zero-copy mmap (bit-identical output)",
+        doc: "HEPB pass backend: auto|buffered|mmap (bit-identical output). Any other value is a config error",
         since: "PR 6",
     },
     EnvKnob {

@@ -12,12 +12,13 @@
 //!
 //! # On-disk layout
 //!
-//! Version 2 (written by [`EdgeFileWriter`] and [`BinaryEdgeFile::write`]):
+//! One format, version 2 (written by [`EdgeFileWriter`] and
+//! [`BinaryEdgeFile::write`]):
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"HEPB"
-//! 4       4     format version (little-endian u32, currently 2)
+//! 4       4     format version (little-endian u32, always 2)
 //! 8       4     num_vertices     (little-endian u32)
 //! 12      8     num_edges        (little-endian u64)
 //! 20      8     header checksum  (XXH64 of bytes 0..20, seed HEADER_CHECKSUM_SEED)
@@ -25,10 +26,9 @@
 //! 36      8·m   edges: (src: u32, dst: u32) little-endian pairs
 //! ```
 //!
-//! Version 1 files (no checksums, 20-byte header, payload at offset 20)
-//! remain readable; [`BinaryEdgeFile::write_v1`] still produces them for
-//! compatibility tests. Both payload offsets are multiples of 4, so an
-//! mmap'd payload is always `u32`-aligned.
+//! Any other version (including the retired, checksum-free version 1) is
+//! rejected at open. The payload offset is a multiple of 4, so an mmap'd
+//! payload is always `u32`-aligned.
 //!
 //! The checksums are computed with the workspace's own XXH64
 //! ([`hep_ds::hasher`]) under distinct section seeds. The header checksum
@@ -60,24 +60,22 @@ use crate::error::GraphError;
 use crate::types::Edge;
 use hep_ds::hasher::{hash64, Hasher64};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 /// The 4-byte magic opening every headered edge file.
 pub const MAGIC: [u8; 4] = *b"HEPB";
 
-/// Current format version (checksummed header).
+/// The format version, the only one [`BinaryEdgeFile::open`] accepts.
 pub const VERSION: u32 = 2;
 
-/// The legacy, checksum-free format version. Still readable.
-pub const VERSION_V1: u32 = 1;
+/// Header length in bytes (also the payload offset).
+pub const HEADER_LEN: u64 = 36;
 
-/// Header length of a v1 file in bytes.
-pub const V1_HEADER_LEN: u64 = 20;
-
-/// Header length of a v2 file in bytes.
-pub const V2_HEADER_LEN: u64 = 36;
+/// Length of the header prefix the header checksum covers (magic,
+/// version, `num_vertices`, `num_edges`).
+const CHECKED_HEADER_LEN: usize = 20;
 
 /// Seed of the header-section checksum. Distinct from the payload seed so
 /// a header digest can never validate a payload (and vice versa).
@@ -114,20 +112,28 @@ pub enum IoMode {
 }
 
 impl IoMode {
-    /// The process-wide mode from `HEP_IO_MODE`, defaulting to
-    /// [`IoMode::Auto`] when unset or unrecognized. Read once and cached.
-    pub fn from_env() -> IoMode {
-        static MODE: OnceLock<IoMode> = OnceLock::new();
-        *MODE.get_or_init(|| {
-            match hep_ds::env_registry::read("HEP_IO_MODE")
-                .map(|v| v.to_ascii_lowercase())
-                .as_deref()
-            {
-                Some("buffered") => IoMode::Buffered,
-                Some("mmap") => IoMode::Mmap,
-                _ => IoMode::Auto,
-            }
+    /// The process-wide `HEP_IO_MODE` knob, read and resolved once by
+    /// [`IoMode::from_knob`].
+    pub fn env_knob() -> &'static Result<IoMode, String> {
+        static MODE: OnceLock<Result<IoMode, String>> = OnceLock::new();
+        MODE.get_or_init(|| IoMode::from_knob(hep_ds::env_registry::read("HEP_IO_MODE").as_deref()))
+    }
+
+    /// Resolves a raw `HEP_IO_MODE` value. Unset means [`IoMode::Auto`]; a
+    /// set value must be a mode [`IoMode::parse`] accepts, and anything
+    /// else is an error naming the knob and its value.
+    pub fn from_knob(raw: Option<&str>) -> Result<IoMode, String> {
+        let Some(raw) = raw else { return Ok(IoMode::Auto) };
+        IoMode::parse(raw).ok_or_else(|| {
+            format!("HEP_IO_MODE={raw:?} is not an IO mode (want auto, buffered or mmap)")
         })
+    }
+
+    /// The process-wide default mode: the `HEP_IO_MODE` knob, or
+    /// [`IoMode::Auto`] when it is unset or malformed. A malformed value is
+    /// reported by `HepConfig::validate` (in `hep-core`), not here.
+    pub fn from_env() -> IoMode {
+        *IoMode::env_knob().as_ref().unwrap_or(&IoMode::Auto)
     }
 
     /// Parses a mode name (`auto` / `buffered` / `mmap`, case-insensitive).
@@ -349,18 +355,16 @@ pub fn u32_word_view(bytes: &[u8]) -> Option<&[u32]> {
 }
 
 /// A validated, headered binary edge file on disk. Opening checks the
-/// magic, version, header checksum (v2) and that the payload length
-/// matches `num_edges`; passes over the edges are streaming and
-/// repeatable.
+/// magic, version, header checksum and that the payload length matches
+/// `num_edges`; passes over the edges are streaming, repeatable and
+/// checksum-verified.
 #[derive(Clone, Debug)]
 pub struct BinaryEdgeFile {
     path: PathBuf,
     num_vertices: u32,
     num_edges: u64,
-    version: u32,
-    /// The payload checksum recorded in the header; `None` for v1 files,
-    /// which carry none.
-    payload_checksum: Option<u64>,
+    /// The payload checksum recorded in the header.
+    payload_checksum: u64,
     io_mode: IoMode,
 }
 
@@ -374,41 +378,13 @@ impl BinaryEdgeFile {
         Ok(writer.finish()?)
     }
 
-    /// Writes `graph` in the legacy v1 format (20-byte header, no
-    /// checksums). Exists so compatibility with v1 readers and writers
-    /// stays testable.
-    pub fn write_v1(
-        path: impl AsRef<Path>,
-        graph: &EdgeList,
-    ) -> Result<BinaryEdgeFile, GraphError> {
-        let path = path.as_ref();
-        let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(&MAGIC)?;
-        w.write_all(&VERSION_V1.to_le_bytes())?;
-        w.write_all(&graph.num_vertices.to_le_bytes())?;
-        w.write_all(&graph.num_edges().to_le_bytes())?;
-        for e in &graph.edges {
-            w.write_all(&e.src.to_le_bytes())?;
-            w.write_all(&e.dst.to_le_bytes())?;
-        }
-        w.flush()?;
-        Ok(BinaryEdgeFile {
-            path: path.to_path_buf(),
-            num_vertices: graph.num_vertices,
-            num_edges: graph.num_edges(),
-            version: VERSION_V1,
-            payload_checksum: None,
-            io_mode: IoMode::from_env(),
-        })
-    }
-
-    /// Opens and validates a headered edge file (v1 or v2).
+    /// Opens and validates a headered edge file.
     pub fn open(path: impl AsRef<Path>) -> Result<BinaryEdgeFile, GraphError> {
         let path = path.as_ref();
         let file = File::open(path)?;
         let len = file.metadata()?.len();
         let mut r = BufReader::new(file);
-        let mut header = [0u8; V2_HEADER_LEN as usize];
+        let mut header = [0u8; HEADER_LEN as usize];
         let read_to = |r: &mut BufReader<File>, buf: &mut [u8]| {
             std::io::Read::read_exact(r, buf)
                 .map_err(|_| GraphError::BadHeader(format!("file too short ({len} bytes)")))
@@ -418,44 +394,31 @@ impl BinaryEdgeFile {
             return Err(GraphError::BadHeader("missing HEPB magic".into()));
         }
         let version = hep_ds::bytes::u32_le_at(&header, 4);
-        let (header_len, payload_checksum) = match version {
-            VERSION_V1 => {
-                read_to(&mut r, &mut header[8..V1_HEADER_LEN as usize])?;
-                (V1_HEADER_LEN, None)
-            }
-            VERSION => {
-                read_to(&mut r, &mut header[8..V2_HEADER_LEN as usize])?;
-                // Verify the header checksum before trusting a single
-                // field: a forged num_edges must never reach the length
-                // arithmetic below, let alone an allocation.
-                let expected = hep_ds::bytes::u64_le_at(&header, 20);
-                let actual = hash64(&header[..20], HEADER_CHECKSUM_SEED);
-                if actual != expected {
-                    return Err(GraphError::ChecksumMismatch {
-                        section: "header",
-                        expected,
-                        actual,
-                    });
-                }
-                let payload = hep_ds::bytes::u64_le_at(&header, 28);
-                (V2_HEADER_LEN, Some(payload))
-            }
-            other => {
-                return Err(GraphError::BadHeader(format!(
-                    "unsupported version {other} (expected {VERSION_V1} or {VERSION})"
-                )))
-            }
-        };
+        if version != VERSION {
+            return Err(GraphError::BadHeader(format!(
+                "unsupported version {version} (expected {VERSION})"
+            )));
+        }
+        read_to(&mut r, &mut header[8..])?;
+        // Verify the header checksum before trusting a single field: a
+        // forged num_edges must never reach the length arithmetic below,
+        // let alone an allocation.
+        let expected = hep_ds::bytes::u64_le_at(&header, CHECKED_HEADER_LEN);
+        let actual = hash64(&header[..CHECKED_HEADER_LEN], HEADER_CHECKSUM_SEED);
+        if actual != expected {
+            return Err(GraphError::ChecksumMismatch { section: "header", expected, actual });
+        }
+        let payload_checksum = hep_ds::bytes::u64_le_at(&header, 28);
         let num_vertices = hep_ds::bytes::u32_le_at(&header, 8);
         let num_edges = hep_ds::bytes::u64_le_at(&header, 12);
         // Checked arithmetic: a forged `num_edges` near `u64::MAX / 8`
-        // would otherwise wrap the expected length around to match a tiny
-        // file, and the huge count would then reach
-        // `Vec::with_capacity` in [`BinaryEdgeFile::load`]. (For v2 the
-        // header checksum already rejects forgeries; v1 has only this.)
+        // with a re-fitted header checksum would otherwise wrap the
+        // expected length around to match a tiny file, and the huge count
+        // would then reach `Vec::with_capacity` in
+        // [`BinaryEdgeFile::load`].
         let expected = num_edges
             .checked_mul(8)
-            .and_then(|payload| payload.checked_add(header_len))
+            .and_then(|payload| payload.checked_add(HEADER_LEN))
             .ok_or_else(|| {
                 GraphError::BadHeader(format!(
                     "implausible num_edges {num_edges}: implied payload overflows u64"
@@ -470,7 +433,6 @@ impl BinaryEdgeFile {
             path: path.to_path_buf(),
             num_vertices,
             num_edges,
-            version,
             payload_checksum,
             io_mode: IoMode::from_env(),
         })
@@ -494,26 +456,10 @@ impl BinaryEdgeFile {
         &self.path
     }
 
-    /// The file's format version (1 or 2).
+    /// The payload checksum recorded in the header.
     #[inline]
-    pub fn format_version(&self) -> u32 {
-        self.version
-    }
-
-    /// The payload checksum recorded in the header (`None` for v1 files).
-    #[inline]
-    pub fn payload_checksum(&self) -> Option<u64> {
+    pub fn payload_checksum(&self) -> u64 {
         self.payload_checksum
-    }
-
-    /// This file's header length in bytes (also the payload offset).
-    #[inline]
-    pub fn header_len(&self) -> u64 {
-        if self.version == VERSION_V1 {
-            V1_HEADER_LEN
-        } else {
-            V2_HEADER_LEN
-        }
     }
 
     /// The pass IO mode in effect for this file.
@@ -532,9 +478,9 @@ impl BinaryEdgeFile {
 
     /// Starts a streaming pass over the edges. Each call reopens the file,
     /// so passes are repeatable (HEP's graph build takes two: degrees, then
-    /// one insertion pass per column sweep). For v2 files the pass verifies
-    /// the payload checksum as it reads; the mismatch, if any, is the final
-    /// item the iterator yields.
+    /// one insertion pass per column sweep). The pass verifies the payload
+    /// checksum as it reads; the mismatch, if any, is the final item the
+    /// iterator yields.
     pub fn pass(&self) -> Result<EdgePass, GraphError> {
         let file = File::open(&self.path)?;
         let len = file.metadata()?.len();
@@ -542,17 +488,17 @@ impl BinaryEdgeFile {
         // underneath us. Below the header that is a header error (matching
         // open's behavior); mid-payload the pass starts and ends in
         // `TruncatedBinary`, identically on both backends.
-        if len < self.header_len() {
+        if len < HEADER_LEN {
             return Err(GraphError::BadHeader(
                 "file truncated below header size since open".into(),
             ));
         }
         let source: Box<dyn PassSource> = if self.io_mode == IoMode::Buffered {
-            Box::new(BufferedSource::new(file, self.header_len())?)
+            Box::new(BufferedSource::new(file, HEADER_LEN)?)
         } else {
-            match MmapSource::map(&file, len, self.header_len()) {
+            match MmapSource::map(&file, len, HEADER_LEN) {
                 Some(s) => Box::new(s),
-                None => Box::new(BufferedSource::new(file, self.header_len())?),
+                None => Box::new(BufferedSource::new(file, HEADER_LEN)?),
             }
         };
         Ok(EdgePass::new(source, self.num_edges, self.payload_checksum))
@@ -593,13 +539,13 @@ fn v2_header(
     num_vertices: u32,
     num_edges: u64,
     payload_checksum: u64,
-) -> [u8; V2_HEADER_LEN as usize] {
-    let mut head = [0u8; V2_HEADER_LEN as usize];
+) -> [u8; HEADER_LEN as usize] {
+    let mut head = [0u8; HEADER_LEN as usize];
     head[0..4].copy_from_slice(&MAGIC);
     head[4..8].copy_from_slice(&VERSION.to_le_bytes());
     head[8..12].copy_from_slice(&num_vertices.to_le_bytes());
     head[12..20].copy_from_slice(&num_edges.to_le_bytes());
-    let header_checksum = hash64(&head[..V1_HEADER_LEN as usize], HEADER_CHECKSUM_SEED);
+    let header_checksum = hash64(&head[..CHECKED_HEADER_LEN], HEADER_CHECKSUM_SEED);
     head[20..28].copy_from_slice(&header_checksum.to_le_bytes());
     head[28..36].copy_from_slice(&payload_checksum.to_le_bytes());
     head
@@ -629,7 +575,7 @@ impl EdgeFileWriter {
     pub fn create(path: impl AsRef<Path>, num_vertices: u32) -> std::io::Result<EdgeFileWriter> {
         let path = path.as_ref();
         let mut file = File::create(path)?;
-        file.write_all(&[0u8; V2_HEADER_LEN as usize])?;
+        file.write_all(&[0u8; HEADER_LEN as usize])?;
         Ok(EdgeFileWriter {
             file,
             path: path.to_path_buf(),
@@ -677,8 +623,7 @@ impl EdgeFileWriter {
             path: self.path,
             num_vertices: self.num_vertices,
             num_edges: self.num_edges,
-            version: VERSION,
-            payload_checksum: Some(payload_checksum),
+            payload_checksum,
             io_mode: IoMode::from_env(),
         })
     }
@@ -689,8 +634,8 @@ impl EdgeFileWriter {
 /// into a reused block — through the aligned zero-copy [`u32_word_view`]
 /// when available, byte by byte otherwise — and hashes their bytes once;
 /// `next()` then only bumps an index. A record split across two buffer
-/// fills is reassembled in an 8-byte carry. For v2 files the digest is
-/// checked against the header after the last edge.
+/// fills is reassembled in an 8-byte carry. The digest is checked against
+/// the header after the last edge.
 #[derive(Debug)]
 pub struct EdgePass {
     source: Box<dyn PassSource>,
@@ -700,8 +645,8 @@ pub struct EdgePass {
     block: Vec<Edge>,
     pos: usize,
     carry: Vec<u8>,
-    /// Running payload hash; `None` for v1 files.
-    hasher: Option<Hasher64>,
+    /// Running payload hash.
+    hasher: Hasher64,
     /// The header's payload checksum, `take`n once verified (or once the
     /// pass dies — a failed pass must not also report a bogus mismatch).
     expected_checksum: Option<u64>,
@@ -709,16 +654,16 @@ pub struct EdgePass {
 
 impl EdgePass {
     /// A pass over `num_edges` records read from `source`, verified
-    /// against `payload_checksum` when one is given.
-    fn new(source: Box<dyn PassSource>, num_edges: u64, payload_checksum: Option<u64>) -> Self {
+    /// against `payload_checksum`.
+    fn new(source: Box<dyn PassSource>, num_edges: u64, payload_checksum: u64) -> Self {
         EdgePass {
             source,
             remaining: num_edges,
             block: Vec::with_capacity(num_edges.min(DECODE_BLOCK as u64) as usize),
             pos: 0,
             carry: Vec::new(),
-            hasher: payload_checksum.map(|_| Hasher64::with_seed(PAYLOAD_CHECKSUM_SEED)),
-            expected_checksum: payload_checksum,
+            hasher: Hasher64::with_seed(PAYLOAD_CHECKSUM_SEED),
+            expected_checksum: Some(payload_checksum),
         }
     }
 
@@ -731,7 +676,7 @@ impl EdgePass {
     /// Returns the mismatch error at most once.
     fn finish_checksum(&mut self) -> Option<GraphError> {
         let expected = self.expected_checksum.take()?;
-        let actual = self.hasher.as_ref()?.finish();
+        let actual = self.hasher.finish();
         if actual != expected {
             return Some(GraphError::ChecksumMismatch { section: "payload", expected, actual });
         }
@@ -779,9 +724,7 @@ impl EdgePass {
                 let records =
                     ((buf.len() / 8).min(DECODE_BLOCK) as u64).min(self.remaining) as usize;
                 let bytes = &buf[..records * 8];
-                if let Some(h) = self.hasher.as_mut() {
-                    h.write(bytes);
-                }
+                self.hasher.write(bytes);
                 match u32_word_view(bytes) {
                     Some(words) => self
                         .block
@@ -801,9 +744,7 @@ impl EdgePass {
             // Slow path: buffer boundary splits the record.
             let take = (8 - self.carry.len()).min(buf.len());
             self.carry.extend_from_slice(&buf[..take]);
-            if let Some(h) = self.hasher.as_mut() {
-                h.write(&buf[..take]);
-            }
+            self.hasher.write(&buf[..take]);
             self.source.consume(take);
             if self.carry.len() == 8 {
                 let e = Edge::new(
@@ -847,6 +788,17 @@ mod tests {
         EdgeList::with_vertices(12, [(0u32, 5u32), (3, 4), (11, 2), (7, 7), (0, 1)]).unwrap()
     }
 
+    /// Writes a forged file whose header claims `num_vertices` and
+    /// `num_edges` over `payload`, with both checksums recomputed so it
+    /// passes every integrity check: only the semantic guards are left to
+    /// catch the forgery.
+    fn forge(p: &Path, num_vertices: u32, num_edges: u64, payload: &[u8]) {
+        let mut bytes =
+            v2_header(num_vertices, num_edges, hash64(payload, PAYLOAD_CHECKSUM_SEED)).to_vec();
+        bytes.extend_from_slice(payload);
+        std::fs::write(p, bytes).unwrap();
+    }
+
     #[test]
     fn roundtrip_preserves_header_and_edges() {
         let g = sample();
@@ -855,25 +807,34 @@ mod tests {
         let f = BinaryEdgeFile::open(&p).unwrap();
         assert_eq!(f.num_vertices(), 12);
         assert_eq!(f.num_edges(), 5);
-        assert_eq!(f.format_version(), VERSION);
-        assert!(f.payload_checksum().is_some());
+        let bytes = std::fs::read(&p).unwrap();
+        assert_eq!(
+            f.payload_checksum(),
+            hash64(&bytes[HEADER_LEN as usize..], PAYLOAD_CHECKSUM_SEED)
+        );
         let back = f.load().unwrap();
         std::fs::remove_file(&p).ok();
         assert_eq!(back, g);
     }
 
     #[test]
-    fn v1_files_still_open_and_load() {
-        let g = sample();
-        let p = tmp("v1_compat");
-        BinaryEdgeFile::write_v1(&p, &g).unwrap();
-        let f = BinaryEdgeFile::open(&p).unwrap();
-        assert_eq!(f.format_version(), VERSION_V1);
-        assert_eq!(f.payload_checksum(), None);
-        assert_eq!(f.header_len(), V1_HEADER_LEN);
-        let back = f.load().unwrap();
+    fn version_1_header_is_unsupported() {
+        // The retired checksum-free layout: magic, version 1, counts, then
+        // the payload straight after a 20-byte header.
+        let p = tmp("v1");
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&12u32.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&[0, 0, 0, 0, 5, 0, 0, 0]);
+        std::fs::write(&p, bytes).unwrap();
+        let err = BinaryEdgeFile::open(&p).unwrap_err();
         std::fs::remove_file(&p).ok();
-        assert_eq!(back, g);
+        assert!(
+            matches!(&err, GraphError::BadHeader(m) if m.contains("unsupported version 1")),
+            "got {err}"
+        );
     }
 
     #[test]
@@ -963,7 +924,7 @@ mod tests {
             let p = tmp(&format!("chunked_{name}"));
             let f = BinaryEdgeFile::write(&p, &g).unwrap().with_io_mode(IoMode::Buffered);
             let pristine = std::fs::read(&p).unwrap();
-            let header = V2_HEADER_LEN as usize;
+            let header = HEADER_LEN as usize;
             let chunked = |bytes: &[u8]| {
                 let source = ChunkedSource { bytes: bytes[header..].to_vec(), pos: 0, chunks: 0 };
                 drain(EdgePass::new(Box::new(source), f.num_edges(), f.payload_checksum()))
@@ -1065,7 +1026,7 @@ mod tests {
         let mut bytes = std::fs::read(&p).unwrap();
         // Flip a low bit of the first edge's src: still an in-range pair,
         // so only the checksum can catch it.
-        bytes[V2_HEADER_LEN as usize] ^= 1;
+        bytes[HEADER_LEN as usize] ^= 1;
         std::fs::write(&p, &bytes).unwrap();
         let collected: Result<Vec<Edge>, GraphError> = f.pass().unwrap().collect();
         let err = collected.unwrap_err();
@@ -1082,10 +1043,8 @@ mod tests {
         let p = tmp("header_flip");
         BinaryEdgeFile::write(&p, &g).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
-        // Flip the high bit of num_edges: under v1 rules this would only
-        // be caught by the length check (and a matching length forgery
-        // would get through to allocation); the v2 header checksum rejects
-        // it outright.
+        // Flip the high bit of num_edges: the header checksum rejects it
+        // before the length check ever sees the count.
         bytes[19] ^= 0x80;
         std::fs::write(&p, &bytes).unwrap();
         let err = BinaryEdgeFile::open(&p).unwrap_err();
@@ -1099,6 +1058,17 @@ mod tests {
         assert_eq!(IoMode::parse("Buffered"), Some(IoMode::Buffered));
         assert_eq!(IoMode::parse("MMAP"), Some(IoMode::Mmap));
         assert_eq!(IoMode::parse("turbo"), None);
+    }
+
+    #[test]
+    fn io_mode_knob_parsing() {
+        assert_eq!(IoMode::from_knob(None), Ok(IoMode::Auto), "unset is auto");
+        assert_eq!(IoMode::from_knob(Some("mmap")), Ok(IoMode::Mmap));
+        assert_eq!(IoMode::from_knob(Some("Buffered")), Ok(IoMode::Buffered));
+        for bad in ["turbo", "", "mmap ", "1"] {
+            let err = IoMode::from_knob(Some(bad)).unwrap_err();
+            assert!(err.contains("HEP_IO_MODE") && err.contains(bad), "{err}");
+        }
     }
 
     #[test]
@@ -1158,24 +1128,19 @@ mod tests {
     fn forged_overflowing_edge_count_is_rejected() {
         // num_edges = 2^61 makes `8 * num_edges` wrap to 0, so an
         // unchecked length check would accept a header-only file and
-        // `load()` would attempt a 2^61-element allocation. Forged as a
-        // v1 file — v2 rejects any field forgery at the header checksum,
-        // which the second half of the test pins.
+        // `load()` would attempt a 2^61-element allocation. The header
+        // checksum is recomputed over the forged count, so only the
+        // checked arithmetic stands in the way.
         let p = tmp("forged");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION_V1.to_le_bytes());
-        bytes.extend_from_slice(&4u32.to_le_bytes());
-        bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
-        std::fs::write(&p, &bytes).unwrap();
+        forge(&p, 4, 1u64 << 61, &[]);
         let err = BinaryEdgeFile::open(&p).unwrap_err();
         std::fs::remove_file(&p).ok();
         assert!(matches!(err, GraphError::BadHeader(_)), "got {err}");
         assert!(err.to_string().contains("overflow"), "got {err}");
 
-        // The same forgery under v2 (without recomputing the checksum)
-        // dies earlier, at header verification.
-        let p = tmp("forged_v2");
+        // The same forgery without recomputing the checksum dies earlier,
+        // at header verification.
+        let p = tmp("forged_unfitted");
         let g = sample();
         BinaryEdgeFile::write(&p, &g).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
@@ -1198,7 +1163,7 @@ mod tests {
         // Shrink mid-payload: the pass starts but ends in TruncatedBinary.
         BinaryEdgeFile::write(&p, &g).unwrap();
         let handle = std::fs::OpenOptions::new().write(true).open(&p).unwrap();
-        handle.set_len(V2_HEADER_LEN + 8 * 2 + 3).unwrap();
+        handle.set_len(HEADER_LEN + 8 * 2 + 3).unwrap();
         // `last()` drains the iterator: the error must fuse the pass (one
         // Err, then None), or this would loop forever. Buffered backend
         // forced — with mmap the shrink-after-map race is OS-level.
@@ -1210,16 +1175,9 @@ mod tests {
     #[test]
     fn out_of_range_vertex_fails_degree_pass() {
         let p = tmp("oor");
-        // Handcraft a v1 file whose header claims 3 vertices but holds
-        // edge (0, 9) — v1 so no checksum recomputation is needed.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION_V1.to_le_bytes());
-        bytes.extend_from_slice(&3u32.to_le_bytes());
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&9u32.to_le_bytes());
-        std::fs::write(&p, bytes).unwrap();
+        // A checksum-valid file whose header claims 3 vertices but holds
+        // edge (0, 9).
+        forge(&p, 3, 1, &[0, 0, 0, 0, 9, 0, 0, 0]);
         let f = BinaryEdgeFile::open(&p).unwrap();
         let err = f.degree_stats(1.0).unwrap_err();
         std::fs::remove_file(&p).ok();

@@ -21,11 +21,29 @@ pub struct EdgeList {
 
 impl EdgeList {
     /// Builds an edge list from raw pairs; `num_vertices` becomes
-    /// `max(id) + 1`.
+    /// `max(id) + 1`, so every id must be below `u32::MAX`.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (VertexId, VertexId)>) -> Self {
         let edges: Vec<Edge> = pairs.into_iter().map(Edge::from).collect();
         let num_vertices = edges.iter().map(|e| e.src.max(e.dst) + 1).max().unwrap_or(0);
         EdgeList { num_vertices, edges }
+    }
+
+    /// [`EdgeList::from_pairs`] for ids read from a file: an endpoint of
+    /// `u32::MAX` would need a vertex count of 2^32, which `num_vertices`
+    /// cannot hold, so it is a typed [`GraphError::VertexOutOfRange`]
+    /// rather than an overflow.
+    fn from_file_pairs(
+        pairs: impl IntoIterator<Item = (VertexId, VertexId)>,
+    ) -> Result<Self, GraphError> {
+        let edges: Vec<Edge> = pairs.into_iter().map(Edge::from).collect();
+        let max_id = edges.iter().map(|e| e.src.max(e.dst)).max();
+        let num_vertices = match max_id {
+            None => 0,
+            Some(m) => m
+                .checked_add(1)
+                .ok_or(GraphError::VertexOutOfRange { vertex: m, num_vertices: u32::MAX })?,
+        };
+        Ok(EdgeList { num_vertices, edges })
     }
 
     /// Builds an edge list with an explicit vertex count (allows isolated
@@ -138,7 +156,7 @@ impl EdgeList {
         let pairs = buf
             .chunks_exact(8)
             .map(|c| (hep_ds::bytes::u32_le_at(c, 0), hep_ds::bytes::u32_le_at(c, 4)));
-        Ok(Self::from_pairs(pairs))
+        Self::from_file_pairs(pairs)
     }
 
     /// Writes a text edge list: one `src dst` pair per line.
@@ -174,7 +192,10 @@ impl EdgeList {
     }
 
     /// Reads a whitespace-separated text edge list; `#`- and `%`-prefixed
-    /// lines and blank lines are skipped (SNAP / KONECT conventions).
+    /// lines and blank lines are skipped (SNAP / KONECT conventions), and
+    /// columns after the first two (edge weights) are ignored. A line
+    /// without two `u32` ids is a [`GraphError::Parse`] naming its 1-based
+    /// line number; invalid UTF-8 is a [`GraphError::Io`].
     pub fn read_text(path: impl AsRef<Path>) -> Result<Self, GraphError> {
         let r = BufReader::new(std::fs::File::open(path)?);
         let mut pairs = Vec::new();
@@ -193,7 +214,7 @@ impl EdgeList {
                 }
             }
         }
-        Ok(Self::from_pairs(pairs))
+        Self::from_file_pairs(pairs)
     }
 }
 

@@ -187,7 +187,7 @@ impl PrunedCsr {
                         // degree pass.
                         return Err(GraphError::TruncatedBinary { bytes: 0 });
                     }
-                    // hep-lint: allow(HL011) -- the guard above gives start + out_size < index_out[src + 1] <= col.len()
+                    // the guard above gives start + out_size < index_out[src + 1] <= col.len()
                     col[(start + out_size[src] as u64) as usize] = e.dst;
                     out_size[src] += 1;
                 }
@@ -293,7 +293,7 @@ impl PrunedCsr {
     #[inline]
     pub fn entry(&self, v: VertexId, out: bool, i: u32) -> (u64, VertexId) {
         let pos = self.position(v, out, i);
-        // hep-lint: allow(HL011) -- position() stays inside v's segment, and segments tile the column array
+        // position() stays inside v's segment, and segments tile the column array
         (pos, self.col[pos as usize])
     }
 

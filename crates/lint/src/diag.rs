@@ -1,11 +1,13 @@
-//! Diagnostics: stable rule identifiers, `file:line:col` rendering and the
-//! machine-readable `--json` form.
+//! Diagnostics: stable rule identifiers and `file:line:col` rendering.
 
 use std::fmt;
 
 /// The stable rule catalogue. IDs are append-only: a rule may be retired
 /// but its number is never reused, so waivers stay meaningful across
-/// versions.
+/// versions. HL011–HL014 belonged to a cross-file semantic pass (panic
+/// reachability, untrusted-data taint, `hep_par` closure hazards,
+/// swallowed `Result`s); that pass is deleted and the four IDs are
+/// retired, never to be reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// Iteration over a hash-ordered container in output-affecting code.
@@ -28,20 +30,6 @@ pub enum Rule {
     Hl009,
     /// Malformed or unknown-rule waiver comment.
     Hl010,
-    /// Public library API transitively reaches a panic site or an
-    /// unguarded parameter-derived slice index through workspace calls.
-    Hl011,
-    /// Untrusted data (binary headers, `bytes::*_le_at` decoders, env
-    /// reads) reaches a narrowing cast, `with_capacity`, or an index
-    /// without passing a checked/total helper.
-    Hl012,
-    /// Determinism hazard inside a closure passed to a `hep_par` entry
-    /// point: non-associative float fold, captured hash-keyed collection
-    /// mutation, or order-sensitive atomic RMW.
-    Hl013,
-    /// `let _ =` discarding a `Result` or `#[must_use]` value in library
-    /// code.
-    Hl014,
 }
 
 /// All rules, in catalogue order.
@@ -56,10 +44,6 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::Hl008,
     Rule::Hl009,
     Rule::Hl010,
-    Rule::Hl011,
-    Rule::Hl012,
-    Rule::Hl013,
-    Rule::Hl014,
 ];
 
 impl Rule {
@@ -76,10 +60,6 @@ impl Rule {
             Rule::Hl008 => "HL008",
             Rule::Hl009 => "HL009",
             Rule::Hl010 => "HL010",
-            Rule::Hl011 => "HL011",
-            Rule::Hl012 => "HL012",
-            Rule::Hl013 => "HL013",
-            Rule::Hl014 => "HL014",
         }
     }
 
@@ -101,12 +81,6 @@ impl Rule {
             Rule::Hl008 => "bench file and facade Cargo.toml [[bench]] list disagree",
             Rule::Hl009 => "bench Report name and BENCH_*.json artifacts disagree",
             Rule::Hl010 => "malformed hep-lint waiver comment",
-            Rule::Hl011 => {
-                "public API transitively reaches a panic or unguarded param-derived index"
-            }
-            Rule::Hl012 => "untrusted data reaches a narrowing cast, capacity, or index unchecked",
-            Rule::Hl013 => "determinism hazard in a closure passed to a hep_par entry point",
-            Rule::Hl014 => "`let _ =` swallows a Result or #[must_use] value in library code",
         }
     }
 
@@ -185,47 +159,6 @@ A malformed waiver (bad syntax, unknown rule, missing ` -- reason`) would\n\
 silently fail to apply; that is worse than no waiver. Fix the waiver\n\
 comment. HL010 is itself unwaivable."
             }
-            Rule::Hl011 => {
-                "\
-A public library API must not panic on caller-supplied input: neither by\n\
-transitively reaching an unwaived `unwrap`/`expect`/`panic!` through\n\
-workspace calls, nor by letting a parameter-derived value select a slice\n\
-index with no visible guard (a `len()`/`is_empty()` mention of the\n\
-receiver, a comparison/`min`/`clamp`/`%` on the index, or an assert).\n\
-Guard the index, propagate a typed error, or waive with the contract that\n\
-makes out-of-range input impossible (\"fail-fast by contract: callers\n\
-validate length\"). Waivers anchor at the reported site: the index site\n\
-for parameter flows, the public fn for transitive panics."
-            }
-            Rule::Hl012 => {
-                "\
-Values decoded from untrusted bytes (`hep_ds::bytes::u32_le_at`-style\n\
-decoders, binary-file headers) or read from the environment must pass a\n\
-checked/total step (`try_from`/`try_into`, `checked_*`, `parse`, `min`/\n\
-`clamp`, or a comparison guard) before reaching an `as` narrowing cast,\n\
-`Vec::with_capacity`/`vec![…; n]`, or a slice index. A forged header\n\
-field must produce a typed error, not a huge allocation or a wrapped\n\
-cast. Waive only when the value is provably bounded upstream of the\n\
-reported site."
-            }
-            Rule::Hl013 => {
-                "\
-Closures passed to `hep_par::{par_map, par_reduce, par_chunks,\n\
-par_for_each_init, …}` must keep output bit-identical at any thread\n\
-count: no non-associative float folding in a reduce, no mutation of a\n\
-captured hash-keyed collection, no order-sensitive atomic RMW (`swap`,\n\
-`compare_exchange`, `fetch_update`). Commutative RMW (`fetch_add`,\n\
-`fetch_min`) is fine. Waive with the determinism proof (\"chunk\n\
-boundaries are thread-count-invariant and the fold is chunk-ordered\")."
-            }
-            Rule::Hl014 => {
-                "\
-`let _ = …` silences the unused-Result warning and swallows the error\n\
-path. Handle the Result, propagate it, or waive with the reason the\n\
-outcome is genuinely irrelevant (\"both race outcomes converge to the\n\
-same state\"). Applies to workspace fns returning Result or marked\n\
-#[must_use], plus well-known fallible std methods."
-            }
         };
         format!("{} — {}\n\n{}\n", self.id(), self.summary(), body)
     }
@@ -259,51 +192,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document. Shared with the
-/// SARIF emitter.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the full diagnostic list as a stable JSON document. Hand-rolled
-/// because the container is offline (no serde); the schema is small and
-/// covered by tests.
-pub fn to_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("{\n  \"diagnostics\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&d.file),
-            d.line,
-            d.col,
-            d.rule.id(),
-            json_escape(&d.msg)
-        ));
-    }
-    if !diags.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!("],\n  \"count\": {}\n}}\n", diags.len()));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,23 +218,5 @@ mod tests {
             d.to_string(),
             "crates/core/src/hep.rs:12:5: HL007: `.unwrap()` in library code"
         );
-    }
-
-    #[test]
-    fn json_escapes_and_counts() {
-        let diags = vec![Diagnostic {
-            file: "a.rs".into(),
-            line: 1,
-            col: 2,
-            rule: Rule::Hl005,
-            msg: "name \"HEP_X\"\nnot registered".into(),
-        }];
-        let json = to_json(&diags);
-        assert!(json.contains("\\\"HEP_X\\\""));
-        assert!(json.contains("\\n"));
-        assert!(json.contains("\"count\": 1"));
-        let empty = to_json(&[]);
-        assert!(empty.contains("\"count\": 0"));
-        assert!(empty.contains("\"diagnostics\": []"));
     }
 }

@@ -1,14 +1,16 @@
 //! # hep-lint — workspace invariant linter
 //!
 //! The partitioner's headline guarantee is that its output is
-//! bit-identical at any thread count, instruction set or CSR layout. Most regressions against that guarantee are *structural*: a
-//! `HashMap` iteration whose order leaks into assignments, a wall-clock
-//! read steering a decision, an environment knob read outside the
-//! registry (and therefore missing from bench report provenance), an
-//! `unsafe` block whose proof obligation nobody wrote down. `hep-lint`
-//! checks those structures at source level, on every build, with no
-//! external dependencies — the container is offline, so the scanner in
-//! [`scanner`] is hand-rolled rather than `syn`-based.
+//! bit-identical at any thread count, instruction set or I/O backend.
+//! Most regressions against that guarantee are *structural*: a `HashMap`
+//! iteration whose order leaks into assignments, a wall-clock read
+//! steering a decision, an environment knob read outside the registry
+//! (and therefore missing from bench report provenance), an `unsafe`
+//! block whose proof obligation nobody wrote down. `hep-lint` checks
+//! those structures at source level, one token stream per file, with no
+//! external dependencies — the workspace builds without a package
+//! registry, so the scanner in [`scanner`] is hand-rolled rather than
+//! `syn`-based.
 //!
 //! ## Rules
 //!
@@ -29,20 +31,15 @@
 //! ## Running
 //!
 //! ```text
-//! cargo run -p hep-lint            # human-readable, exit 1 on findings
-//! cargo run -p hep-lint -- --json  # machine-readable, for CI
+//! cargo run -p hep-lint                       # exit 1 on findings
+//! cargo run -p hep-lint -- --explain HL001     # one rule's rationale
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod diag;
-pub mod json;
-pub mod model;
 pub mod rules;
-pub mod sarif;
 pub mod scanner;
-pub mod sema;
 
 use diag::{Diagnostic, Rule};
 use rules::{FileCtx, FileScope, Waiver};
@@ -97,7 +94,6 @@ pub fn lint(ws: &Workspace) -> Vec<Diagnostic> {
     let scans: Vec<(FileScope, scanner::Scanned)> =
         ws.files.iter().map(|f| (FileScope::classify(&f.path), scanner::scan(&f.source))).collect();
 
-    let mut all_test_lines: Vec<Vec<bool>> = Vec::with_capacity(scans.len());
     let mut all_waivers: Vec<Vec<Waiver>> = Vec::with_capacity(scans.len());
     for (scope, scanned) in &scans {
         // Collect knob usages from *all* files (compat included — the
@@ -113,7 +109,6 @@ pub fn lint(ws: &Workspace) -> Vec<Diagnostic> {
             registry_scanned = Some(scanned);
         }
         if scope.compat {
-            all_test_lines.push(Vec::new());
             all_waivers.push(Vec::new());
             continue;
         }
@@ -126,25 +121,15 @@ pub fn lint(ws: &Workspace) -> Vec<Diagnostic> {
             FileCtx { scope, scanned, test_lines: &test_lines, is_registered_knob: &is_registered };
         out.extend(rules::check_file(&ctx));
         out.extend(waiver_diags);
-        all_test_lines.push(test_lines);
         all_waivers.push(waivers);
     }
 
     check_knob_usage(&knob_usage_text, registry_scanned, &mut out);
     check_bench_consistency(ws, &scans, &mut out);
 
-    // Pass 1 + 2: the workspace model and the flow-aware rules. A
-    // semantic diagnostic can anchor in a different file than the one
-    // whose analysis produced it (a sink reached from a public fn
-    // elsewhere), so waivers are applied globally at the end, keyed by
-    // the diagnostic's own file.
-    let m = model::Model::build(&scans, &all_test_lines);
-    out.extend(sema::check_semantic(&sema::SemaInput {
-        scans: &scans,
-        test_lines: &all_test_lines,
-        waivers: &all_waivers,
-        model: &m,
-    }));
+    // HL006/HL008/HL009 can anchor in a different file than the one whose
+    // scan produced them (the registry, a bench source), so waivers are
+    // applied globally at the end, keyed by the diagnostic's own file.
     let waivers_by_path: std::collections::BTreeMap<&str, &[Waiver]> =
         scans.iter().zip(&all_waivers).map(|((s, _), w)| (s.path.as_str(), w.as_slice())).collect();
     out.retain(|d| {

@@ -1,17 +1,13 @@
 //! `hep-lint` CLI.
 //!
 //! ```text
-//! hep-lint [--json] [--sarif FILE] [--baseline FILE] [WORKSPACE_ROOT]
+//! hep-lint [WORKSPACE_ROOT]
 //! hep-lint --explain HLxxx
 //! ```
 //!
 //! Exit codes: `0` clean, `1` diagnostics found, `2` usage or I/O error.
-//! With `--json` the report is a machine-readable document for CI
-//! artifact upload; otherwise one `file:line:col: HLxxx: message` line
-//! per finding. `--sarif FILE` additionally writes a SARIF 2.1.0
-//! document for code-scanning UIs. `--baseline FILE` subtracts a prior
-//! `--json` report so only *new* findings are printed and gate the exit
-//! code. `--explain HLxxx` prints the rule's rationale and waiver policy.
+//! The report is one `file:line:col: HLxxx: message` line per finding.
+//! `--explain HLxxx` prints the rule's rationale and waiver policy.
 
 use std::path::PathBuf;
 
@@ -20,31 +16,13 @@ fn main() {
 }
 
 fn run() -> i32 {
-    let mut json = false;
-    let mut sarif_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
-            "--sarif" => match args.next() {
-                Some(p) => sarif_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("hep-lint: --sarif requires a file path");
-                    return 2;
-                }
-            },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("hep-lint: --baseline requires a file path");
-                    return 2;
-                }
-            },
             "--explain" => {
                 let Some(id) = args.next() else {
-                    eprintln!("hep-lint: --explain requires a rule ID (e.g. HL011)");
+                    eprintln!("hep-lint: --explain requires a rule ID (e.g. HL001)");
                     return 2;
                 };
                 match hep_lint::diag::Rule::from_id(&id) {
@@ -53,7 +31,7 @@ fn run() -> i32 {
                         return 0;
                     }
                     None => {
-                        eprintln!("hep-lint: unknown rule `{id}` (rules are HL001..HL014)");
+                        eprintln!("hep-lint: unknown rule `{id}` (rules are HL001..HL010)");
                         return 2;
                     }
                 }
@@ -90,47 +68,15 @@ fn run() -> i32 {
             return 2;
         }
     };
-    let mut diags = hep_lint::lint(&ws);
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("hep-lint: cannot read baseline {}: {e}", path.display());
-                return 2;
-            }
-        };
-        let keys = match hep_lint::baseline::parse_baseline(&text) {
-            Ok(k) => k,
-            Err(e) => {
-                eprintln!("hep-lint: bad baseline {}: {e}", path.display());
-                return 2;
-            }
-        };
-        diags = hep_lint::baseline::subtract(diags, &keys);
+    let diags = hep_lint::lint(&ws);
+    for d in &diags {
+        println!("{d}");
     }
-    if let Some(path) = &sarif_path {
-        let doc = hep_lint::sarif::to_sarif(&diags);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("hep-lint: cannot write SARIF to {}: {e}", path.display());
-            return 2;
-        }
-    }
-    if json {
-        print!("{}", hep_lint::diag::to_json(&diags));
+    let files = ws.files.len();
+    if diags.is_empty() {
+        println!("hep-lint: clean ({files} files scanned)");
     } else {
-        for d in &diags {
-            println!("{d}");
-        }
-        let files = ws.files.len();
-        let suffix = if baseline_path.is_some() { " (after baseline subtraction)" } else { "" };
-        if diags.is_empty() {
-            println!("hep-lint: clean ({files} files scanned){suffix}");
-        } else {
-            println!(
-                "hep-lint: {} diagnostic(s) across {files} scanned files{suffix}",
-                diags.len()
-            );
-        }
+        println!("hep-lint: {} diagnostic(s) across {files} scanned files", diags.len());
     }
     i32::from(!diags.is_empty())
 }
@@ -156,13 +102,10 @@ fn default_root() -> Option<PathBuf> {
 fn print_help() {
     println!(
         "hep-lint: workspace invariant linter (determinism, unsafe hygiene, env registry, panic policy,\n\
-         \u{20}         panic reachability, taint, parallel determinism)\n\n\
-         usage: hep-lint [--json] [--sarif FILE] [--baseline FILE] [WORKSPACE_ROOT]\n\
+         \u{20}         bench/report consistency)\n\n\
+         usage: hep-lint [WORKSPACE_ROOT]\n\
          \u{20}      hep-lint --explain HLxxx\n\n\
          options:\n\
-         \u{20} --json            machine-readable report on stdout\n\
-         \u{20} --sarif FILE      also write a SARIF 2.1.0 report to FILE\n\
-         \u{20} --baseline FILE   subtract a prior --json report; only new findings gate exit\n\
          \u{20} --explain HLxxx   print the rule's rationale and waiver policy\n\n\
          exit codes: 0 clean, 1 diagnostics, 2 error"
     );

@@ -285,8 +285,7 @@ const ITER_METHODS: &[&str] = &[
 
 /// Lexical binding tracker: which identifiers in this file are bound to a
 /// hash container (via `let`, a typed field/param, or a struct literal).
-/// Shared with the semantic pass (HL013 capture analysis).
-pub(crate) fn hashy_idents(toks: &[Tok]) -> std::collections::BTreeSet<String> {
+fn hashy_idents(toks: &[Tok]) -> std::collections::BTreeSet<String> {
     let mut hashy = std::collections::BTreeSet::new();
     let is_hash_type = |t: &Tok| t.kind == TokKind::Ident && HASH_TYPES.contains(&t.text.as_str());
     let mut i = 0usize;

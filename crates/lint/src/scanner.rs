@@ -21,8 +21,7 @@ pub enum TokKind {
     Str,
     /// Character literal.
     Char,
-    /// Numeric literal; `text` holds the literal's source spelling so
-    /// rules can tell floats (`1.5`, `2e3`, `1f64`) from integers.
+    /// Numeric literal; `text` holds the literal's source spelling.
     Num,
     /// Lifetime (`'a`).
     Lifetime,
@@ -42,22 +41,6 @@ pub struct Tok {
     pub line: u32,
     /// 1-based source column (in characters).
     pub col: u32,
-}
-
-impl Tok {
-    /// Whether this token is a floating-point numeric literal (`1.5`,
-    /// `2e-3`, `1f64`). Hex literals (`0xE5`) are integers even though
-    /// they can contain an `e`.
-    pub fn is_float(&self) -> bool {
-        if self.kind != TokKind::Num {
-            return false;
-        }
-        let t = self.text.as_str();
-        if t.starts_with("0x") || t.starts_with("0X") {
-            return false;
-        }
-        t.contains('.') || t.ends_with("f32") || t.ends_with("f64") || t.contains(['e', 'E'])
-    }
 }
 
 /// One comment (line or block) with its starting position.
@@ -522,20 +505,5 @@ mod tests {
         assert_eq!(colons, 4);
         assert!(idents(&s).contains(&"collect"));
         assert!(idents(&s).contains(&"f"));
-    }
-
-    #[test]
-    fn numeric_literal_text_distinguishes_floats() {
-        let s = scan("let a = 1.5; let b = 2e-3; let c = 10; let d = 0xE5; let e = 1f64;");
-        let nums: Vec<(&str, bool)> = s
-            .toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Num)
-            .map(|t| (t.text.as_str(), t.is_float()))
-            .collect();
-        assert_eq!(
-            nums,
-            vec![("1.5", true), ("2e-3", true), ("10", false), ("0xE5", false), ("1f64", true)]
-        );
     }
 }

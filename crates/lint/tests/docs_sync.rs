@@ -49,5 +49,8 @@ fn explain_ids_round_trip() {
         assert_eq!(Rule::from_id(rule.id()), Some(rule), "{} must parse back", rule.id());
     }
     assert_eq!(Rule::from_id("HL999"), None);
-    assert_eq!(Rule::from_id("hl011"), None, "IDs are case-sensitive");
+    assert_eq!(Rule::from_id("hl001"), None, "IDs are case-sensitive");
+    for retired in ["HL011", "HL012", "HL013", "HL014"] {
+        assert_eq!(Rule::from_id(retired), None, "{retired} is retired and never reused");
+    }
 }

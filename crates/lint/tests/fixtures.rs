@@ -37,12 +37,7 @@ fn expected_markers(source: &str) -> Vec<(u32, Rule)> {
 fn check_fixture(fixture_name: &str, virtual_path: &str) {
     let source = fixture(fixture_name);
     let expected = expected_markers(&source);
-    // `*_ok.rs` fixtures are deliberate negatives: the assertion that
-    // every untagged line stays silent is their whole point.
-    assert!(
-        !expected.is_empty() || fixture_name.ends_with("_ok.rs"),
-        "fixture {fixture_name} has no markers"
-    );
+    assert!(!expected.is_empty(), "fixture {fixture_name} has no markers");
     let ws = Workspace {
         files: vec![FileInput { path: virtual_path.into(), source: source.clone() }],
         cargo_toml: "[workspace]\n".into(),
@@ -102,54 +97,6 @@ fn hl007_panic_policy() {
 #[test]
 fn hl010_malformed_waivers() {
     check_fixture("hl010.rs", "crates/core/src/hl010.rs");
-}
-
-#[test]
-fn hl011_panic_reachability() {
-    check_fixture("hl011.rs", "crates/core/src/hl011.rs");
-}
-
-#[test]
-fn hl012_untrusted_taint() {
-    check_fixture("hl012.rs", "crates/ds/src/hl012.rs");
-}
-
-#[test]
-fn hl013_parallel_determinism() {
-    check_fixture("hl013.rs", "crates/procsim/src/hl013.rs");
-}
-
-#[test]
-fn hl014_swallowed_results() {
-    check_fixture("hl014.rs", "crates/procsim/src/hl014.rs");
-}
-
-/// HL011 false-positive guard: the negative fixtures contain the
-/// *guarded* variants of every semantic-rule trigger and must produce
-/// zero diagnostics of any rule.
-#[test]
-fn negative_fixtures_stay_silent() {
-    check_fixture("hl011_guarded_ok.rs", "crates/core/src/hl011_guarded_ok.rs");
-    check_fixture("hl012_checked_ok.rs", "crates/ds/src/hl012_checked_ok.rs");
-    check_fixture("hl013_commutative_ok.rs", "crates/procsim/src/hl013_commutative_ok.rs");
-}
-
-/// HL011's transitive chain is suppressed end-to-end when the root panic
-/// site carries a reasoned HL007 waiver — the public caller must not be
-/// re-flagged for a panic the workspace has already signed off on.
-#[test]
-fn hl011_waived_root_suppresses_the_chain() {
-    let source = fixture("hl011.rs");
-    let ws = Workspace {
-        files: vec![FileInput { path: "crates/core/src/hl011.rs".into(), source }],
-        cargo_toml: "[workspace]\n".into(),
-        bench_jsons: vec![],
-    };
-    let diags = lint(&ws);
-    assert!(
-        !diags.iter().any(|d| d.msg.contains("outer_waived") || d.msg.contains("inner_waived")),
-        "waived root leaked into a chain: {diags:?}"
-    );
 }
 
 #[test]

@@ -59,7 +59,7 @@ pub fn threads() -> usize {
     }
     let resolved = default_threads();
     // Publish so the env var is read once; first writer wins, ties agree.
-    // hep-lint: allow(HL014) -- the discard is the point: racing initializers compute identical values, so losing the CAS is harmless
+    // the discard is the point: racing initializers compute identical values, so losing the CAS is harmless
     let _ = THREADS.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed);
     resolved
 }

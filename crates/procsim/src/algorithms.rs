@@ -83,7 +83,7 @@ pub fn pagerank(dg: &DistributedGraph, iterations: u32, cost: &ClusterCost) -> (
                 s
             },
             0.0f64,
-            // hep-lint: allow(HL013) -- par_reduce folds the per-chunk sums in task order on the calling thread: a fixed summation tree at any thread count
+            // par_reduce folds the per-chunk sums in task order on the calling thread: a fixed summation tree at any thread count
             |acc, s| acc + s,
         );
         let base = (1.0 - damping) / n as f64 + damping * dangling / n as f64;

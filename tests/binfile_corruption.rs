@@ -1,7 +1,8 @@
 //! Corruption battery for the HEPB edge-file format: every way a file can
 //! be damaged — truncation at each section boundary, bit flips of every
-//! header field and of the payload, forged checksums, trailing garbage, v1
-//! and v2 — must surface as a **typed [`GraphError`]**, never a panic and
+//! header field and of the payload, forged and re-fitted checksums,
+//! trailing garbage, the retired version 1 — must surface as a **typed
+//! [`GraphError`]**, never a panic and
 //! never a silently wrong partition. Each case is driven through the real
 //! consumers (`open` → degree pass → budgeted CSR build → `stream_h2h` via
 //! [`Hep::partition_file_with_report`]) under both IO backends.
@@ -74,13 +75,17 @@ fn out_of_range(e: &GraphError) -> bool {
     matches!(e, GraphError::VertexOutOfRange { .. })
 }
 
+fn unsupported_v1(e: &GraphError) -> bool {
+    matches!(e, GraphError::BadHeader(m) if m.contains("unsupported version 1"))
+}
+
 // ---- pristine-byte fixtures ------------------------------------------------
 
 fn fixture_graph() -> EdgeList {
     hep::gen::GraphSpec::ChungLu { n: 1000, m: 4000, gamma: 2.2 }.generate(7)
 }
 
-/// Pristine v2 bytes (36-byte checksummed header + payload).
+/// Pristine bytes (36-byte checksummed header + payload).
 fn pristine_v2() -> Vec<u8> {
     let g = fixture_graph();
     let path = temp_path("pristine_v2");
@@ -89,17 +94,7 @@ fn pristine_v2() -> Vec<u8> {
     std::fs::read(&path).unwrap()
 }
 
-/// Pristine v1 bytes (20-byte checksum-free header + payload).
-fn pristine_v1() -> Vec<u8> {
-    let g = fixture_graph();
-    let path = temp_path("pristine_v1");
-    let _guard = TempFileGuard(path.clone());
-    BinaryEdgeFile::write_v1(&path, &g).unwrap();
-    std::fs::read(&path).unwrap()
-}
-
 const V2_HEADER: usize = 36;
-const V1_HEADER: usize = 20;
 
 fn flip(bytes: &[u8], offset: usize, mask: u8) -> Vec<u8> {
     let mut b = bytes.to_vec();
@@ -125,11 +120,20 @@ fn set_u64(bytes: &[u8], offset: usize, value: u64) -> Vec<u8> {
     b
 }
 
-/// Re-stamps a v2 header checksum over (possibly forged) bytes 0..20 — the
+/// Re-stamps the header checksum over (possibly forged) bytes 0..20 — the
 /// attacker who fixes up the checksum after forging a field.
 fn refit_header_checksum(bytes: &[u8]) -> Vec<u8> {
-    let digest = hep::ds::hasher::hash64(&bytes[..20], 0x4845_5042_0000_0002);
+    let digest = hep::ds::hasher::hash64(&bytes[..20], hep::graph::binfile::HEADER_CHECKSUM_SEED);
     set_u64(bytes, 20, digest)
+}
+
+/// Re-stamps the payload checksum over the (possibly forged) payload, and
+/// then the header checksum over the result: a file that passes every
+/// integrity check, so only the semantic guards can reject it.
+fn refit_checksums(bytes: &[u8]) -> Vec<u8> {
+    let digest =
+        hep::ds::hasher::hash64(&bytes[V2_HEADER..], hep::graph::binfile::PAYLOAD_CHECKSUM_SEED);
+    refit_header_checksum(&set_u64(bytes, 28, digest))
 }
 
 fn append(bytes: &[u8], extra: &[u8]) -> Vec<u8> {
@@ -144,7 +148,6 @@ type Case = (&'static str, Vec<u8>, fn(&GraphError) -> bool);
 
 fn cases() -> Vec<Case> {
     let v2 = pristine_v2();
-    let v1 = pristine_v1();
     let v2_len = v2.len();
     let mid_edge = V2_HEADER + (v2_len - V2_HEADER) / 16 * 8;
     let mut cases: Vec<Case> = vec![
@@ -239,38 +242,37 @@ fn cases() -> Vec<Case> {
         ("trailing-garbage", append(&v2, &[0xAB; 4]), bad_header),
         ("extra-edge-appended", append(&v2, &[0u8; 8]), bad_header),
         ("doubled-payload", append(&v2, &v2[V2_HEADER..]), bad_header),
-        // v1 files carry no checksums: every *detectable* corruption —
-        // truncation, length mismatch, version/magic damage, out-of-range
-        // ids — must still be typed.
-        ("v1-mid-header", v1[..10].to_vec(), bad_header),
-        ("v1-header-only", v1[..V1_HEADER].to_vec(), bad_header),
-        ("v1-mid-first-edge", v1[..V1_HEADER + 4].to_vec(), bad_header),
-        ("v1-one-byte-short", v1[..v1.len() - 1].to_vec(), bad_header),
-        ("v1-bad-magic", flip(&v1, 1, 0xFF), bad_header),
-        ("v1-version-seven", set_u32(&v1, 4, 7), bad_header),
-        ("v1-trailing-garbage", append(&v1, &[1, 2, 3]), bad_header),
         (
-            "v1-num-edges-minus-one",
-            {
-                let ne = u64::from_le_bytes(v1[12..20].try_into().unwrap());
-                set_u64(&v1, 12, ne - 1)
-            },
+            "forged-half-max-num-edges-refit",
+            refit_header_checksum(&set_u64(&v2, 12, u64::MAX / 2)),
             bad_header,
         ),
         (
-            "v1-num-edges-plus-one",
+            "forged-num-edges-minus-one-refit",
             {
-                let ne = u64::from_le_bytes(v1[12..20].try_into().unwrap());
-                set_u64(&v1, 12, ne + 1)
+                let ne = u64::from_le_bytes(v2[12..20].try_into().unwrap());
+                refit_header_checksum(&set_u64(&v2, 12, ne - 1))
             },
             bad_header,
         ),
-        ("v1-forged-huge-num-edges", set_u64(&v1, 12, u64::MAX / 2), bad_header),
-        ("v1-num-vertices-shrunk", set_u32(&v1, 8, 1), out_of_range),
-        ("v1-payload-vertex-out-of-range", { set_u32(&v1, V1_HEADER + 4, u32::MAX) }, out_of_range),
+        // The retired checksum-free version 1: its own 20-byte layout, and
+        // a current file relabelled as version 1 with a re-fitted header
+        // checksum. Neither is read any more.
+        (
+            "retired-v1-layout",
+            {
+                let mut b = set_u32(&v2[..20], 4, 1);
+                b.extend_from_slice(&v2[V2_HEADER..]);
+                b
+            },
+            unsupported_v1,
+        ),
+        ("version-one-refit", refit_header_checksum(&set_u32(&v2, 4, 1)), unsupported_v1),
     ];
-    // The v2 twins of the v1 payload corruptions: the checksum catches
-    // them even when the damaged words stay inside the vertex-id space.
+    // Out-of-range ids: a shrunk vertex count with a re-fitted header
+    // checksum, a payload id past |V| (caught by the payload checksum or
+    // the range check), and the same id with both checksums re-fitted,
+    // which only the range check can catch.
     cases.push((
         "num-vertices-shrunk-refit",
         { refit_header_checksum(&set_u32(&v2, 8, 1)) },
@@ -280,6 +282,11 @@ fn cases() -> Vec<Case> {
         "payload-vertex-out-of-range",
         { set_u32(&v2, V2_HEADER + 4, u32::MAX) },
         payload_mismatch_or_oor,
+    ));
+    cases.push((
+        "payload-vertex-out-of-range-refit",
+        refit_checksums(&set_u32(&v2, V2_HEADER + 4, u32::MAX)),
+        out_of_range,
     ));
     cases
 }
@@ -329,18 +336,22 @@ fn shrink_after_open_is_typed_not_a_panic() {
     }
 }
 
-/// The flip side of the battery: pristine files of both versions sail
-/// through the same driver, and the two formats agree bit-for-bit.
+/// The flip side of the battery: a pristine file sails through the same
+/// pipeline under both backends, and partitions exactly like the in-memory
+/// graph it was written from.
 #[test]
-fn pristine_files_of_both_versions_still_partition_identically() {
-    let run = |bytes: &[u8], name: &str| {
-        let path = temp_path(name);
-        let _guard = TempFileGuard(path.clone());
-        std::fs::write(&path, bytes).unwrap();
-        let file = BinaryEdgeFile::open(&path).unwrap();
+fn pristine_files_still_partition_identically() {
+    let path = temp_path("ok");
+    let _guard = TempFileGuard(path.clone());
+    std::fs::write(&path, pristine_v2()).unwrap();
+    let run = |mode: IoMode| {
+        let file = BinaryEdgeFile::open(&path).unwrap().with_io_mode(mode);
         let mut sink = CollectedAssignment::default();
         Hep::with_tau(10.0).partition_file_with_report(&file, 4, &mut sink).unwrap();
         sink.assignments
     };
-    assert_eq!(run(&pristine_v2(), "ok_v2"), run(&pristine_v1(), "ok_v1"));
+    let mut in_memory = CollectedAssignment::default();
+    Hep::with_tau(10.0).partition_with_report(&fixture_graph(), 4, &mut in_memory).unwrap();
+    assert_eq!(run(IoMode::Buffered), in_memory.assignments);
+    assert_eq!(run(IoMode::Mmap), in_memory.assignments);
 }

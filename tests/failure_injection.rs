@@ -81,6 +81,28 @@ fn graph_io_rejects_malformed_files() {
 }
 
 #[test]
+fn file_ids_at_u32_max_are_rejected_not_overflowed() {
+    // An id of u32::MAX would need num_vertices = 2^32, which a u32 count
+    // cannot hold: `max(id) + 1` must not overflow into a tiny vertex
+    // count next to an edge on vertex 4,294,967,295.
+    let mut p = std::env::temp_dir();
+    p.push(format!("hep_failure_u32max_{}", std::process::id()));
+    let want = |r: Result<EdgeList, GraphError>| {
+        matches!(r, Err(GraphError::VertexOutOfRange { vertex: u32::MAX, .. }))
+    };
+    std::fs::write(&p, "0 1\n1 4294967295\n").unwrap();
+    assert!(want(EdgeList::read_text(&p)), "text reader");
+    let pairs: Vec<u8> = [0u32, 1, 1, u32::MAX].iter().flat_map(|id| id.to_le_bytes()).collect();
+    std::fs::write(&p, pairs).unwrap();
+    assert!(want(EdgeList::read_binary(&p)), "raw pair reader");
+    // One below the boundary is the largest id a file may name.
+    std::fs::write(&p, "0 4294967294\n").unwrap();
+    let g = EdgeList::read_text(&p).unwrap();
+    std::fs::remove_file(&p).ok();
+    assert_eq!(g.num_vertices, u32::MAX);
+}
+
+#[test]
 fn with_vertices_rejects_out_of_range_ids() {
     assert!(matches!(
         EdgeList::with_vertices(2, [(0, 5)]),

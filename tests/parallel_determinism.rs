@@ -160,31 +160,6 @@ proptest! {
     }
 
     #[test]
-    fn v1_and_v2_files_round_trip_to_identical_partitions(seed in 0u64..1000) {
-        // Format compatibility: a graph written as checksum-free HEPB v1
-        // and as checksummed v2 must load to the same edge sequence and
-        // drive the pipeline to the same assignment.
-        use hep::graph::BinaryEdgeFile;
-        let g = hep::gen::GraphSpec::ChungLu { n: 800, m: 6_000, gamma: 2.2 }.generate(seed);
-        let dir = std::env::temp_dir();
-        let p1 = dir.join(format!("hep_v1_roundtrip_{}_{}.hepb", std::process::id(), seed));
-        let p2 = dir.join(format!("hep_v2_roundtrip_{}_{}.hepb", std::process::id(), seed));
-        let f1 = BinaryEdgeFile::write_v1(&p1, &g).unwrap();
-        let f2 = BinaryEdgeFile::write(&p2, &g).unwrap();
-        prop_assert_eq!(f1.format_version(), 1u32);
-        prop_assert_eq!(f2.format_version(), 2u32);
-        let run = |file: &BinaryEdgeFile| {
-            let mut sink = hep::graph::partitioner::CollectedAssignment::default();
-            hep::core::Hep::with_tau(10.0).partition_file_with_report(file, 8, &mut sink).unwrap();
-            sink.assignments
-        };
-        prop_assert_eq!(f1.load().unwrap().edges, f2.load().unwrap().edges);
-        prop_assert_eq!(run(&f1), run(&f2), "v1 and v2 partitions diverged");
-        std::fs::remove_file(&p1).ok();
-        std::fs::remove_file(&p2).ok();
-    }
-
-    #[test]
     fn stream_pipeline_is_thread_invariant(seed in 0u64..1000) {
         // Phase 2 at the pipeline level: the whole run is bit-identical at
         // 1 and 8 workers. τ = 1 sends a large h2h stream through phase 2.
