@@ -9,7 +9,7 @@
 //! hub-skewed synthetic h2h stream (≥ 1M edges outside smoke mode).
 
 use hep_bench::{banner, load_dataset};
-use hep_core::{stream_h2h, stream_h2h_serial};
+use hep_core::{stream_h2h, stream_h2h_serial, HighReplicas};
 use hep_ds::{DenseBitset, SplitMix64};
 use hep_graph::partitioner::CountingSink;
 use hep_graph::Edge;
@@ -102,9 +102,13 @@ fn main() {
             format!("{serial_eps:.0}"),
             "1.00".to_string(),
         ]);
+        // Every vertex of the synthetic stream is an h2h endpoint: V_h = V.
+        let mut high = DenseBitset::new(n as usize);
+        (0..n).for_each(|v| high.set(v));
+        let replicas = HighReplicas::from_sets(&sets, high);
         let mut best = f64::MAX;
         for _ in 0..reps {
-            let (run_sets, run_sizes) = (sets.clone(), sizes.clone());
+            let (run_sets, run_sizes) = (replicas.clone(), sizes.clone());
             let mut sink = CountingSink::default();
             let start = Instant::now();
             stream_h2h(

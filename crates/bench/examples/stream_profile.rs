@@ -12,7 +12,7 @@
 //! Usage: `cargo run --release -p hep-bench --example stream_profile
 //! [edges] [reps]`.
 
-use hep_core::{stream_h2h, stream_h2h_serial};
+use hep_core::{stream_h2h, stream_h2h_serial, HighReplicas};
 use hep_ds::{DenseBitset, SplitMix64};
 use hep_graph::partitioner::CountingSink;
 use hep_graph::Edge;
@@ -95,9 +95,13 @@ fn main() {
             let serial_eps = m as f64 / best_serial;
             let name = shape.name;
             println!("{name:6} k={k:3} serial {serial_eps:>9.0} e/s");
+            // Every vertex of a synthetic stream is an h2h endpoint: V_h = V.
+            let mut high = DenseBitset::new(n as usize);
+            (0..n).for_each(|v| high.set(v));
+            let replicas = HighReplicas::from_sets(&sets, high);
             let mut best = f64::MAX;
             for _ in 0..reps {
-                let (rs, rz) = (sets.clone(), sizes.clone());
+                let (rs, rz) = (replicas.clone(), sizes.clone());
                 let mut sink = CountingSink::default();
                 let t = Instant::now();
                 stream_h2h(

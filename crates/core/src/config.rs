@@ -105,7 +105,8 @@ impl HepConfig {
 
     /// Validates parameter domains, including a set but malformed
     /// `HEP_MEMORY_BUDGET` or `HEP_IO_MODE` when the config takes its
-    /// budget or mode from it.
+    /// budget or mode from it, and a malformed `HEP_THREADS` or
+    /// `HEP_KERNEL`.
     pub fn validate(&self) -> Result<(), hep_graph::GraphError> {
         if self.tau.is_nan() || self.tau <= 0.0 {
             return Err(hep_graph::GraphError::InvalidConfig(format!(
@@ -139,6 +140,14 @@ impl HepConfig {
             if let Err(msg) = IoMode::env_knob() {
                 return Err(hep_graph::GraphError::InvalidConfig(msg.clone()));
             }
+        }
+        // A malformed HEP_THREADS or HEP_KERNEL falls back to available
+        // parallelism or CPU detection below HEP; a HEP run refuses it.
+        if let Err(msg) = hep_par::threads_knob() {
+            return Err(hep_graph::GraphError::InvalidConfig(msg.clone()));
+        }
+        if let Err(msg) = hep_ds::kernels::kernel_knob() {
+            return Err(hep_graph::GraphError::InvalidConfig(msg.clone()));
         }
         if self.memory_budget_bytes == Some(0) {
             return Err(hep_graph::GraphError::InvalidConfig(

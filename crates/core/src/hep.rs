@@ -10,7 +10,7 @@
 use crate::config::HepConfig;
 use crate::nepp::{run_nepp, NeppStats};
 use crate::planner::{estimate_stream_overhead_bytes, plan_ingest, IngestPlan};
-use crate::streaming::stream_h2h;
+use crate::streaming::{stream_h2h, HighReplicas};
 use hep_graph::partitioner::check_inputs;
 use hep_graph::{
     AssignSink, BinaryEdgeFile, DegreeStats, Edge, EdgeFileWriter, EdgeList, EdgePartitioner,
@@ -209,7 +209,6 @@ impl Hep {
         ingest: Option<IngestPlan>,
         sink: &mut dyn AssignSink,
     ) -> Result<HepRunReport, GraphError> {
-        let num_vertices = csr.num_vertices();
         let total_edges = csr.num_edges_total();
         let mean_degree = csr.stats().mean_degree;
         let h2h_edges = csr.num_h2h_edges();
@@ -222,7 +221,8 @@ impl Hep {
         let nepp = run_nepp(csr, k, &self.config, sink);
         let nepp_secs = nepp_start.elapsed().as_secs_f64();
         // Phase 2: informed stateful streaming over the h2h edge file, one
-        // checksummed pass (`stream_h2h` range-checks every endpoint).
+        // checksummed pass (`stream_h2h` checks that every endpoint is in
+        // range and in V_h).
         // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
         let stream_start = Instant::now();
         let mut read_err: Option<GraphError> = None;
@@ -235,15 +235,15 @@ impl Hep {
             }
         });
         // Ablation switch (§3.3): informed streaming starts from NE++'s
-        // secondary sets and loads; uninformed starts cold like plain HDRF.
+        // secondary sets and loads; uninformed starts cold like plain HDRF
+        // (no replica bits, over the same V_h).
         let informed = self.config.informed_streaming;
         let degrees = nepp.degrees;
         let ne_sizes = nepp.sizes.clone();
         let (seed_sets, seed_sizes) = if informed {
             (nepp.s_sets, nepp.sizes)
         } else {
-            let empty = (0..k).map(|_| hep_ds::DenseBitset::new(num_vertices as usize)).collect();
-            (empty, vec![0; k as usize])
+            (HighReplicas::new(k, nepp.s_sets.high().clone()), vec![0; k as usize])
         };
         let loads = stream_h2h(
             reader,

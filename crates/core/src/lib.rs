@@ -34,4 +34,4 @@ pub use planner::{
     INGEST_SWEEP_GRID,
 };
 pub use simple_hybrid::SimpleHybrid;
-pub use streaming::{stream_h2h, stream_h2h_serial};
+pub use streaming::{stream_h2h, stream_h2h_serial, HighReplicas};

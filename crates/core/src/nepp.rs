@@ -26,6 +26,7 @@
 //! exhaustively and property tests verify at random.
 
 use crate::config::HepConfig;
+use crate::streaming::HighReplicas;
 use hep_ds::{DenseBitset, IndexedMinHeap};
 use hep_graph::{AssignSink, PartitionId, PrunedCsr, VertexId};
 
@@ -87,10 +88,11 @@ impl NeppStats {
 
 /// Output of the NE++ phase.
 pub struct NeppResult {
-    /// Secondary-set membership per partition: `v ∈ s_sets[i]` iff `v` is
-    /// replicated on partition `i` by the in-memory phase (§3.3 uses this to
-    /// seed the streaming state).
-    pub s_sets: Vec<DenseBitset>,
+    /// Secondary-set membership of the high-degree vertices:
+    /// `s_sets.get(v, i)` iff `v ∈ V_h` is replicated on partition `i` by
+    /// the in-memory phase. §3.3 seeds the streaming state from it, and
+    /// every h2h endpoint is in V_h; the sets' low-degree bits are not kept.
+    pub s_sets: HighReplicas,
     /// Edges placed on each partition by the in-memory phase.
     pub sizes: Vec<u64>,
     /// Full degree per vertex, moved out of the consumed CSR for the
@@ -112,7 +114,14 @@ struct Nepp<'a, S: AssignSink + ?Sized> {
     caps: Vec<u64>,
     sizes: Vec<u64>,
     core: DenseBitset,
-    s_sets: Vec<DenseBitset>,
+    /// The open partition's secondary set `S_cur`. A closed `S_i` lives on
+    /// only in `ever` and, for high-degree vertices, in `replicas`: NE++
+    /// reads the open set alone, and phase 2 reads V_h's rows alone.
+    s_cur: DenseBitset,
+    /// Vertices that were in some `S_i` (Figure 5's S\C bucket is
+    /// `ever − core`).
+    ever: DenseBitset,
+    replicas: HighReplicas,
     heap: IndexedMinHeap,
     cur: u32,
     /// Endpoints of spilled edges, queued (with the partition that received
@@ -152,13 +161,16 @@ pub fn run_nepp<S: AssignSink + ?Sized>(
     let caps = balanced_caps(inmem, k);
     let mut stats = NeppStats { column_entries: csr.column_entries(), ..Default::default() };
     stats.assigned_edges = 0;
+    let replicas = HighReplicas::new(k, csr.stats().high.clone());
     let mut engine = Nepp {
         csr,
         k,
         caps,
         sizes: vec![0; k as usize],
         core: DenseBitset::new(n as usize),
-        s_sets: (0..k).map(|_| DenseBitset::new(n as usize)).collect(),
+        s_cur: DenseBitset::new(n as usize),
+        ever: DenseBitset::new(n as usize),
+        replicas,
         heap: IndexedMinHeap::new(n as usize),
         cur: 0,
         pending: Vec::new(),
@@ -202,7 +214,7 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
 
     #[inline]
     fn is_member(&self, v: VertexId) -> bool {
-        self.core.get(v) || self.s_sets[self.cur as usize].get(v)
+        self.core.get(v) || self.s_cur.get(v)
     }
 
     /// First non-full partition at or after `max(next_nonfull, cur + 1)`,
@@ -250,10 +262,10 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
     /// already a member, computes the external degree, and enters the heap.
     fn move_to_secondary(&mut self, v: VertexId) {
         debug_assert!(!self.csr.is_high(v));
-        if self.core.get(v) || self.s_sets[self.cur as usize].get(v) {
+        if self.is_member(v) {
             return;
         }
-        self.s_sets[self.cur as usize].set(v);
+        self.s_cur.set(v);
         let mut dext = 0u64;
         // Out-list entries are edges (v, u), in-list entries edges (u, v).
         for out in [true, false] {
@@ -302,11 +314,9 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
                 // provably unassigned — had it been assigned from v's side,
                 // the entry would have been removed, and h has no list of
                 // its own to assign from.
-                if !self.s_sets[self.cur as usize].get(u) {
-                    // "High-degree vertices are always in the secondary set":
-                    // the core move introduces u to S_i.
-                    self.s_sets[self.cur as usize].set(u);
-                }
+                // "High-degree vertices are always in the secondary set":
+                // the core move introduces u to S_i.
+                self.s_cur.set(u);
                 self.assign_edge(src, dst);
                 self.csr.swap_remove(v, out, i);
                 self.stats.scan_removed += 1;
@@ -360,18 +370,24 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
 
     /// Clean-up (Algorithm 2): for each secondary-set survivor, remove the
     /// entries a later partition could otherwise double-assign; pending
-    /// low–high edges among them are assigned here (rule (c)).
+    /// low–high edges among them are assigned here (rule (c)). The same
+    /// member walk closes `S_cur`: high-degree members get partition
+    /// `cur`'s replica bit, and the set is folded into `ever` and cleared.
     fn cleanup_partition(&mut self) {
         // hep-lint: allow(HL002) -- cleanup timing is accumulated for Figure 7 reporting; it never feeds an assignment decision
         let start = std::time::Instant::now();
-        let members: Vec<VertexId> = self.s_sets[self.cur as usize].iter_ones().collect();
+        let members: Vec<VertexId> = self.s_cur.iter_ones().collect();
         for v in members {
-            if self.core.get(v) || self.csr.is_high(v) {
-                continue; // core lists are dead; high-degree lists are pruned
+            if self.csr.is_high(v) {
+                self.replicas.set(v, self.cur); // high-degree lists are pruned
+            } else if !self.core.get(v) {
+                // Core lists are dead; a survivor's are cleaned.
+                self.cleanup_list(v, true);
+                self.cleanup_list(v, false);
             }
-            self.cleanup_list(v, true);
-            self.cleanup_list(v, false);
         }
+        self.ever.union_with(&self.s_cur);
+        self.s_cur.clear_all();
         self.cleanup_seconds += start.elapsed().as_secs_f64();
     }
 
@@ -410,7 +426,7 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
         // activations below see them and assign pending low–high edges.
         for &(v, _) in &now {
             if self.csr.is_high(v) {
-                self.s_sets[self.cur as usize].set(v);
+                self.s_cur.set(v);
             }
         }
         for &(v, _) in &now {
@@ -420,7 +436,7 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
             if self.core.get(v) {
                 // Already cored: its adjacency list is dead (all incident
                 // edges assigned), so only the replication bit is owed.
-                self.s_sets[self.cur as usize].set(v);
+                self.s_cur.set(v);
             } else {
                 self.move_to_secondary(v);
             }
@@ -436,7 +452,7 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
         // unconditionally, so no activation scan is needed.
         let pending = std::mem::take(&mut self.pending);
         for (v, t) in pending {
-            self.s_sets[t as usize].set(v);
+            self.record(v, t);
         }
         let n = self.csr.num_vertices();
         for v in 0..n {
@@ -467,9 +483,17 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
         let p: PartitionId = self.cur;
         self.sizes[p as usize] += 1;
         self.stats.assigned_edges += 1;
-        self.s_sets[p as usize].set(src);
-        self.s_sets[p as usize].set(dst);
+        self.record(src, p);
+        self.record(dst, p);
         self.sink.assign(src, dst, p);
+    }
+
+    /// Records `v` on partition `p` outside the open set: in `ever`, and
+    /// in `p`'s replica row when `v` is high-degree.
+    #[inline]
+    fn record(&mut self, v: VertexId, p: PartitionId) {
+        self.ever.set(v);
+        self.replicas.set(v, p);
     }
 
     fn finish(mut self) -> NeppResult {
@@ -477,26 +501,28 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
         // (their edges are assigned; only the replication bits are owed).
         let pending = std::mem::take(&mut self.pending);
         for (v, t) in pending {
-            self.s_sets[t as usize].set(v);
+            self.record(v, t);
         }
+        // The last partition has no clean-up pass to close its open set
+        // (after an exhausted clean-up the set is already empty).
+        for v in self.s_cur.iter_ones() {
+            self.replicas.set(v, self.cur);
+        }
+        self.ever.union_with(&self.s_cur);
         debug_assert_eq!(
             self.stats.assigned_edges,
             self.csr.num_inmem_edges(),
             "NE++ must assign every in-memory edge exactly once"
         );
         // Figure 5 bookkeeping: degrees of vertices that were in some S_i
-        // but never cored. One word-level union of the k secondary sets
-        // followed by an AND-NOT against the core replaces the old
-        // O(|V| · k) per-vertex bit probing.
-        let n = self.csr.num_vertices();
-        let mut survivors = DenseBitset::union_of(self.s_sets.iter(), n as usize);
-        survivors.difference_with(&self.core);
-        for v in survivors.iter_ones() {
+        // but never cored.
+        self.ever.difference_with(&self.core);
+        for v in self.ever.iter_ones() {
             self.stats.secondary_only_count += 1;
             self.stats.secondary_only_degree_sum += self.csr.stats().degree(v) as u64;
         }
         NeppResult {
-            s_sets: self.s_sets,
+            s_sets: self.replicas,
             sizes: self.sizes,
             degrees: self.csr.into_degrees(),
             stats: self.stats,
@@ -591,23 +617,32 @@ mod tests {
         let hub_parts: std::collections::HashSet<u32> =
             sink.assignments.iter().map(|&(_, p)| p).collect();
         for &p in &hub_parts {
-            assert!(result.s_sets[p as usize].get(0), "hub missing from S_{p}");
+            assert!(result.s_sets.get(0, p), "hub missing from S_{p}");
         }
     }
 
     #[test]
     fn s_sets_cover_assigned_endpoints() {
+        // Every high-degree endpoint of an in-memory edge on p has p's
+        // replica bit (the rows phase 2 seeds from); low ones have no row.
         let g = hep_gen::GraphSpec::ChungLu { n: 500, m: 4000, gamma: 2.2 }.generate(3);
-        let (sink, result, _) = run(&g, 8, 10.0);
+        let tau = 2.0;
+        let (sink, result, _) = run(&g, 8, tau);
+        let stats = hep_graph::DegreeStats::new(&g, tau);
+        assert_eq!(result.s_sets.high(), &stats.high, "rows cover exactly V_h");
+        assert!(stats.num_high > 0, "fixture needs high-degree vertices");
+        let mut checked = 0;
         for (e, p) in &sink.assignments {
-            assert!(
-                result.s_sets[*p as usize].get(e.src),
-                "endpoint {} of edge on p{} not in S",
-                e.src,
-                p
-            );
-            assert!(result.s_sets[*p as usize].get(e.dst));
+            for v in [e.src, e.dst] {
+                if stats.is_high(v) {
+                    assert!(result.s_sets.get(v, *p), "high endpoint {v} of edge on p{p} not in S");
+                    checked += 1;
+                } else {
+                    assert!(!result.s_sets.get(v, *p), "low vertex {v} has a replica row");
+                }
+            }
         }
+        assert!(checked > 0);
     }
 
     #[test]
@@ -728,10 +763,12 @@ mod tests {
                     prop_assert!(s <= ideal + 1, "p{} size {} sizes {:?}", p, s, result.sizes);
                 }
             }
-            // Replication coverage.
+            // Replication coverage of the high-degree endpoints.
+            let stats = hep_graph::DegreeStats::new(&g, tau);
             for (e, p) in &sink.assignments {
-                prop_assert!(result.s_sets[*p as usize].get(e.src));
-                prop_assert!(result.s_sets[*p as usize].get(e.dst));
+                for v in [e.src, e.dst] {
+                    prop_assert_eq!(result.s_sets.get(v, *p), stats.is_high(v));
+                }
             }
         }
     }

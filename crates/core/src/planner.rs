@@ -48,13 +48,17 @@ pub fn plan_stream_batch(_k: u32, _memory_budget_bytes: Option<u64>) -> usize {
 }
 
 /// Upper bound on the phase-2 streaming engine's working state beyond the
-/// seed sets it consumes (`tests/ingest_memory.rs` pins measured peak ≤
-/// this estimate).
+/// seed rows it consumes (`tests/ingest_memory.rs` pins measured peak ≤
+/// this estimate). The seed rows themselves (NE++'s
+/// [`HighReplicas`](crate::streaming::HighReplicas), ⌈k/64⌉ words per
+/// high-degree vertex plus the V_h bitset and its rank prefix) are below
+/// the `|V|·(k+1)/8` the §4.2 accounting charges for the secondary sets,
+/// which [`estimate_footprint_bytes`] and [`plan_tau`] still charge.
 ///
 /// Terms the engine ([`stream_h2h`]) uses:
 ///
 /// * the **replica-mask table**: ⌈k/64⌉ words per vertex, live for the
-///   whole stream;
+///   whole stream, filled by scattering the seed rows;
 /// * the **load tracker**: the load vector and the bucket levels (8 B per
 ///   part each, inside the 56 B per part charged), plus the bucket member
 ///   masks, `8·k·⌈k/64⌉` bytes — allocated for k buckets up front, so the

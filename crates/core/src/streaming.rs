@@ -8,6 +8,11 @@
 //! streamed partial counts. This removes the "uninformed assignment problem"
 //! \[47\] for the early edges of the stream.
 //!
+//! Every h2h edge joins two high-degree vertices, so phase 2 reads the
+//! `S_i` bits of V_h only. NE++ therefore hands over [`HighReplicas`]: one
+//! ⌈k/64⌉-word row per high-degree vertex, addressed by its rank in V_h,
+//! in place of `k` dense |V|-bit sets.
+//!
 //! # The mask-table engine
 //!
 //! [`stream_h2h`] runs the serial HDRF loop one edge at a time, in input
@@ -16,8 +21,8 @@
 //! plain structures (DESIGN.md §7 carries the proof sketch):
 //!
 //! 1. **Replica-mask table** — one ⌈k/64⌉-word row per vertex, bit `p` set
-//!    iff the vertex is replicated on partition `p`. It is made by one
-//!    transpose of NE++'s k secondary sets, which are then dropped. An
+//!    iff the vertex is replicated on partition `p`. The [`HighReplicas`]
+//!    rows are scattered into it at their vertex ids, and then dropped. An
 //!    edge reads its two endpoint rows in place: membership classes are
 //!    word AND/NOTs, and the commit is two word-ORs. Only the final loads
 //!    leave the engine.
@@ -45,12 +50,89 @@
 //! external edge file, or a caller-assembled stream that disagrees with
 //! its own degree pass — returns the same typed
 //! [`GraphError::VertexOutOfRange`] every other ingestion layer reports.
+//! An endpoint outside V_h is [`GraphError::NotHighDegree`]: the spill
+//! holds h2h edges only, and NE++ kept no replica row for a low vertex.
 //! The partial assignment already emitted to the sink before the bad edge
 //! is the caller's to discard, exactly as in the serial stream.
 
 use hep_baselines::scoring::{capacity, ReplicaState, BAL_EPSILON};
 use hep_ds::DenseBitset;
-use hep_graph::{AssignSink, Edge, GraphError, PartitionId};
+use hep_graph::{AssignSink, Edge, GraphError, PartitionId, VertexId};
+
+/// NE++'s secondary-set membership of the high-degree vertices: bit `p`
+/// of `v`'s row is set iff `v ∈ V_h` is in `S_p`. Rows are stored by the
+/// rank of `v` in V_h, found with one `u32` prefix count per 64 ids, so
+/// the heap is `⌈n/64⌉·8 + ⌈n/64⌉·4 + |V_h|·⌈k/64⌉·8` bytes against the
+/// `k·⌈n/64⌉·8` of `k` dense sets. Low-degree vertices have no row.
+#[derive(Clone, Debug)]
+pub struct HighReplicas {
+    k: u32,
+    wpm: usize,
+    high: DenseBitset,
+    /// `rank[w]` = high vertices among ids `0 .. 64·w`.
+    rank: Vec<u32>,
+    rows: Vec<u64>,
+}
+
+impl HighReplicas {
+    /// Empty rows for `k` partitions over the high-degree set `high`.
+    pub fn new(k: u32, high: DenseBitset) -> Self {
+        let mut rank = Vec::with_capacity(high.words().len());
+        let mut total = 0u32;
+        for &w in high.words() {
+            rank.push(total);
+            total += w.count_ones();
+        }
+        let wpm = (k as usize).div_ceil(64);
+        HighReplicas { k, wpm, high, rank, rows: vec![0; total as usize * wpm] }
+    }
+
+    /// The high-degree rows of dense per-partition sets `sets` (one per
+    /// partition); bits of low-degree vertices are dropped.
+    pub fn from_sets(sets: &[DenseBitset], high: DenseBitset) -> Self {
+        let mut replicas = HighReplicas::new(sets.len() as u32, high);
+        for (p, set) in sets.iter().enumerate() {
+            for v in set.iter_ones() {
+                replicas.set(v, p as PartitionId);
+            }
+        }
+        replicas
+    }
+
+    /// The high-degree set V_h.
+    pub fn high(&self) -> &DenseBitset {
+        &self.high
+    }
+
+    /// Start of high-degree `v`'s row.
+    #[inline]
+    fn row_start(&self, v: VertexId) -> usize {
+        let w = v as usize >> 6;
+        let below = self.high.words()[w] & ((1u64 << (v & 63)) - 1);
+        (self.rank[w] + below.count_ones()) as usize * self.wpm
+    }
+
+    /// Records `v` on partition `p`; a no-op for a low-degree `v`.
+    #[inline]
+    pub fn set(&mut self, v: VertexId, p: PartitionId) {
+        debug_assert!(p < self.k, "partition {p} out of range");
+        if self.high.get(v) {
+            let at = self.row_start(v) + (p >> 6) as usize;
+            self.rows[at] |= 1u64 << (p & 63);
+        }
+    }
+
+    /// Whether `v` is recorded on partition `p` (always false for a
+    /// low-degree `v`).
+    pub fn get(&self, v: VertexId, p: PartitionId) -> bool {
+        self.high.get(v) && self.rows[self.row_start(v) + (p >> 6) as usize] >> (p & 63) & 1 != 0
+    }
+
+    /// Heap bytes held: the V_h bitset, the rank prefix and the rows.
+    pub fn heap_bytes(&self) -> usize {
+        self.high.heap_bytes() + self.rank.capacity() * 4 + self.rows.capacity() * 8
+    }
+}
 
 /// Id of the lowest set bit across `words` (bit `b` of word `w` is id
 /// `64·w + b`), if any.
@@ -447,18 +529,19 @@ fn debug_check_full_scan(
 /// state. `total_edges` is `|E|` (the balance constraint of Algorithm 4 is
 /// over the whole edge set, not just the streamed part). The edge source is
 /// an iterator so the externalized edge file never has to be materialized.
-/// Returns the final per-partition loads (in-memory sizes plus streamed
-/// edges); the replica sets follow from the seed sets and the emitted
-/// assignments, and nothing downstream reads them.
+/// `replicas` seeds the replica rows of V_h, and every endpoint must be in
+/// V_h. Returns the final per-partition loads (in-memory sizes plus
+/// streamed edges); the replica sets follow from the seed sets and the
+/// emitted assignments, and nothing downstream reads them.
 ///
-/// Output is bit-identical to [`stream_h2h_serial`] — see the module docs
-/// and DESIGN.md §7. `_batch` is ignored: edges are scored and committed
-/// one at a time.
+/// Output is bit-identical to [`stream_h2h_serial`] seeded with the same
+/// sets — see the module docs and DESIGN.md §7. `_batch` is ignored: edges
+/// are scored and committed one at a time.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_h2h<S: AssignSink + ?Sized>(
     h2h: impl IntoIterator<Item = Edge>,
     degrees: &[u32],
-    s_sets: Vec<DenseBitset>,
+    replicas: HighReplicas,
     ne_sizes: Vec<u64>,
     total_edges: u64,
     lambda: f64,
@@ -466,30 +549,31 @@ pub fn stream_h2h<S: AssignSink + ?Sized>(
     _batch: usize,
     sink: &mut S,
 ) -> Result<Vec<u64>, GraphError> {
-    assert_eq!(s_sets.len(), ne_sizes.len(), "one replica set per partition");
-    assert!(!s_sets.is_empty(), "need k >= 1");
-    let k = s_sets.len() as u32;
+    assert_eq!(replicas.k as usize, ne_sizes.len(), "one replica set per partition");
+    assert!(replicas.k > 0, "need k >= 1");
+    assert_eq!(replicas.high.capacity(), degrees.len(), "V_h and the degree table disagree on |V|");
+    let k = replicas.k;
     let cap = capacity(total_edges, k, alpha);
     let n = degrees.len() as u32;
 
     // The replica-mask table: row `v` is words `v·wpm .. (v+1)·wpm`, bit
-    // `p` set iff `v` is replicated on `p` — one transpose of the seed
-    // sets, which are dropped before the stream starts.
-    let wpm = (k as usize).div_ceil(64);
+    // `p` set iff `v` is replicated on `p`. The high-degree rows are
+    // scattered in at their vertex ids; only the V_h bitset is kept, to
+    // validate endpoints.
+    let wpm = replicas.wpm;
     let mut table = vec![0u64; n as usize * wpm];
-    for (p, set) in s_sets.iter().enumerate() {
-        let (w, bit) = (p >> 6, 1u64 << (p & 63));
-        for v in set.iter_ones() {
-            table[v as usize * wpm + w] |= bit;
-        }
+    let HighReplicas { high, rows, .. } = replicas;
+    for (v, row) in high.iter_ones().zip(rows.chunks_exact(wpm)) {
+        // v < capacity == n, so the row lies inside the table
+        let at = v as usize * wpm;
+        table[at..at + wpm].copy_from_slice(row);
     }
-    drop(s_sets);
+    drop(rows);
     let mut tracker = LoadTracker::new(ne_sizes);
 
     for e in h2h {
-        let max = e.src.max(e.dst);
-        if max >= n {
-            return Err(GraphError::VertexOutOfRange { vertex: max, num_vertices: n });
+        if e.src.max(e.dst) >= n || !(high.get(e.src) && high.get(e.dst)) {
+            return Err(endpoint_error(e, n, &high));
         }
         let (ou, ov) = (e.src as usize * wpm, e.dst as usize * wpm);
         let deg_u = degrees[e.src as usize] as u64;
@@ -510,6 +594,21 @@ pub fn stream_h2h<S: AssignSink + ?Sized>(
         sink.assign(e.src, e.dst, p);
     }
     Ok(tracker.loads)
+}
+
+/// The error for an h2h edge with an endpoint out of range or outside V_h.
+/// Kept out of line so the stream loop's check is one cold branch: with
+/// the two checks and their errors inline, `partition_s` measured 15–20%
+/// slower end to end.
+#[cold]
+#[inline(never)]
+fn endpoint_error(e: Edge, n: u32, high: &DenseBitset) -> GraphError {
+    let max = e.src.max(e.dst);
+    if max >= n {
+        return GraphError::VertexOutOfRange { vertex: max, num_vertices: n };
+    }
+    let low = if high.get(e.src) { e.dst } else { e.src };
+    GraphError::NotHighDegree { vertex: low }
 }
 
 /// The reference serial stream: one dense O(k) HDRF scan per edge over
@@ -555,15 +654,55 @@ mod tests {
     use super::*;
     use hep_graph::partitioner::CollectedAssignment;
 
-    fn empty_state(k: u32, n: u32) -> (Vec<DenseBitset>, Vec<u64>) {
+    /// V_h = every id below `n`.
+    fn all_high(n: u32) -> DenseBitset {
+        let mut high = DenseBitset::new(n as usize);
+        (0..n).for_each(|v| high.set(v));
+        high
+    }
+
+    /// Empty seed sets for `k` parts over `n` vertices, and zero loads.
+    fn empty_sets(k: u32, n: u32) -> (Vec<DenseBitset>, Vec<u64>) {
         ((0..k).map(|_| DenseBitset::new(n as usize)).collect(), vec![0; k as usize])
+    }
+
+    /// Empty replica rows for `k` parts over `n` all-high vertices, and
+    /// zero loads.
+    fn empty_state(k: u32, n: u32) -> (HighReplicas, Vec<u64>) {
+        (HighReplicas::new(k, all_high(n)), vec![0; k as usize])
+    }
+
+    #[test]
+    fn high_replicas_rows_follow_the_rank_of_v() {
+        // V_h = {1, 64, 65, 200}: ranks cross word boundaries and skip
+        // the low ids in between.
+        let n = 256;
+        let mut high = DenseBitset::new(n);
+        for v in [1u32, 64, 65, 200] {
+            high.set(v);
+        }
+        let k = 70; // two-word rows
+        let mut sets: Vec<DenseBitset> = (0..k).map(|_| DenseBitset::new(n)).collect();
+        for (v, p) in [(1u32, 0u32), (64, 69), (65, 3), (200, 64), (200, 0), (2, 5), (199, 69)] {
+            sets[p as usize].set(v);
+        }
+        let replicas = HighReplicas::from_sets(&sets, high.clone());
+        for v in 0..n as u32 {
+            for p in 0..k as u32 {
+                let want = high.get(v) && sets[p as usize].get(v);
+                assert_eq!(replicas.get(v, p), want, "v {v} p {p}");
+            }
+        }
+        // Low-degree bits (2 on 5, 199 on 69) were dropped, not stored.
+        let words = n.div_ceil(64);
+        assert_eq!(replicas.heap_bytes(), words * 8 + words * 4 + 4 * 2 * 8);
     }
 
     #[test]
     fn seeded_replicas_attract_h2h_edges() {
         let (mut s_sets, sizes) = empty_state(4, 10);
         // NE++ replicated vertex 3 on partition 2.
-        s_sets[2].set(3);
+        s_sets.set(3, 2);
         let degrees = vec![5u32; 10];
         let h2h = [Edge::new(3, 7)];
         let mut sink = CollectedAssignment::default();
@@ -610,6 +749,38 @@ mod tests {
         assert_eq!(loads.len(), 2);
         assert_eq!(loads[p as usize], 1);
         assert_eq!(loads[1 - p as usize], 0);
+    }
+
+    #[test]
+    fn low_degree_h2h_endpoint_is_a_typed_error() {
+        // A spill edge whose endpoint NE++ classified low has no replica
+        // row; it is a forged or mismatched spill, not an h2h edge.
+        let n = 6;
+        let mut high = DenseBitset::new(n);
+        for v in [0u32, 1, 3] {
+            high.set(v);
+        }
+        for (bad, low) in [(Edge::new(3, 4), 4), (Edge::new(2, 0), 2)] {
+            let h2h = [Edge::new(0, 1), bad, Edge::new(1, 3)];
+            let mut sink = CollectedAssignment::default();
+            let err = stream_h2h(
+                h2h.iter().copied(),
+                &[3u32; 6],
+                HighReplicas::new(2, high.clone()),
+                vec![0, 0],
+                10,
+                1.1,
+                1.05,
+                0,
+                &mut sink,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, GraphError::NotHighDegree { vertex } if vertex == low),
+                "got {err}"
+            );
+            assert_eq!(sink.assignments.len(), 1, "the valid prefix was emitted");
+        }
     }
 
     #[test]
@@ -677,12 +848,38 @@ mod tests {
         sets
     }
 
+    /// Spreads a stream over three times the id space (endpoint `v`
+    /// becomes `3v`) and returns V_h = the endpoints plus random
+    /// non-endpoint ids, so the ranks of V_h have gaps.
+    fn spread(edges: &[Edge], degrees: &[u32], seed: u64) -> (Vec<Edge>, Vec<u32>, DenseBitset) {
+        let n = 3 * degrees.len();
+        let edges: Vec<Edge> = edges.iter().map(|e| Edge::new(3 * e.src, 3 * e.dst)).collect();
+        let mut spread_degrees = vec![0u32; n];
+        for (v, &d) in degrees.iter().enumerate() {
+            spread_degrees[3 * v] = d;
+        }
+        let mut high = DenseBitset::new(n);
+        for e in &edges {
+            high.set(e.src);
+            high.set(e.dst);
+        }
+        let mut rng = hep_ds::SplitMix64::new(seed);
+        for _ in 0..n / 4 {
+            high.set(rng.next_below(n as u64) as u32);
+        }
+        (edges, spread_degrees, high)
+    }
+
     /// Runs both engines on the same input and compares the assignment
-    /// sequence, the final loads and every replica set word for word.
+    /// sequence, the final loads and every replica set word for word. The
+    /// engine is seeded with the V_h rows of `seed_sets`, the oracle with
+    /// the dense sets; every endpoint must be in `high`, and seed bits of
+    /// low vertices must not matter.
     fn assert_matches_serial(
         edges: &[Edge],
         degrees: &[u32],
         seed_sets: Vec<DenseBitset>,
+        high: DenseBitset,
         sizes: Vec<u64>,
         total_edges: u64,
         label: &str,
@@ -704,7 +901,7 @@ mod tests {
         let loads = stream_h2h(
             edges.iter().copied(),
             degrees,
-            seed_sets.clone(),
+            HighReplicas::from_sets(&seed_sets, high),
             sizes,
             total_edges,
             1.1,
@@ -729,17 +926,21 @@ mod tests {
     #[test]
     fn table_engine_matches_serial_oracle() {
         // k = 65 gives two-word rows whose second word holds one bit;
-        // k = 128 fills both words.
+        // k = 128 fills both words. V_h has rank gaps, and low vertices
+        // carry seed bits the engine must ignore.
         let (edges, degrees) = synth_stream(200, 3_000, 7);
+        let (edges, degrees, high) = spread(&edges, &degrees, 7);
         for k in [8u32, 65, 128] {
             let mut seed_sets: Vec<DenseBitset> =
                 (0..k).map(|_| DenseBitset::new(degrees.len())).collect();
             // Seed a few replicas + uneven loads, like NE++ would.
-            for v in 0..40u32 {
+            for v in 0..120u32 {
                 seed_sets[(v % k) as usize].set(v);
             }
+            assert!((0..120).any(|v| !high.get(v)), "some seeded vertices are low");
             let sizes = (0..k as u64).map(|p| p * 37).collect();
-            assert_matches_serial(&edges, &degrees, seed_sets, sizes, 6_000, &format!("k {k}"));
+            let label = format!("k {k}");
+            assert_matches_serial(&edges, &degrees, seed_sets, high.clone(), sizes, 6_000, &label);
         }
     }
 
@@ -769,7 +970,8 @@ mod tests {
                 seed_sets[(v * 7 % k) as usize].set(v);
             }
             let sizes = (0..k as u64).map(|p| p * 37).collect();
-            assert_matches_serial(&edges, &degrees, seed_sets, sizes, 200_000, &format!("k {k}"));
+            let label = format!("k {k}");
+            assert_matches_serial(&edges, &degrees, seed_sets, all_high(n), sizes, 200_000, &label);
         }
     }
 
@@ -789,7 +991,8 @@ mod tests {
                 }
             }
             let sizes = vec![100; k as usize];
-            assert_matches_serial(&edges, &degrees, seed_sets, sizes, 200_000, &format!("k {k}"));
+            let (high, label) = (all_high(degrees.len() as u32), format!("k {k}"));
+            assert_matches_serial(&edges, &degrees, seed_sets, high, sizes, 200_000, &label);
         }
     }
 
@@ -852,7 +1055,7 @@ mod tests {
 
     #[test]
     fn all_at_cap_fallback_matches_serial_least_loaded() {
-        let (seed_sets, mut sizes) = empty_state(3, 6);
+        let (seed_sets, mut sizes) = empty_sets(3, 6);
         sizes[0] = 5;
         sizes[1] = 3;
         sizes[2] = 4;
@@ -872,7 +1075,8 @@ mod tests {
         )
         .unwrap();
         let mut sink = CollectedAssignment::default();
-        stream_h2h(h2h.iter().copied(), &degrees, seed_sets, sizes, 6, 1.1, 1.0, 0, &mut sink)
+        let replicas = HighReplicas::from_sets(&seed_sets, all_high(6));
+        stream_h2h(h2h.iter().copied(), &degrees, replicas, sizes, 6, 1.1, 1.0, 0, &mut sink)
             .unwrap();
         assert_eq!(sink.assignments, serial_sink.assignments);
         assert_eq!(sink.assignments[0].1, 1, "least-loaded, lowest id");

@@ -1,11 +1,12 @@
 //! A dense, fixed-capacity bitset over `u32` indices.
 //!
-//! Used for the core set `C` and the per-partition secondary sets `S_i`
-//! (paper §4.2, item 4): one bit per vertex id, so membership tests during
-//! the expansion inner loop are a single shift/mask on a cache-resident word.
+//! Used for NE++'s core set `C`, its open secondary set `S_i` and the
+//! union of the closed ones, and the high-degree set V_h (paper §4.2,
+//! item 4): one bit per vertex id, so membership tests during the
+//! expansion inner loop are a single shift/mask on a cache-resident word.
 //!
 //! The bulk operations (`count_ones`, `intersection_count`, `union_with`,
-//! `difference_with`, `union_of`/`union_count`, `count_members`) delegate
+//! `difference_with`, `union_count`, `count_members`) delegate
 //! to [`crate::kernels`], which dispatches between the portable word-level
 //! path and explicit AVX2 intrinsics at runtime — bit-identical results
 //! either way (`HEP_KERNEL` overrides the choice).
@@ -128,21 +129,6 @@ impl DenseBitset {
     /// is this sparse membership count.
     pub fn count_members(&self, ids: &[u32]) -> usize {
         kernels::count_members(&self.words, ids)
-    }
-
-    /// Word-level union of a family of equal-capacity bitsets. `capacity`
-    /// sizes the result when the family is empty. NE++'s Figure-5
-    /// bookkeeping unions the `k` secondary sets this way instead of
-    /// probing every `(vertex, partition)` pair.
-    pub fn union_of<'a>(
-        sets: impl IntoIterator<Item = &'a DenseBitset>,
-        capacity: usize,
-    ) -> DenseBitset {
-        let mut acc = DenseBitset::new(capacity);
-        for s in sets {
-            acc.union_with(s);
-        }
-        acc
     }
 
     /// Number of bits set in the union of `sets`, without materializing the
@@ -284,17 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn union_of_family() {
-        let mut a = DenseBitset::new(70);
-        let mut b = DenseBitset::new(70);
-        a.set(1);
-        b.set(69);
-        let u = DenseBitset::union_of([&a, &b], 70);
-        assert_eq!(u.iter_ones().collect::<Vec<_>>(), vec![1, 69]);
-        assert!(DenseBitset::union_of([], 70).is_empty());
-    }
-
-    #[test]
     fn union_count_matches_materialized_union() {
         let mut a = DenseBitset::new(200);
         let mut b = DenseBitset::new(200);
@@ -305,8 +280,9 @@ mod tests {
             c.set(199 - i);
         }
         let sets = [a, b, c];
-        let union = DenseBitset::union_of(sets.iter(), 200);
-        assert_eq!(DenseBitset::union_count(&sets), union.count_ones());
+        // Reference: probe every index of every set bit by bit.
+        let union = (0..200u32).filter(|&i| sets.iter().any(|s| s.get(i))).count();
+        assert_eq!(DenseBitset::union_count(&sets), union);
         assert_eq!(DenseBitset::union_count(&[]), 0);
     }
 

@@ -7,17 +7,12 @@
 //! the same reads through array indexing only — out-of-bounds still fails
 //! fast (an index panic, exactly as before), but the decoders themselves
 //! stay free of `unwrap`/`expect` and the panic-policy lint (`HL007`)
-//! holds without waivers.
-//!
-//! For offsets that come from *untrusted* input (file headers, section
-//! tables) use the total [`try_u32_le_at`]/[`try_u64_le_at`] variants:
-//! they return `None` instead of panicking, so a forged header becomes a
-//! typed error.
+//! holds without waivers. Every read is at a fixed offset into a buffer
+//! whose length the decoder has already checked.
 
 /// Reads the little-endian `u32` at byte offset `off`.
 ///
-/// The caller owns the bounds contract: `off + 4 <= b.len()`. Use
-/// [`try_u32_le_at`] when the offset is not already validated.
+/// The caller owns the bounds contract: `off + 4 <= b.len()`.
 #[inline]
 pub fn u32_le_at(b: &[u8], off: usize) -> u32 {
     debug_assert!(off + 4 <= b.len(), "u32 read at {off} past buffer end {}", b.len());
@@ -26,8 +21,7 @@ pub fn u32_le_at(b: &[u8], off: usize) -> u32 {
 
 /// Reads the little-endian `u64` at byte offset `off`.
 ///
-/// The caller owns the bounds contract: `off + 8 <= b.len()`. Use
-/// [`try_u64_le_at`] when the offset is not already validated.
+/// The caller owns the bounds contract: `off + 8 <= b.len()`.
 #[inline]
 pub fn u64_le_at(b: &[u8], off: usize) -> u64 {
     debug_assert!(off + 8 <= b.len(), "u64 read at {off} past buffer end {}", b.len());
@@ -41,35 +35,6 @@ pub fn u64_le_at(b: &[u8], off: usize) -> u64 {
         b[off + 6],
         b[off + 7],
     ])
-}
-
-/// Total variant of [`u32_le_at`]: `None` when the four bytes at `off`
-/// are not inside `b` (including `off + 4` overflowing `usize`).
-#[inline]
-pub fn try_u32_le_at(b: &[u8], off: usize) -> Option<u32> {
-    if off.checked_add(4)? > b.len() {
-        return None;
-    }
-    Some(u32::from_le_bytes([b[off], b[off + 1], b[off + 2], b[off + 3]]))
-}
-
-/// Total variant of [`u64_le_at`]: `None` when the eight bytes at `off`
-/// are not inside `b` (including `off + 8` overflowing `usize`).
-#[inline]
-pub fn try_u64_le_at(b: &[u8], off: usize) -> Option<u64> {
-    if off.checked_add(8)? > b.len() {
-        return None;
-    }
-    Some(u64::from_le_bytes([
-        b[off],
-        b[off + 1],
-        b[off + 2],
-        b[off + 3],
-        b[off + 4],
-        b[off + 5],
-        b[off + 6],
-        b[off + 7],
-    ]))
 }
 
 #[cfg(test)]
@@ -90,16 +55,5 @@ mod tests {
     fn out_of_bounds_still_fails_fast() {
         let buf = [0u8; 3];
         let _ = u32_le_at(&buf, 0);
-    }
-
-    #[test]
-    fn try_variants_are_total() {
-        let buf: Vec<u8> = (0u8..12).collect();
-        assert_eq!(try_u32_le_at(&buf, 8), Some(u32::from_le_bytes([8, 9, 10, 11])));
-        assert_eq!(try_u32_le_at(&buf, 9), None);
-        assert_eq!(try_u64_le_at(&buf, 4), Some(u64::from_le_bytes([4, 5, 6, 7, 8, 9, 10, 11])));
-        assert_eq!(try_u64_le_at(&buf, 5), None);
-        assert_eq!(try_u32_le_at(&buf, usize::MAX - 1), None, "offset overflow is not a panic");
-        assert_eq!(try_u64_le_at(&buf, usize::MAX - 3), None, "offset overflow is not a panic");
     }
 }

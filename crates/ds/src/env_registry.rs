@@ -36,7 +36,7 @@ pub const KNOBS: &[EnvKnob] = &[
     EnvKnob {
         name: "HEP_THREADS",
         default: "available parallelism",
-        doc: "Worker count of the deterministic thread pool; output is bit-identical at any value",
+        doc: "Worker count of the deterministic thread pool; output is bit-identical at any value. A value that is not a positive integer is a config error for HEP (other callers use available parallelism)",
         since: "PR 2",
     },
     EnvKnob {
@@ -54,7 +54,7 @@ pub const KNOBS: &[EnvKnob] = &[
     EnvKnob {
         name: "HEP_KERNEL",
         default: "auto",
-        doc: "Bitset kernel dispatch: scalar|avx2|auto (bit-identical at any instruction set)",
+        doc: "Bitset kernel dispatch: scalar|avx2|auto (bit-identical at any instruction set). Any other value is a config error for HEP (other callers auto-detect)",
         since: "PR 7",
     },
     EnvKnob {

@@ -13,7 +13,10 @@
 //! 1. `HEP_KERNEL=scalar` forces the portable path; `HEP_KERNEL=avx2`
 //!    requests the SIMD path (falling back to scalar, with a warning, if
 //!    the CPU lacks AVX2); `HEP_KERNEL=auto` (or unset) probes with
-//!    [`std::arch::is_x86_feature_detected`].
+//!    [`std::arch::is_x86_feature_detected`]. Any other value also
+//!    probes, with a warning, so callers outside HEP keep running;
+//!    `HepConfig::validate` (in `hep-core`) reports it through
+//!    [`kernel_knob`] as a config error.
 //! 2. The resolved choice is cached in an atomic, so steady-state
 //!    dispatch is one relaxed load and a branch per call — noise next to
 //!    the memory traffic of the loops themselves.
@@ -31,7 +34,7 @@
 //! explicit [`Kernel`].
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Instruction-set flavor of the kernel implementations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,11 +67,33 @@ pub fn avx2_available() -> bool {
     }
 }
 
+/// Resolves a raw `HEP_KERNEL` value. Unset and `auto` are `None`
+/// (probe the CPU); `scalar` and `avx2` force a flavor; anything else is
+/// an error naming the knob and its value.
+fn kernel_from_knob(raw: Option<&str>) -> Result<Option<Kernel>, String> {
+    match raw {
+        None | Some("auto") => Ok(None),
+        Some("scalar") => Ok(Some(Kernel::Scalar)),
+        Some("avx2") => Ok(Some(Kernel::Avx2)),
+        Some(other) => {
+            Err(format!("HEP_KERNEL={other:?} is not a kernel (want auto, scalar or avx2)"))
+        }
+    }
+}
+
+/// The process-wide `HEP_KERNEL` knob, read once: `Ok(None)` when unset
+/// or `auto`, the forced flavor for `scalar`/`avx2`, else an error naming
+/// the knob and its value.
+pub fn kernel_knob() -> &'static Result<Option<Kernel>, String> {
+    static KNOB: OnceLock<Result<Option<Kernel>, String>> = OnceLock::new();
+    KNOB.get_or_init(|| kernel_from_knob(crate::env_registry::read("HEP_KERNEL").as_deref()))
+}
+
 fn resolve_from_env() -> u8 {
-    let choice = crate::env_registry::read("HEP_KERNEL").unwrap_or_default();
-    match choice.as_str() {
-        "scalar" => FORCED_SCALAR,
-        "avx2" => {
+    let detect = || if avx2_available() { FORCED_AVX2 } else { FORCED_SCALAR };
+    match kernel_knob() {
+        Ok(Some(Kernel::Scalar)) => FORCED_SCALAR,
+        Ok(Some(Kernel::Avx2)) => {
             if avx2_available() {
                 FORCED_AVX2
             } else {
@@ -76,20 +101,10 @@ fn resolve_from_env() -> u8 {
                 FORCED_SCALAR
             }
         }
-        "" | "auto" => {
-            if avx2_available() {
-                FORCED_AVX2
-            } else {
-                FORCED_SCALAR
-            }
-        }
-        other => {
-            eprintln!("unknown HEP_KERNEL={other:?} (want scalar|avx2|auto); auto-detecting");
-            if avx2_available() {
-                FORCED_AVX2
-            } else {
-                FORCED_SCALAR
-            }
+        Ok(None) => detect(),
+        Err(msg) => {
+            eprintln!("{msg}; auto-detecting");
+            detect()
         }
     }
 }
@@ -528,6 +543,18 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kernel_knob_parsing() {
+        assert_eq!(kernel_from_knob(None), Ok(None), "unset probes the CPU");
+        assert_eq!(kernel_from_knob(Some("auto")), Ok(None));
+        assert_eq!(kernel_from_knob(Some("scalar")), Ok(Some(Kernel::Scalar)));
+        assert_eq!(kernel_from_knob(Some("avx2")), Ok(Some(Kernel::Avx2)));
+        for bad in ["sse", "AVX512", "", "scalar "] {
+            let err = kernel_from_knob(Some(bad)).unwrap_err();
+            assert!(err.contains("HEP_KERNEL") && err.contains(bad), "{err}");
+        }
+    }
 
     fn both<T: PartialEq + std::fmt::Debug>(f: impl Fn(Kernel) -> T) -> T {
         let s = f(Kernel::Scalar);

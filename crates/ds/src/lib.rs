@@ -4,9 +4,11 @@
 //! structures, all of which live here so that every crate in the workspace
 //! shares one implementation:
 //!
-//! * [`DenseBitset`] — the per-partition secondary sets `S_i` and the global
-//!   core set `C` are dense bitsets over the vertex id space (`|V| * (k+1)/8`
-//!   bytes in the paper's memory accounting).
+//! * [`DenseBitset`] — NE++'s core set `C`, its open secondary set `S_i`
+//!   and the high-degree set V_h are dense bitsets over the vertex id
+//!   space. The paper's memory accounting charges `|V| * (k+1)/8` bytes
+//!   for `C` and all `k` secondary sets; NE++ keeps one open set and
+//!   stores a closed `S_i` only as replica bits of high-degree vertices.
 //! * [`IndexedMinHeap`] — the expansion step needs `arg min d_ext(v, S_i)`
 //!   with decrease-key when external degrees change; a binary min-heap with a
 //!   position lookup table gives `O(log |V|)` updates.

@@ -17,6 +17,10 @@ pub enum GraphError {
     EmptyGraph,
     /// An edge referenced a vertex id >= the declared vertex count.
     VertexOutOfRange { vertex: u32, num_vertices: u32 },
+    /// A streamed h2h edge had an endpoint outside the high-degree set
+    /// V_h (a forged or mismatched spill file: phase 2 keeps replica rows
+    /// for V_h only).
+    NotHighDegree { vertex: u32 },
     /// A configuration parameter was out of its valid domain.
     InvalidConfig(String),
     /// A headered binary edge file had a malformed or inconsistent header.
@@ -58,6 +62,9 @@ impl fmt::Display for GraphError {
             GraphError::EmptyGraph => write!(f, "graph has no edges"),
             GraphError::VertexOutOfRange { vertex, num_vertices } => {
                 write!(f, "vertex {vertex} out of range (num_vertices={num_vertices})")
+            }
+            GraphError::NotHighDegree { vertex } => {
+                write!(f, "h2h edge endpoint {vertex} is not a high-degree vertex")
             }
             GraphError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             GraphError::BadHeader(msg) => write!(f, "bad edge file header: {msg}"),

@@ -364,7 +364,10 @@ impl PrunedCsr {
     /// The paper's §4.2 memory accounting with `b_id = 4`, in bytes:
     /// `Σ_{v∈V_l} d(v)·b_id + 6·|V|·b_id + |V|·(k+1)/8`. The paper's
     /// `6·b_id` = 24 bytes per vertex is an upper bound on this
-    /// implementation's 20 (see [`PrunedCsr::heap_bytes`]).
+    /// implementation's 20 (see [`PrunedCsr::heap_bytes`]), and its
+    /// `|V|·(k+1)/8` for the core set and `k` secondary sets is an upper
+    /// bound on NE++'s: four dense bitsets plus one ⌈k/64⌉-word row per
+    /// high-degree vertex (`hep_core::streaming::HighReplicas`).
     pub fn memory_footprint_paper(&self, k: u32) -> u64 {
         let b_id = 4u64;
         let n = self.num_vertices() as u64;

@@ -18,9 +18,12 @@
 //!
 //! The worker count comes from the `HEP_THREADS` environment variable
 //! (default: available parallelism; `1` forces serial in-place execution
-//! with no threads spawned). [`set_threads`] overrides it at runtime, which
-//! the determinism test-suite uses to compare 1-thread and 8-thread runs in
-//! one process.
+//! with no threads spawned). A set value that is not a positive integer
+//! also means available parallelism here, so callers outside HEP keep
+//! running; `HepConfig::validate` (in `hep-core`) reports it through
+//! [`threads_knob`] as a config error. [`set_threads`] overrides the knob
+//! at runtime, which the determinism test-suite uses to compare 1-thread
+//! and 8-thread runs in one process.
 //!
 //! The pool is *scoped*: each call spawns OS threads via
 //! [`std::thread::scope`] and joins them before returning, so there is no
@@ -31,19 +34,34 @@
 
 use hep_ds::sync;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Global worker-count override: 0 = not yet resolved (read `HEP_THREADS`).
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-fn default_threads() -> usize {
-    match hep_ds::env_registry::read("HEP_THREADS") {
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => available(),
-        },
-        None => available(),
+/// Resolves a raw `HEP_THREADS` value. Unset is `None` (available
+/// parallelism); a set value must be a positive integer, and anything else
+/// is an error naming the knob and its value.
+fn threads_from_knob(raw: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!("HEP_THREADS={raw:?} is not a positive thread count")),
     }
+}
+
+/// The process-wide `HEP_THREADS` knob, read once: `Ok(None)` when unset,
+/// the count when it is a positive integer, else an error naming the knob
+/// and its value.
+pub fn threads_knob() -> &'static Result<Option<usize>, String> {
+    static KNOB: OnceLock<Result<Option<usize>, String>> = OnceLock::new();
+    KNOB.get_or_init(|| threads_from_knob(hep_ds::env_registry::read("HEP_THREADS").as_deref()))
+}
+
+/// The knob's worker count; unset or malformed means available
+/// parallelism.
+fn default_threads() -> usize {
+    threads_knob().clone().ok().flatten().unwrap_or_else(available)
 }
 
 fn available() -> usize {
@@ -51,7 +69,7 @@ fn available() -> usize {
 }
 
 /// The effective worker count: [`set_threads`] override if set, otherwise
-/// `HEP_THREADS`, otherwise available parallelism.
+/// a well-formed `HEP_THREADS`, otherwise available parallelism.
 pub fn threads() -> usize {
     let t = THREADS.load(Ordering::Relaxed);
     if t != 0 {
@@ -293,6 +311,19 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn threads_knob_parsing() {
+        assert_eq!(threads_from_knob(None), Ok(None), "unset is available parallelism");
+        assert_eq!(threads_from_knob(Some("1")), Ok(Some(1)));
+        assert_eq!(threads_from_knob(Some(" 4 ")), Ok(Some(4)));
+        for bad in ["abc", "0", "-2", "1.5", "", "4 threads"] {
+            let err = threads_from_knob(Some(bad)).unwrap_err();
+            assert!(err.contains("HEP_THREADS") && err.contains(bad), "{err}");
+        }
+        let overflow = format!("{}", u128::from(u64::MAX) + 1);
+        assert!(threads_from_knob(Some(&overflow)).is_err(), "usize overflow");
+    }
 
     #[test]
     fn par_map_preserves_order() {

@@ -8,10 +8,12 @@
 //! proxy, see `hep::metrics::alloc_track`), so it must stay its own
 //! integration-test binary: the tracked regions are process-wide.
 
+use hep::core::nepp::run_nepp;
 use hep::core::{
     estimate_stream_overhead_bytes, ingest_file_budgeted, ingest_peak_bytes, plan_ingest,
-    stream_h2h, IngestPlan,
+    stream_h2h, HepConfig, HighReplicas, IngestPlan,
 };
+use hep::ds::DenseBitset;
 use hep::graph::{BinaryEdgeFile, Edge, EdgeList, IoMode, PrunedCsr};
 use hep::metrics::alloc_track::{self, CountingAlloc};
 use std::path::PathBuf;
@@ -130,6 +132,56 @@ fn csr_heap_bytes_equal_allocator_measured_bytes() {
     }
 }
 
+/// [`HighReplicas::heap_bytes`] is exactly what NE++'s hand-over to phase 2
+/// holds: `⌈n/64⌉·8 + ⌈n/64⌉·4 + |V_h|·⌈k/64⌉·8` (the V_h bitset, the
+/// per-word rank prefix and one row per high-degree vertex).
+#[test]
+fn high_replicas_heap_bytes_equal_allocator_measured_bytes() {
+    let _region = region();
+    let g = hep::gen::GraphSpec::ChungLu { n: 20_000, m: 160_000, gamma: 2.2 }.generate(2);
+    for (tau, k) in [(1.0, 128u32), (10.0, 32), (1.0, 65)] {
+        let stats = hep::graph::DegreeStats::new(&g, tau);
+        let n = stats.num_vertices() as usize;
+        let formula = n.div_ceil(64) * 12 + stats.num_high as usize * (k as usize).div_ceil(64) * 8;
+        let replicas = HighReplicas::new(k, stats.high.clone());
+        assert_eq!(
+            replicas.heap_bytes(),
+            formula,
+            "τ {tau} k {k}: heap_bytes() against the formula"
+        );
+        let held = alloc_track::current_bytes();
+        drop(replicas);
+        let freed = held - alloc_track::current_bytes();
+        assert_eq!(freed, formula, "τ {tau} k {k}: bytes the rows held against heap_bytes()");
+    }
+}
+
+/// NE++ keeps one open secondary set, not `k`: on a graph with few
+/// high-degree vertices, the heap `run_nepp` adds above the CSR it
+/// consumes stays below the `k·⌈n/64⌉·8` bytes of `k` dense sets alone.
+#[test]
+fn nepp_state_stays_below_k_dense_secondary_sets() {
+    let _region = region();
+    let g = hep::gen::GraphSpec::ChungLu { n: 40_000, m: 240_000, gamma: 2.2 }.generate(5);
+    let (tau, k) = (10.0, 128u32);
+    let csr = PrunedCsr::build(&g, tau);
+    let n = csr.num_vertices() as usize;
+    let num_high = csr.stats().num_high as usize;
+    assert!(num_high * 20 < n, "fixture needs |V_h| ≪ |V|: {num_high} of {n}");
+    let dense_sets = k as usize * n.div_ceil(64) * 8;
+    alloc_track::reset_peak();
+    let baseline = alloc_track::current_bytes();
+    let mut assigned = 0u64;
+    let mut sink = |_u: u32, _v: u32, _p: u32| assigned += 1;
+    let result = run_nepp(csr, k, &HepConfig::with_tau(tau), &mut sink);
+    let peak = alloc_track::peak_bytes().saturating_sub(baseline);
+    assert_eq!(assigned, result.stats.assigned_edges);
+    assert!(
+        peak < dense_sets,
+        "NE++ peak {peak} above the CSR reaches {dense_sets} (k dense sets)"
+    );
+}
+
 /// When no sweep count fits the requested τ, the planner degrades τ — more
 /// edges go to the streaming side, the CSR shrinks into the budget — and
 /// the measured peak still honors both the estimate and the budget.
@@ -163,8 +215,8 @@ fn tau_degrades_rather_than_exceeding_budget() {
 /// The phase-2 companion bound: the streaming engine's measured peak heap
 /// — the replica-mask table and the load buckets — stays under
 /// [`estimate_stream_overhead_bytes`], the term `plan_ingest` charges
-/// against the budget. The h2h workload, degree table, and seed sets are
-/// built outside the measured region (the engine *consumes* the seed sets;
+/// against the budget. The h2h workload, degree table, and seed rows are
+/// built outside the measured region (the engine *consumes* the seed rows;
 /// the estimate covers everything it allocates beyond them), and the sink
 /// is a counting closure so no assignment storage muddies the measurement.
 #[test]
@@ -183,9 +235,14 @@ fn stream_engine_peak_stays_within_planner_estimate() {
         degrees[a as usize] += 1;
         degrees[b as usize] += 1;
     }
+    let mut high = DenseBitset::new(n as usize);
+    for e in &edges {
+        high.set(e.src);
+        high.set(e.dst);
+    }
     for k in [32u32, 128] {
-        let mut seed_sets: Vec<hep::ds::DenseBitset> =
-            (0..k).map(|_| hep::ds::DenseBitset::new(n as usize)).collect();
+        let mut seed_sets: Vec<DenseBitset> =
+            (0..k).map(|_| DenseBitset::new(n as usize)).collect();
         let mut sizes = vec![0u64; k as usize];
         for v in 0..2_000u32 {
             seed_sets[(v % k) as usize].set(v);
@@ -194,8 +251,10 @@ fn stream_engine_peak_stays_within_planner_estimate() {
             *s = (p as u64) * 11;
         }
         let estimate = estimate_stream_overhead_bytes(&degrees, k, 0);
-        // The seed sets and sizes are built outside the measured region:
+        // The seed rows and sizes are built outside the measured region:
         // the estimate covers the engine's own state, not its inputs.
+        let seed_rows = HighReplicas::from_sets(&seed_sets, high.clone());
+        drop(seed_sets);
         let seeded_load: u64 = sizes.iter().sum();
         alloc_track::reset_peak();
         let baseline = alloc_track::current_bytes();
@@ -204,7 +263,7 @@ fn stream_engine_peak_stays_within_planner_estimate() {
         let result = stream_h2h(
             edges.iter().copied(),
             &degrees,
-            seed_sets,
+            seed_rows,
             sizes,
             2 * m as u64,
             1.1,

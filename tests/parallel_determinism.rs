@@ -186,26 +186,36 @@ proptest! {
         // hub-skewed h2h stream with NE++-like seeded replicas and uneven
         // loads, the mask-table engine reproduces `stream_h2h_serial` exactly —
         // assignment sequence, final loads, and every replica-set word — at
-        // 1 and 8 workers.
+        // 1 and 8 workers. Endpoints sit on every third id and V_h is the
+        // endpoints plus random other ids, so V_h's ranks have gaps; the
+        // seed sets also hold low vertices, whose bits the engine drops.
         use hep::ds::DenseBitset;
-        let n = 300u32;
+        let n = 900u32;
         let m = 4_000usize;
         let mut rng = hep::ds::SplitMix64::new(seed);
         let mut edges = Vec::with_capacity(m);
         let mut degrees = vec![0u32; n as usize];
+        let mut high = DenseBitset::new(n as usize);
         for _ in 0..m {
-            let a = (rng.next_below(n as u64) * rng.next_below(n as u64) / n as u64) as u32;
-            let b = rng.next_below(n as u64) as u32;
+            let a = 3 * (rng.next_below(300) * rng.next_below(300) / 300) as u32;
+            let b = 3 * rng.next_below(300) as u32;
             edges.push(hep::graph::Edge::new(a, b));
             degrees[a as usize] += 1;
             degrees[b as usize] += 1;
+            high.set(a);
+            high.set(b);
+        }
+        for _ in 0..n / 4 {
+            high.set(rng.next_below(n as u64) as u32);
         }
         let mut seed_sets: Vec<DenseBitset> =
             (0..k).map(|_| DenseBitset::new(n as usize)).collect();
         let mut sizes = vec![0u64; k as usize];
-        for v in 0..60u32 {
+        for v in 0..180u32 {
             seed_sets[(v % k) as usize].set(v);
         }
+        prop_assert!((0..180).any(|v| !high.get(v)), "some seeded vertices are low");
+        let replicas = hep::core::HighReplicas::from_sets(&seed_sets, high);
         for (p, s) in sizes.iter_mut().enumerate() {
             *s = (p as u64) * 29;
         }
@@ -227,7 +237,7 @@ proptest! {
                 let loads = hep::core::stream_h2h(
                     edges.iter().copied(),
                     &degrees,
-                    seed_sets.clone(),
+                    replicas.clone(),
                     sizes.clone(),
                     2 * m as u64,
                     1.1,
