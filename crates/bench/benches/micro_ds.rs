@@ -1,13 +1,8 @@
 //! Criterion micro-benchmarks for the core data structures (§4.2): dense
 //! bitsets, the indexed min-heap and Fx hashing — the structures on NE++'s
-//! hot path — plus the kernel width sweep: every `hep_ds::kernels`
-//! operation at widths from 64 bits to 4M bits, aligned and ragged tails,
-//! with a scalar column next to the runtime-dispatched one. Emits
-//! `BENCH_micro_ds.json` with the raw measurements and the derived
-//! scalar-vs-dispatched speedups.
+//! hot path. Emits `BENCH_micro_ds.json` with the raw measurements.
 
 use criterion::{black_box, criterion_group, Criterion};
-use hep_ds::kernels::{self, Kernel};
 use hep_ds::{DenseBitset, FxHashMap, IndexedMinHeap, SplitMix64};
 use std::time::Duration;
 
@@ -32,67 +27,6 @@ fn bench_bitset(c: &mut Criterion) {
             black_box(hits)
         })
     });
-}
-
-/// Bit widths of the kernel sweep: one aligned (multiple of 256) and one
-/// ragged width per decade from 64 bits to 4M bits, so the SIMD main
-/// loops *and* the scalar tails both show up in the columns.
-const KERNEL_WIDTHS: [usize; 8] = [64, 67, 4_096, 4_099, 65_536, 1_048_576, 1_048_583, 4_194_304];
-
-fn random_words(len: usize, seed: u64) -> Vec<u64> {
-    let mut rng = SplitMix64::new(seed);
-    (0..len).map(|_| rng.next_u64()).collect()
-}
-
-fn bench_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels");
-    // Kernel calls are sub-microsecond at small widths; a shorter budget
-    // per entry keeps the 2 (columns) x 6 (ops) x 8 (widths) sweep fast.
-    group.measurement_time(Duration::from_millis(250));
-    for bits in KERNEL_WIDTHS {
-        let words = bits.div_ceil(64);
-        let a = random_words(words, bits as u64);
-        let b = random_words(words, bits as u64 ^ 0xabcd);
-        let family: Vec<Vec<u64>> =
-            (0..8).map(|i| random_words(words, bits as u64 + 100 + i)).collect();
-        let family_refs: Vec<&[u64]> = family.iter().map(|v| v.as_slice()).collect();
-        let mut rng = SplitMix64::new(bits as u64 + 7);
-        let ids: Vec<u32> =
-            (0..words.max(16)).map(|_| (rng.next_u64() % bits as u64) as u32).collect();
-        // Per (op, width): a scalar column and the dispatched column
-        // (which resolves to AVX2 on capable hosts, scalar elsewhere).
-        let columns: [(&str, Kernel); 2] =
-            [("scalar", Kernel::Scalar), ("dispatched", kernels::active())];
-        for (col, kernel) in columns {
-            group.bench_function(&format!("count_ones/{bits}/{col}"), |bch| {
-                bch.iter(|| black_box(kernels::count_ones_with(kernel, &a)))
-            });
-            group.bench_function(&format!("intersection_count/{bits}/{col}"), |bch| {
-                bch.iter(|| black_box(kernels::intersection_count_with(kernel, &a, &b)))
-            });
-            group.bench_function(&format!("union_count/{bits}/{col}"), |bch| {
-                bch.iter(|| black_box(kernels::union_count_with(kernel, &family_refs)))
-            });
-            group.bench_function(&format!("union_with/{bits}/{col}"), |bch| {
-                let mut dst = a.clone();
-                bch.iter(|| {
-                    kernels::union_with_with(kernel, &mut dst, &b);
-                    black_box(dst.last().copied())
-                })
-            });
-            group.bench_function(&format!("difference_with/{bits}/{col}"), |bch| {
-                let mut dst = a.clone();
-                bch.iter(|| {
-                    kernels::difference_with_with(kernel, &mut dst, &b);
-                    black_box(dst.last().copied())
-                })
-            });
-            group.bench_function(&format!("count_members/{bits}/{col}"), |bch| {
-                bch.iter(|| black_box(kernels::count_members_with(kernel, &a, &ids)))
-            });
-        }
-    }
-    group.finish();
 }
 
 fn bench_heap(c: &mut Criterion) {
@@ -150,61 +84,12 @@ fn bench_hash(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_bitset, bench_kernels, bench_heap, bench_hash
+    targets = bench_bitset, bench_heap, bench_hash
 }
 
 fn main() {
     benches();
-    let measurements = criterion::take_measurements();
-    // Derived scalar-vs-dispatched speedups per (op, width), printed as a
-    // table and recorded in the JSON report (null in smoke mode, where
-    // nothing is timed).
-    let mean_of = |id: &str| {
-        measurements
-            .iter()
-            .find(|m| m.id == format!("kernels/{id}") && !m.smoke)
-            .map(|m| m.mean_secs)
-    };
-    let mut table =
-        hep_metrics::table::Table::new(["op", "bits", "scalar", "dispatched", "speedup"]);
-    let mut speedups = Vec::new();
-    for op in [
-        "count_ones",
-        "intersection_count",
-        "union_count",
-        "union_with",
-        "difference_with",
-        "count_members",
-    ] {
-        for bits in KERNEL_WIDTHS {
-            let (scalar, dispatched) = (
-                mean_of(&format!("{op}/{bits}/scalar")),
-                mean_of(&format!("{op}/{bits}/dispatched")),
-            );
-            if let (Some(s), Some(d)) = (scalar, dispatched) {
-                let speedup = s / d.max(1e-12);
-                table.row([
-                    op.to_string(),
-                    bits.to_string(),
-                    format!("{:.1} ns", s * 1e9),
-                    format!("{:.1} ns", d * 1e9),
-                    format!("{speedup:.2}x"),
-                ]);
-                speedups.push(hep_bench::report::Json::object([
-                    ("op", op.into()),
-                    ("bits", bits.into()),
-                    ("scalar_secs", s.into()),
-                    ("dispatched_secs", d.into()),
-                    ("speedup", speedup.into()),
-                ]));
-            }
-        }
-    }
-    if !speedups.is_empty() {
-        println!("\nkernel width sweep (scalar vs dispatched):\n{}", table.render());
-    }
     let mut report = hep_bench::report::Report::new("micro_ds");
-    report.measurements(&measurements);
-    report.set("kernel_speedups", hep_bench::report::Json::Array(speedups));
+    report.measurements(&criterion::take_measurements());
     report.write();
 }

@@ -1,9 +1,8 @@
 //! Machine-readable bench reports: every bench binary emits a
 //! `BENCH_<name>.json` next to its human-readable tables, so the perf
 //! trajectory is comparable across PRs (and across the containers CI
-//! happens to land on — the environment block records core count, CPU
-//! features and the thread/kernel configuration that produced the
-//! numbers).
+//! happens to land on — the environment block records the core count,
+//! the worker count and the `HEP_*` knobs that produced the numbers).
 //!
 //! The workspace has no serde (offline build container), so this is a
 //! small hand-rolled JSON value tree with deterministic key order —
@@ -180,21 +179,6 @@ fn env_block() -> Json {
             std::thread::available_parallelism().map_or(Json::Null, |n| n.get().into()),
         ),
         ("threads".to_string(), hep_par::threads().into()),
-        (
-            "cpu_features".to_string(),
-            Json::Array(if hep_ds::kernels::avx2_available() {
-                vec![Json::from("avx2")]
-            } else {
-                vec![]
-            }),
-        ),
-        (
-            "kernel".to_string(),
-            match hep_ds::kernels::active() {
-                hep_ds::kernels::Kernel::Scalar => "scalar".into(),
-                hep_ds::kernels::Kernel::Avx2 => "avx2".into(),
-            },
-        ),
     ];
     // Every registered runtime knob, in registry order — the report's raw
     // record of the configuration that produced the numbers. Generated
@@ -308,7 +292,7 @@ mod tests {
         assert!(text.contains("\\\"") && text.contains("\\n"));
         assert!(text.contains("\"float\": 1.250000"));
         assert!(text.contains("\"nproc\""));
-        assert!(text.contains("\"cpu_features\""));
+        assert!(text.contains("\"threads\""));
         assert!(text.contains("\"headers\""));
         // Non-finite floats degrade to null instead of invalid JSON.
         assert_eq!(Json::F64(f64::NAN).render().trim(), "null");

@@ -105,8 +105,7 @@ impl HepConfig {
 
     /// Validates parameter domains, including a set but malformed
     /// `HEP_MEMORY_BUDGET` or `HEP_IO_MODE` when the config takes its
-    /// budget or mode from it, and a malformed `HEP_THREADS` or
-    /// `HEP_KERNEL`.
+    /// budget or mode from it, and a malformed `HEP_THREADS`.
     pub fn validate(&self) -> Result<(), hep_graph::GraphError> {
         if self.tau.is_nan() || self.tau <= 0.0 {
             return Err(hep_graph::GraphError::InvalidConfig(format!(
@@ -141,12 +140,9 @@ impl HepConfig {
                 return Err(hep_graph::GraphError::InvalidConfig(msg.clone()));
             }
         }
-        // A malformed HEP_THREADS or HEP_KERNEL falls back to available
-        // parallelism or CPU detection below HEP; a HEP run refuses it.
+        // A malformed HEP_THREADS falls back to available parallelism
+        // below HEP; a HEP run refuses it.
         if let Err(msg) = hep_par::threads_knob() {
-            return Err(hep_graph::GraphError::InvalidConfig(msg.clone()));
-        }
-        if let Err(msg) = hep_ds::kernels::kernel_knob() {
             return Err(hep_graph::GraphError::InvalidConfig(msg.clone()));
         }
         if self.memory_budget_bytes == Some(0) {

@@ -5,13 +5,8 @@
 //! item 4): one bit per vertex id, so membership tests during the
 //! expansion inner loop are a single shift/mask on a cache-resident word.
 //!
-//! The bulk operations (`count_ones`, `intersection_count`, `union_with`,
-//! `difference_with`, `union_count`, `count_members`) delegate
-//! to [`crate::kernels`], which dispatches between the portable word-level
-//! path and explicit AVX2 intrinsics at runtime — bit-identical results
-//! either way (`HEP_KERNEL` overrides the choice).
-
-use crate::kernels;
+//! The bulk operations (`count_ones`, `union_with`, `difference_with`,
+//! `union_count`, `count_members`) are plain loops over the 64-bit words.
 
 /// A dense bitset with a fixed capacity chosen at construction time.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -83,7 +78,7 @@ impl DenseBitset {
 
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
-        kernels::count_ones(&self.words)
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Clears all bits, keeping the capacity.
@@ -105,15 +100,12 @@ impl DenseBitset {
         }
     }
 
-    /// Number of set bits in `self & other` (replica-set intersections).
-    pub fn intersection_count(&self, other: &DenseBitset) -> usize {
-        kernels::intersection_count(&self.words, &other.words)
-    }
-
     /// In-place union with `other`. Capacities must match.
     pub fn union_with(&mut self, other: &DenseBitset) {
         assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        kernels::union_with(&mut self.words, &other.words);
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
     }
 
     /// In-place difference: clears every bit of `self` that is set in
@@ -121,26 +113,31 @@ impl DenseBitset {
     /// must match.
     pub fn difference_with(&mut self, other: &DenseBitset) {
         assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        kernels::difference_with(&mut self.words, &other.words);
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !b;
+        }
     }
 
     /// How many of `ids` are set in this bitset (out-of-range ids count as
     /// clear). The hypergraph min-max tie-break's pins-vs-replica overlap
     /// is this sparse membership count.
     pub fn count_members(&self, ids: &[u32]) -> usize {
-        kernels::count_members(&self.words, ids)
+        ids.iter().filter(|&&id| self.get(id)).count()
     }
 
     /// Number of bits set in the union of `sets`, without materializing the
     /// union: for each word position, OR across the family, then popcount.
     /// The replication-factor denominator (vertices covered by at least one
     /// partition) is exactly this count over the per-partition cover sets.
+    /// Capacities must match; an empty family counts zero.
     pub fn union_count(sets: &[DenseBitset]) -> usize {
-        if let Some(first) = sets.first() {
-            debug_assert!(sets.iter().all(|s| s.capacity == first.capacity));
-        }
-        let word_slices: Vec<&[u64]> = sets.iter().map(|s| s.words.as_slice()).collect();
-        kernels::union_count(&word_slices)
+        let Some(first) = sets.first() else {
+            return 0;
+        };
+        assert!(sets.iter().all(|s| s.capacity == first.capacity), "bitset capacity mismatch");
+        (0..first.words.len())
+            .map(|w| sets.iter().fold(0u64, |or, s| or | s.words[w]).count_ones() as usize)
+            .sum()
     }
 
     /// The backing 64-bit words, least-significant bit = lowest index.
@@ -178,6 +175,7 @@ impl<'a> Iterator for IterOnes<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -232,18 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_count_counts_common_bits() {
-        let mut a = DenseBitset::new(200);
-        let mut b = DenseBitset::new(200);
-        for i in 0..100 {
-            a.set(i * 2);
-            b.set(i);
-        }
-        // Common bits: even numbers < 100 -> 50 of them.
-        assert_eq!(a.intersection_count(&b), 50);
-    }
-
-    #[test]
     fn union_with_merges() {
         let mut a = DenseBitset::new(70);
         let mut b = DenseBitset::new(70);
@@ -284,6 +270,18 @@ mod tests {
         let union = (0..200u32).filter(|&i| sets.iter().any(|s| s.get(i))).count();
         assert_eq!(DenseBitset::union_count(&sets), union);
         assert_eq!(DenseBitset::union_count(&[]), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bitset capacity mismatch")]
+    fn union_count_rejects_a_shorter_later_set() {
+        let _ = DenseBitset::union_count(&[DenseBitset::new(262_144), DenseBitset::new(64)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bitset capacity mismatch")]
+    fn union_count_rejects_a_longer_later_set() {
+        let _ = DenseBitset::union_count(&[DenseBitset::new(64), DenseBitset::new(262_144)]);
     }
 
     #[test]
@@ -330,6 +328,50 @@ mod tests {
             expected.sort_unstable();
             let got: Vec<u32> = bs.iter_ones().collect();
             prop_assert_eq!(got, expected);
+        }
+
+        /// Every bulk operation against a per-bit loop over `get`, at
+        /// capacities that are mostly not a multiple of 64, so the last
+        /// word's unused high bits are exercised too.
+        #[test]
+        fn bulk_ops_match_per_bit_reference(
+            seed in 0u64..10_000,
+            capacity in 0usize..3000,
+            family in 1usize..9,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let mut random_set = || {
+                let mut s = DenseBitset::new(capacity);
+                for _ in 0..rng.next_below(capacity as u64 + 1) {
+                    s.set(rng.next_below(capacity as u64) as u32);
+                }
+                s
+            };
+            let sets: Vec<DenseBitset> = (0..family).map(|_| random_set()).collect();
+            let (a, b) = (&sets[0], &sets[family - 1]);
+            let bits = |s: &DenseBitset| (0..capacity as u32).filter(|&i| s.get(i)).count();
+
+            prop_assert_eq!(a.count_ones(), bits(a));
+
+            let mut union = a.clone();
+            union.union_with(b);
+            let mut difference = a.clone();
+            difference.difference_with(b);
+            for i in 0..capacity as u32 {
+                prop_assert_eq!(union.get(i), a.get(i) || b.get(i));
+                prop_assert_eq!(difference.get(i), a.get(i) && !b.get(i));
+            }
+            prop_assert_eq!(union.count_ones(), bits(&union));
+            prop_assert_eq!(difference.count_ones(), bits(&difference));
+
+            let covered =
+                (0..capacity as u32).filter(|&i| sets.iter().any(|s| s.get(i))).count();
+            prop_assert_eq!(DenseBitset::union_count(&sets), covered);
+
+            let ids: Vec<u32> =
+                (0..64).map(|_| rng.next_below(2 * capacity as u64 + 1) as u32).collect();
+            let members = ids.iter().filter(|&&id| (id as usize) < capacity && a.get(id)).count();
+            prop_assert_eq!(a.count_members(&ids), members);
         }
     }
 }

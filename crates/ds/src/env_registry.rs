@@ -52,12 +52,6 @@ pub const KNOBS: &[EnvKnob] = &[
         since: "PR 6",
     },
     EnvKnob {
-        name: "HEP_KERNEL",
-        default: "auto",
-        doc: "Bitset kernel dispatch: scalar|avx2|auto (bit-identical at any instruction set). Any other value is a config error for HEP (other callers auto-detect)",
-        since: "PR 7",
-    },
-    EnvKnob {
         name: "HEP_SCALE",
         default: "1",
         doc: "Dataset scale factor of the bench harness's synthetic Table 3 analogs",
@@ -135,7 +129,7 @@ mod tests {
     fn lookup_and_read_registered() {
         assert!(is_registered("HEP_THREADS"));
         assert!(!is_registered("HEP_NOT_A_KNOB"));
-        assert_eq!(knob("HEP_KERNEL").map(|k| k.since), Some("PR 7"));
+        assert_eq!(knob("HEP_IO_MODE").map(|k| k.since), Some("PR 6"));
         // The suite must not depend on ambient configuration here beyond
         // "reading a registered knob does not panic".
         let _ = read("HEP_SCALE");

@@ -17,16 +17,16 @@
 //!   dominate, where SipHash would be needlessly slow.
 //! * [`hasher`] — a streaming XXH64 checksum for the on-disk formats (the
 //!   HEPB v2 per-section checksums of `hep-graph::binfile`).
-//! * [`kernels`] — runtime-dispatched (scalar / AVX2) implementations of
-//!   the word-level set operations behind [`DenseBitset`]'s hot methods,
-//!   bit-identical at any instruction set (`HEP_KERNEL` selects).
+//!
+//! The crate is portable safe Rust: `unsafe` code is forbidden here.
+
+#![forbid(unsafe_code)]
 
 pub mod bitset;
 pub mod bytes;
 pub mod env_registry;
 pub mod fx;
 pub mod hasher;
-pub mod kernels;
 pub mod minheap;
 pub mod rng;
 pub mod sync;

@@ -43,8 +43,7 @@ impl HyperReplicaState {
             if self.loads[p as usize] >= cap {
                 continue;
             }
-            // Sparse membership count via the dispatched (scalar/AVX2
-            // gather) kernel; exact count either way.
+            // Sparse membership count of the pins in the replica set.
             let overlap = self.replicas[p as usize].count_members(pins) as i64;
             let cand = (-overlap, self.loads[p as usize], p);
             if best.is_none_or(|b| cand < b) {
