@@ -166,8 +166,7 @@ impl ReplicaState {
 /// exact only up to `2^53` edges; beyond that it rounds to the nearest
 /// representable integer. The `f64 → u64` cast saturates at `u64::MAX`
 /// rather than wrapping, so `num_edges = u64::MAX` with `alpha > 1` yields
-/// an effectively-unbounded cap instead of a tiny wrapped one (same
-/// saturation posture as the `plan_tau` histogram cut).
+/// an effectively-unbounded cap instead of a tiny wrapped one.
 pub fn capacity(num_edges: u64, k: u32, alpha: f64) -> u64 {
     ((alpha * num_edges as f64) / k as f64).ceil() as u64
 }

@@ -116,8 +116,6 @@ pub struct HepRunReport {
     pub h2h_edges: u64,
     /// Number of in-memory edges.
     pub inmem_edges: u64,
-    /// The §4.2 memory-accounting estimate in bytes (b_id = 4).
-    pub footprint_paper_bytes: u64,
     /// Actual heap bytes of the pruned CSR as built.
     pub csr_heap_bytes: usize,
     /// Mean degree of the input graph.
@@ -213,7 +211,6 @@ impl Hep {
         let mean_degree = csr.stats().mean_degree;
         let h2h_edges = csr.num_h2h_edges();
         let inmem_edges = csr.num_inmem_edges();
-        let footprint_paper_bytes = csr.memory_footprint_paper(k);
         let csr_heap_bytes = csr.heap_bytes();
         // Phase 1: in-memory partitioning via NE++ (§3.2; consumes the CSR).
         // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
@@ -270,7 +267,6 @@ impl Hep {
             nepp: nepp.stats,
             h2h_edges,
             inmem_edges,
-            footprint_paper_bytes,
             csr_heap_bytes,
             mean_degree,
             trace: nepp.trace,
@@ -288,12 +284,9 @@ impl Hep {
 
 impl EdgePartitioner for Hep {
     fn name(&self) -> String {
-        // Paper notation: HEP-100, HEP-10, HEP-1.
-        if self.config.tau == self.config.tau.trunc() {
-            format!("HEP-{}", self.config.tau as i64)
-        } else {
-            format!("HEP-{}", self.config.tau)
-        }
+        // Paper notation: HEP-100, HEP-10, HEP-1 (f64 `Display` prints
+        // integral values without a fraction, and ∞ as `inf`).
+        format!("HEP-{}", self.config.tau)
     }
 
     fn partition(
@@ -333,6 +326,7 @@ mod tests {
         assert_eq!(Hep::with_tau(10.0).name(), "HEP-10");
         assert_eq!(Hep::with_tau(1.0).name(), "HEP-1");
         assert_eq!(Hep::with_tau(1.5).name(), "HEP-1.5");
+        assert_eq!(Hep::with_tau(f64::INFINITY).name(), "HEP-inf");
     }
 
     #[test]
@@ -351,7 +345,7 @@ mod tests {
         let (_, r100) = run(&g, 8, 100.0);
         let (_, r1) = run(&g, 8, 1.0);
         assert!(r1.h2h_edges > r100.h2h_edges);
-        assert!(r1.footprint_paper_bytes < r100.footprint_paper_bytes);
+        assert!(r1.csr_heap_bytes < r100.csr_heap_bytes);
     }
 
     #[test]

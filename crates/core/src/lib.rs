@@ -29,9 +29,8 @@ pub use config::{parse_byte_size, HepConfig};
 pub use hep::{ingest_file_budgeted, Hep, HepRunReport, PhaseTimings};
 pub use nepp::{NeppResult, NeppStats};
 pub use planner::{
-    estimate_footprint_bytes, estimate_stream_overhead_bytes, ingest_peak_bytes, plan_ingest,
-    plan_stream_batch, plan_tau, IngestPlan, TauPlan, INGEST_FIXED_OVERHEAD_BYTES,
-    INGEST_SWEEP_GRID,
+    estimate_stream_overhead_bytes, ingest_peak_bytes, plan_ingest, plan_stream_batch, IngestPlan,
+    INGEST_FIXED_OVERHEAD_BYTES, INGEST_SWEEP_GRID,
 };
 pub use simple_hybrid::SimpleHybrid;
 pub use streaming::{stream_h2h, stream_h2h_serial, HighReplicas};

@@ -3,39 +3,12 @@
 //! "One can perform a pre-computation step and build the cumulative sum of
 //! the size of the adjacency lists of the respective low-degree vertices for
 //! different values of τ; then, one chooses the maximal value of τ that keeps
-//! the memory bound." The pre-computation here is a degree histogram plus a
-//! prefix sum, so evaluating the whole τ grid costs `O(|V| + max_degree)`
-//! after the `O(|E|)` degree pass — negligible next to partitioning run-time,
-//! which is the point of Table 2.
+//! the memory bound." The pre-computation here is the `O(|E|)` degree pass;
+//! [`plan_ingest`] then sums the low-degree adjacency directly, `O(|V|)` per
+//! candidate τ and no allocation, which is negligible next to partitioning
+//! run-time — the point of Table 2.
 
-use hep_graph::{EdgeList, GraphError};
-
-/// A planned τ with its predicted footprint.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TauPlan {
-    /// The chosen threshold factor.
-    pub tau: f64,
-    /// Predicted bytes under the §4.2 accounting.
-    pub estimated_bytes: u64,
-}
-
-/// The §4.2 memory accounting for a hypothetical τ, without building the
-/// CSR: `Σ_{v∈V_l} d(v)·b_id + 6·|V|·b_id + |V|·(k+1)/8` with `b_id = 4`.
-pub fn estimate_footprint_bytes(graph: &EdgeList, tau: f64, k: u32) -> u64 {
-    let degrees = graph.degrees();
-    let mean = graph.mean_degree();
-    let column_entries: u64 = degrees
-        .iter()
-        .filter(|&&d| hep_graph::degrees::is_low_degree(d, tau, mean))
-        .map(|&d| d as u64)
-        .sum();
-    footprint_from_entries(column_entries, graph.num_vertices as u64, k)
-}
-
-#[inline]
-fn footprint_from_entries(column_entries: u64, n: u64, k: u32) -> u64 {
-    column_entries * 4 + 6 * n * 4 + n * (k as u64 + 1) / 8
-}
+use hep_graph::GraphError;
 
 /// Phase-2 batch size. Phase 2 commits one edge at a time, so this always
 /// returns 1; it is kept only for callers written against the earlier
@@ -52,8 +25,8 @@ pub fn plan_stream_batch(_k: u32, _memory_budget_bytes: Option<u64>) -> usize {
 /// this estimate). The seed rows themselves (NE++'s
 /// [`HighReplicas`](crate::streaming::HighReplicas), ⌈k/64⌉ words per
 /// high-degree vertex plus the V_h bitset and its rank prefix) are below
-/// the `|V|·(k+1)/8` the §4.2 accounting charges for the secondary sets,
-/// which [`estimate_footprint_bytes`] and [`plan_tau`] still charge.
+/// the `|V|·(k+1)/8` the paper's §4.2 accounting charges for the
+/// secondary sets.
 ///
 /// Terms the engine ([`stream_h2h`]) uses:
 ///
@@ -149,7 +122,8 @@ pub fn ingest_peak_bytes(n: u64, column_entries: u64, sweeps: usize) -> u64 {
 
 /// Plans out-of-core ingestion against a memory budget (§4.2: the budget,
 /// not |E|, dictates what is held at once). Given the raw degree sequence
-/// (one file pass, τ-independent), the planner searches τ from
+/// (one file pass, τ-independent), each candidate τ costs one `O(|V|)` sum
+/// over `degrees` and no allocation. The planner searches τ from
 /// `requested_tau` downward (halving) and, per τ, the smallest sweep count
 /// in [`INGEST_SWEEP_GRID`] whose predicted peak
 /// ([`ingest_peak_bytes`]) fits — **quality first**: τ is degraded only
@@ -182,19 +156,15 @@ pub fn plan_ingest(
         )));
     }
     let n = degrees.len() as u64;
-    let max_d = degrees.iter().copied().max().unwrap_or(0) as usize;
-    let mut weight_upto = vec![0u64; max_d + 2];
-    for &d in degrees {
-        weight_upto[d as usize + 1] += d as u64;
-    }
-    for i in 1..weight_upto.len() {
-        weight_upto[i] += weight_upto[i - 1];
-    }
+    // The one τ → column-entries map: Σ d(v) over the vertices the shared
+    // §3.1 predicate classifies low. A NaN threshold (τ = ∞ on an edgeless
+    // graph) classifies nothing low.
     let entries_at = |tau: f64| -> u64 {
-        match hep_graph::degrees::low_degree_cutoff(tau, mean_degree, max_d as u32) {
-            Some(cutoff) => weight_upto[cutoff as usize + 1],
-            None => 0,
-        }
+        degrees
+            .iter()
+            .filter(|&&d| hep_graph::degrees::is_low_degree(d, tau, mean_degree))
+            .map(|&d| d as u64)
+            .sum()
     };
     let peak_at = |entries: u64, sweeps: usize| -> u64 {
         ingest_peak_bytes(n, entries, sweeps)
@@ -212,8 +182,8 @@ pub fn plan_ingest(
         }
         Some(b) => b,
     };
-    // τ halves until the low-degree cutoff bottoms out at zero entries; 64
-    // halvings cross the whole f64 range of useful thresholds.
+    // τ halves until no vertex is low (zero entries); 64 halvings cross the
+    // whole f64 range of useful thresholds.
     let mut tau = requested_tau;
     let mut min_peak = u64::MAX;
     for _ in 0..=64 {
@@ -238,135 +208,13 @@ pub fn plan_ingest(
     Err(GraphError::BudgetExceeded { budget_bytes: budget, required_bytes: min_peak })
 }
 
-/// Chooses the **maximum** τ from `tau_grid` whose predicted footprint fits
-/// `budget_bytes`. Returns `None` when even the smallest τ does not fit.
-///
-/// One degree pass; per-τ evaluation via a degree histogram prefix sum.
-pub fn plan_tau(
-    graph: &EdgeList,
-    k: u32,
-    budget_bytes: u64,
-    tau_grid: &[f64],
-) -> Result<Option<TauPlan>, GraphError> {
-    if tau_grid.is_empty() {
-        return Err(GraphError::InvalidConfig("tau grid must not be empty".into()));
-    }
-    if tau_grid.iter().any(|&t| t.is_nan() || t <= 0.0) {
-        return Err(GraphError::InvalidConfig("tau values must be positive".into()));
-    }
-    let degrees = graph.degrees();
-    let n = graph.num_vertices as u64;
-    let mean = graph.mean_degree();
-    let max_d = degrees.iter().copied().max().unwrap_or(0) as usize;
-    // weight_upto[d] = Σ degree over vertices with degree <= d.
-    let mut weight_upto = vec![0u64; max_d + 2];
-    for &d in &degrees {
-        weight_upto[d as usize + 1] += d as u64;
-    }
-    for i in 1..weight_upto.len() {
-        weight_upto[i] += weight_upto[i - 1];
-    }
-    let mut grid: Vec<f64> = tau_grid.to_vec();
-    // hep-lint: allow(HL007) -- PlannerConfig::validate rejects NaN taus before the sweep runs
-    grid.sort_by(|a, b| b.partial_cmp(a).expect("no NaN in tau grid"));
-    for tau in grid {
-        // The shared §3.1 predicate in histogram form: low iff d <= cutoff.
-        // The old inline `(tau * mean).floor() as usize` saturated at huge
-        // τ and overflowed the index arithmetic below. `None` is reachable
-        // only through an ill-defined threshold (τ = ∞ on an edgeless
-        // graph makes ∞ · 0 = NaN); `is_low_degree` classifies nothing as
-        // low under a NaN threshold, so the histogram form agrees by
-        // counting zero entries.
-        let entries = match hep_graph::degrees::low_degree_cutoff(tau, mean, max_d as u32) {
-            Some(cutoff) => weight_upto[cutoff as usize + 1],
-            None => 0,
-        };
-        let bytes = footprint_from_entries(entries, n, k);
-        if bytes <= budget_bytes {
-            return Ok(Some(TauPlan { tau, estimated_bytes: bytes }));
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hep_graph::PrunedCsr;
+    use hep_graph::{EdgeList, PrunedCsr};
 
     fn graph() -> EdgeList {
         hep_gen::GraphSpec::ChungLu { n: 2000, m: 15_000, gamma: 2.0 }.generate(1)
-    }
-
-    #[test]
-    fn estimate_matches_built_csr() {
-        let g = graph();
-        for tau in [100.0, 10.0, 1.0] {
-            let est = estimate_footprint_bytes(&g, tau, 32);
-            let built = PrunedCsr::build(&g, tau).memory_footprint_paper(32);
-            assert_eq!(est, built, "tau={tau}");
-        }
-    }
-
-    #[test]
-    fn footprint_decreases_with_tau() {
-        let g = graph();
-        let f = |tau| estimate_footprint_bytes(&g, tau, 32);
-        assert!(f(1.0) < f(10.0));
-        assert!(f(10.0) <= f(100.0));
-    }
-
-    #[test]
-    fn planner_picks_max_fitting_tau() {
-        let g = graph();
-        let grid = [100.0, 10.0, 1.0];
-        // Generous budget: the largest tau fits.
-        let plan = plan_tau(&g, 32, u64::MAX, &grid).unwrap().unwrap();
-        assert_eq!(plan.tau, 100.0);
-        // Budget exactly at tau=10's footprint: 10 is the max fitting if 100
-        // needs more.
-        let b10 = estimate_footprint_bytes(&g, 10.0, 32);
-        let b100 = estimate_footprint_bytes(&g, 100.0, 32);
-        if b100 > b10 {
-            let plan = plan_tau(&g, 32, b10, &grid).unwrap().unwrap();
-            assert_eq!(plan.tau, 10.0);
-            assert_eq!(plan.estimated_bytes, b10);
-        }
-        // Impossible budget.
-        assert_eq!(plan_tau(&g, 32, 0, &grid).unwrap(), None);
-    }
-
-    #[test]
-    fn planner_prediction_is_honoured_by_hep() {
-        // End-to-end: the built CSR's accounted footprint must not exceed
-        // the plan's estimate.
-        let g = graph();
-        let budget = estimate_footprint_bytes(&g, 10.0, 8) + 1;
-        let plan = plan_tau(&g, 8, budget, &[100.0, 10.0, 1.0]).unwrap().unwrap();
-        let built = PrunedCsr::build(&g, plan.tau).memory_footprint_paper(8);
-        assert!(built <= budget, "built {built} > budget {budget}");
-    }
-
-    #[test]
-    fn histogram_cut_agrees_with_float_estimate() {
-        // The τ planner's prefix-sum evaluation and the per-vertex float
-        // estimate funnel through the same shared predicate now; the
-        // chosen plan's bytes must match the direct estimate exactly —
-        // including τ huge enough that the old `(τ·mean).floor() as usize`
-        // saturated and overflowed the histogram index (a debug panic /
-        // wrong-answer release bug before PR 5).
-        let g = graph();
-        for tau in [0.5, 1.0, 3.0, 10.0, 1e18, 1e300] {
-            let plan = plan_tau(&g, 16, u64::MAX, &[tau]).unwrap().unwrap();
-            assert_eq!(plan.estimated_bytes, estimate_footprint_bytes(&g, tau, 16), "tau={tau}");
-        }
-        // Integral τ·mean: craft a graph with mean degree exactly 2 (a
-        // cycle), so τ = 3 puts the threshold exactly on degree 6 — the
-        // boundary the duplicated forms used to disagree on.
-        let cyc = hep_gen::spec::GraphSpec::Cycle { n: 100 }.generate(0);
-        assert!((cyc.mean_degree() - 2.0).abs() < 1e-12);
-        let plan = plan_tau(&cyc, 8, u64::MAX, &[1.0]).unwrap().unwrap();
-        assert_eq!(plan.estimated_bytes, estimate_footprint_bytes(&cyc, 1.0, 8));
     }
 
     #[test]
@@ -494,26 +342,59 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_grids() {
+    fn ingest_plan_keeps_the_maximal_fitting_tau() {
+        // §4.4: "choose the maximal value of τ that keeps the memory bound".
+        // Once a budget forces degradation, asking for twice the planned τ
+        // lands on the same τ: the next step up did not fit.
         let g = graph();
-        assert!(plan_tau(&g, 8, 1000, &[]).is_err());
-        assert!(plan_tau(&g, 8, 1000, &[0.0]).is_err());
-        assert!(plan_tau(&g, 8, 1000, &[-2.0]).is_err());
+        let degrees = g.degrees();
+        let mean = g.mean_degree();
+        let n = g.num_vertices as u64;
+        let all_low_peak =
+            plan_ingest(&degrees, mean, 100.0, None, 0).unwrap().estimated_peak_bytes;
+        let floor = ingest_peak_bytes(n, 0, 64);
+        let budget = floor + (all_low_peak - floor) / 4;
+        let plan = plan_ingest(&degrees, mean, 100.0, Some(budget), 0).unwrap();
+        assert!(plan.tau < 100.0, "the budget must force degradation");
+        let again = plan_ingest(&degrees, mean, 2.0 * plan.tau, Some(budget), 0).unwrap();
+        assert_eq!(again, plan);
     }
 
     #[test]
-    fn infinite_tau_on_edgeless_graph_does_not_panic() {
-        // τ = ∞ passes grid validation (> 0, not NaN) and an edgeless
-        // graph has mean degree 0, so the threshold is ∞ · 0 = NaN — the
-        // one reachable ill-defined corner. The planner must agree with
-        // the float estimate (nothing is low under a NaN threshold)
-        // instead of panicking on the missing cutoff.
-        let g = EdgeList::with_vertices(16, std::iter::empty()).unwrap();
-        let plan = plan_tau(&g, 8, u64::MAX, &[f64::INFINITY]).unwrap().unwrap();
-        assert_eq!(plan.estimated_bytes, estimate_footprint_bytes(&g, f64::INFINITY, 8));
-        // On a graph with edges, τ = ∞ simply classifies everything low.
+    fn resident_bytes_count_the_built_column_entries() {
+        // The planner's τ → column-entries map agrees with the CSR builder,
+        // including τ far past any integer cast range, and τ = ∞.
+        let resident = |g: &EdgeList, tau: f64| {
+            let plan = plan_ingest(&g.degrees(), g.mean_degree(), tau, None, 0).unwrap();
+            let built = ingest_resident_bytes(
+                g.num_vertices as u64,
+                PrunedCsr::build(g, tau).column_entries(),
+            );
+            assert_eq!(plan.resident_bytes, built, "tau={tau}");
+        };
         let g = graph();
-        let plan = plan_tau(&g, 8, u64::MAX, &[f64::INFINITY]).unwrap().unwrap();
-        assert_eq!(plan.estimated_bytes, estimate_footprint_bytes(&g, f64::INFINITY, 8));
+        for tau in [0.5, 1.0, 3.0, 10.0, 1e18, 1e300, f64::INFINITY] {
+            resident(&g, tau);
+        }
+        // A cycle has mean degree exactly 2, so τ = 1 puts the threshold
+        // exactly on every vertex's degree: d == τ·mean is low.
+        let cyc = hep_gen::spec::GraphSpec::Cycle { n: 100 }.generate(0);
+        assert!((cyc.mean_degree() - 2.0).abs() < 1e-12);
+        resident(&cyc, 1.0);
+        // τ = ∞ on an edgeless graph: the threshold ∞·0 is NaN, which
+        // classifies nothing low.
+        let edgeless = EdgeList::with_vertices(16, std::iter::empty()).unwrap();
+        resident(&edgeless, f64::INFINITY);
+    }
+
+    #[test]
+    fn non_positive_and_nan_tau_are_invalid_config() {
+        let g = graph();
+        for tau in [0.0, -2.0, f64::NAN] {
+            for budget in [None, Some(u64::MAX)] {
+                let err = plan_ingest(&g.degrees(), g.mean_degree(), tau, budget, 0).unwrap_err();
+                assert!(matches!(err, GraphError::InvalidConfig(_)), "tau={tau}: {err}");
+            }
+        }
     }
 }

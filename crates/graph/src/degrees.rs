@@ -7,39 +7,15 @@
 use crate::edgelist::EdgeList;
 use hep_ds::DenseBitset;
 
-/// The §3.1 low-degree predicate, shared by every layer that classifies
-/// vertices: `v` is low-degree iff `d(v) <= τ · mean_degree` (equivalently
-/// high iff `d(v) > τ · mean_degree`). [`DegreeStats`], the τ planner's
-/// footprint estimate and its histogram cut all funnel through this one
-/// comparison — they used to duplicate it in three slightly different
-/// forms (float compare, `(τ·mean).floor() as usize` cast, bitset), which
-/// invited boundary disagreement at integral `τ·mean` and saturating
-/// casts at huge τ.
+/// The §3.1 low-degree predicate, and the only form of the threshold:
+/// `v` is low-degree iff `d(v) <= τ · mean_degree` (equivalently high iff
+/// `d(v) > τ · mean_degree`). [`DegreeStats`] and the τ planner's
+/// per-candidate column-entry sum both call it, so they agree at integral
+/// `τ·mean` and at τ too large for any integer cast. A NaN threshold (τ = ∞
+/// on an edgeless graph) classifies nothing low.
 #[inline]
 pub fn is_low_degree(d: u32, tau: f64, mean_degree: f64) -> bool {
     (d as f64) <= tau * mean_degree
-}
-
-/// The largest degree in `0..=max_degree` classified low by
-/// [`is_low_degree`], or `None` when no degree qualifies (possible only
-/// for `τ · mean_degree < 0`, which valid configurations — `τ > 0`,
-/// `mean ≥ 0` — never produce, but NaN or forged inputs can).
-///
-/// For every `d <= max_degree`: `is_low_degree(d, tau, mean)` ⟺
-/// `d <= cutoff` — the histogram form of the predicate, used by the τ
-/// planner's prefix-sum evaluation. The clamp to `max_degree` is what
-/// makes huge τ safe: `(τ · mean).floor() as usize` used to saturate to
-/// `usize::MAX` and overflow the histogram index arithmetic.
-#[inline]
-pub fn low_degree_cutoff(tau: f64, mean_degree: f64, max_degree: u32) -> Option<u32> {
-    let threshold = tau * mean_degree;
-    if threshold.is_nan() || threshold < 0.0 {
-        return None; // negative or NaN: not even degree 0 is low
-    }
-    if threshold >= max_degree as f64 {
-        return Some(max_degree);
-    }
-    Some(threshold.floor() as u32)
 }
 
 /// Degree statistics of a graph together with a τ classification.
@@ -217,29 +193,24 @@ mod tests {
 
     #[test]
     fn shared_predicate_boundary_values() {
-        // Integral τ·mean is the boundary the three historical forms
-        // disagreed on: d == τ·mean must be LOW (the paper's "high iff
-        // d > τ·mean"), in the float form, the histogram form and the
-        // bitset classification alike.
+        // Integral τ·mean: d == τ·mean must be LOW (the paper's "high iff
+        // d > τ·mean"), in the predicate and the bitset classification
+        // alike.
         assert!(is_low_degree(6, 3.0, 2.0)); // threshold exactly 6
         assert!(!is_low_degree(7, 3.0, 2.0));
-        assert_eq!(low_degree_cutoff(3.0, 2.0, 100), Some(6));
-        // Huge τ saturates to max_degree instead of overflowing a cast.
-        assert_eq!(low_degree_cutoff(1e300, 2.0, 100), Some(100));
-        assert_eq!(low_degree_cutoff(f64::MAX, f64::MAX, 7), Some(7));
+        // Huge τ admits every degree.
+        assert!(is_low_degree(u32::MAX, 1e300, 2.0));
         // Degenerate thresholds: NaN or negative admit nothing.
-        assert_eq!(low_degree_cutoff(f64::NAN, 2.0, 100), None);
-        assert_eq!(low_degree_cutoff(1.0, -3.0, 100), None);
+        assert!(!is_low_degree(0, f64::NAN, 2.0));
+        assert!(!is_low_degree(0, 1.0, -3.0));
     }
 
     proptest::proptest! {
-        /// The three forms of the §3.1 threshold agree on every degree:
-        /// the float predicate, the histogram cutoff, and the
-        /// [`DegreeStats`] bitset classification — including integral
-        /// τ·mean (the historical float-vs-floor disagreement) and τ huge
-        /// enough that the old `as usize` cast saturated.
+        /// The predicate and the [`DegreeStats`] bitset classification
+        /// agree on every degree — including integral τ·mean and τ far past
+        /// any integer cast range.
         #[test]
-        fn predicate_cutoff_and_stats_agree(
+        fn predicate_and_stats_agree(
             degrees in proptest::collection::vec(0u32..500, 1..120),
             tau in proptest::prelude::prop_oneof![
                 proptest::prelude::Just(0.25),
@@ -256,17 +227,9 @@ mod tests {
                 proptest::prelude::Just(7.3),
             ],
         ) {
-            let max_d = degrees.iter().copied().max().unwrap_or(0);
-            let cutoff = low_degree_cutoff(tau, mean, max_d)
-                .expect("non-negative threshold always yields a cutoff");
             let stats = DegreeStats::from_degrees(degrees.clone(), mean, tau);
             for (v, &d) in degrees.iter().enumerate() {
-                let by_predicate = is_low_degree(d, tau, mean);
-                let by_cutoff = d <= cutoff;
-                let by_stats = !stats.is_high(v as u32);
-                proptest::prop_assert_eq!(by_predicate, by_cutoff,
-                    "predicate vs cutoff at d={}, tau={}, mean={}", d, tau, mean);
-                proptest::prop_assert_eq!(by_predicate, by_stats,
+                proptest::prop_assert_eq!(is_low_degree(d, tau, mean), !stats.is_high(v as u32),
                     "predicate vs DegreeStats at d={}, tau={}, mean={}", d, tau, mean);
             }
         }

@@ -361,19 +361,6 @@ impl PrunedCsr {
         (0..self.num_vertices()).map(|v| self.valid_degree(v) as u64).sum()
     }
 
-    /// The paper's §4.2 memory accounting with `b_id = 4`, in bytes:
-    /// `Σ_{v∈V_l} d(v)·b_id + 6·|V|·b_id + |V|·(k+1)/8`. The paper's
-    /// `6·b_id` = 24 bytes per vertex is an upper bound on this
-    /// implementation's 20 (see [`PrunedCsr::heap_bytes`]), and its
-    /// `|V|·(k+1)/8` for the core set and `k` secondary sets is an upper
-    /// bound on NE++'s: four dense bitsets plus one ⌈k/64⌉-word row per
-    /// high-degree vertex (`hep_core::streaming::HighReplicas`).
-    pub fn memory_footprint_paper(&self, k: u32) -> u64 {
-        let b_id = 4u64;
-        let n = self.num_vertices() as u64;
-        self.column_entries() * b_id + 6 * n * b_id + n * (k as u64 + 1) / 8
-    }
-
     /// Actual heap bytes of this representation as implemented:
     /// `4·column_entries + 8·(|V|+1) + 12·|V| + ⌈|V|/64⌉·8` (the `u64`
     /// index, two size fields, the degree table and the V_h bitset; the h2h
@@ -499,14 +486,6 @@ mod tests {
         assert_eq!(csr.h2h_edges().len(), 4);
         assert_eq!(csr.column_entries(), 0);
         assert_eq!(csr.num_inmem_edges(), 0);
-    }
-
-    #[test]
-    fn memory_footprint_formula() {
-        let g = figure4_graph();
-        let csr = PrunedCsr::build(&g, 1.5);
-        // 13 column entries * 4 + 6 * 9 * 4 + 9 * 33/8 at k=32.
-        assert_eq!(csr.memory_footprint_paper(32), 13 * 4 + 6 * 9 * 4 + 9 * 33 / 8);
     }
 
     #[test]

@@ -19,7 +19,7 @@ fn main() {
         graph.mean_degree()
     );
 
-    let mut table = Table::new(["tau", "RF", "balance", "in-mem edges", "streamed", "est. memory"]);
+    let mut table = Table::new(["tau", "RF", "balance", "in-mem edges", "streamed", "CSR heap"]);
     for tau in [100.0, 10.0, 1.0] {
         let hep = Hep::with_tau(tau);
         let mut metrics = PartitionMetrics::new(k, graph.num_vertices);
@@ -31,7 +31,7 @@ fn main() {
             format!("{:.3}", metrics.balance_factor()),
             report.inmem_edges.to_string(),
             report.h2h_edges.to_string(),
-            format_bytes(report.footprint_paper_bytes),
+            format_bytes(report.csr_heap_bytes as u64),
         ]);
     }
     println!("\n{}", table.render());

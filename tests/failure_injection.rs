@@ -113,9 +113,10 @@ fn with_vertices_rejects_out_of_range_ids() {
 #[test]
 fn planner_rejects_degenerate_grids() {
     let g = tiny_graph();
-    assert!(hep::core::plan_tau(&g, 4, 1000, &[]).is_err());
-    assert!(hep::core::plan_tau(&g, 4, 1000, &[-1.0]).is_err());
-    assert!(hep::core::plan_tau(&g, 4, 1000, &[0.0]).is_err());
+    for tau in [0.0, -1.0, f64::NAN] {
+        let plan = hep::core::plan_ingest(&g.degrees(), g.mean_degree(), tau, Some(1000), 0);
+        assert!(matches!(plan, Err(GraphError::InvalidConfig(_))), "tau={tau}: {plan:?}");
+    }
 }
 
 #[test]

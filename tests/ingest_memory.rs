@@ -318,3 +318,27 @@ fn ingests_graph_whose_edge_list_exceeds_the_budget() {
         file.num_edges()
     );
 }
+
+/// A multigraph's maximum degree can far exceed |V|. The planner must not
+/// allocate anything proportional to it: 1,000,000 copies of one edge over
+/// 2 vertices degrade to an all-high plan whose whole peak is the fixed
+/// overhead, and the measured peak stays under that estimate.
+#[test]
+fn multigraph_ingestion_stays_within_estimate_within_budget() {
+    let _region = region();
+    let mut path = std::env::temp_dir();
+    path.push(format!("hep_ingest_mem_{}_multigraph.hepb", std::process::id()));
+    let _guard = TempFileGuard(path.clone());
+    let mut writer = hep::graph::EdgeFileWriter::create(&path, 2).unwrap();
+    let copies = 1_000_000u64;
+    for _ in 0..copies {
+        writer.push(Edge::new(0, 1));
+    }
+    let file = writer.finish().unwrap();
+    let budget = 4 << 20;
+    let (csr, plan, h2h, peak) = measured_ingest(&file, 10.0, Some(budget));
+    assert!(plan.tau < 10.0, "8 MB of column entries cannot fit 4 MiB: τ must degrade");
+    assert!(plan.estimated_peak_bytes <= budget);
+    assert!(peak <= plan.estimated_peak_bytes, "peak {peak} over estimate {plan:?}");
+    assert_eq!(csr.num_inmem_edges() + h2h, copies);
+}

@@ -54,16 +54,16 @@ fn hep_1_beats_streaming() {
 #[test]
 fn tau_controls_memory_monotonically() {
     let g = social_graph();
-    let f = |tau| hep::core::estimate_footprint_bytes(&g, tau, 32);
-    assert!(f(1.0) < f(10.0));
-    assert!(f(10.0) <= f(100.0));
-    let budget = f(10.0);
-    let plan = hep::core::plan_tau(&g, 32, budget, &[100.0, 10.0, 1.0])
-        .expect("valid grid")
-        .expect("fits");
-    assert!(plan.estimated_bytes <= budget);
-    let built = hep::graph::PrunedCsr::build(&g, plan.tau).memory_footprint_paper(32);
-    assert_eq!(built, plan.estimated_bytes);
+    let (degrees, mean) = (g.degrees(), g.mean_degree());
+    let plan = |tau, budget| hep::core::plan_ingest(&degrees, mean, tau, budget, 0).expect("fits");
+    let peak = |tau| plan(tau, None).estimated_peak_bytes;
+    assert!(peak(1.0) < peak(10.0));
+    assert!(peak(10.0) <= peak(100.0));
+    let budget = peak(10.0);
+    let chosen = plan(100.0, Some(budget));
+    assert!(chosen.estimated_peak_bytes <= budget);
+    let built = hep::graph::PrunedCsr::build(&g, chosen.tau);
+    assert!(built.heap_bytes() as u64 <= chosen.resident_bytes);
 }
 
 /// §5.2: replication factor degrades gracefully as τ shrinks (the

@@ -77,10 +77,6 @@ fn report_is_consistent_with_metrics() {
     assert_eq!(report.inmem_edges + report.h2h_edges, g.num_edges());
     assert_eq!(report.partition_sizes.iter().sum::<u64>(), g.num_edges());
     assert_eq!(report.partition_sizes, metrics.edge_counts);
-    // The paper-formula footprint counts the pruned column array; the real
-    // heap usage of the CSR must be within a small constant of it (u64
-    // index arrays vs. the paper's 4-byte fields).
-    assert!(report.csr_heap_bytes as u64 >= report.footprint_paper_bytes / 4);
 }
 
 #[test]
