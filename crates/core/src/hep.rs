@@ -236,11 +236,15 @@ impl Hep {
         // (no replica bits, over the same V_h).
         let informed = self.config.informed_streaming;
         let degrees = nepp.degrees;
-        let ne_sizes = nepp.sizes.clone();
-        let (seed_sets, seed_sizes) = if informed {
-            (nepp.s_sets, nepp.sizes)
+        // Uninformed streaming adds NE++'s loads back after the pass.
+        let (seed_sets, seed_sizes, ne_sizes) = if informed {
+            (nepp.s_sets, nepp.sizes, None)
         } else {
-            (HighReplicas::new(k, nepp.s_sets.high().clone()), vec![0; k as usize])
+            (
+                HighReplicas::new(k, nepp.s_sets.high().clone()),
+                vec![0; k as usize],
+                Some(nepp.sizes),
+            )
         };
         let loads = stream_h2h(
             reader,
@@ -258,7 +262,7 @@ impl Hep {
         }
         let mut partition_sizes = loads?;
         let stream_secs = stream_start.elapsed().as_secs_f64();
-        if !informed {
+        if let Some(ne_sizes) = ne_sizes {
             for (size, ne) in partition_sizes.iter_mut().zip(&ne_sizes) {
                 *size += ne;
             }

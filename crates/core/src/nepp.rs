@@ -27,6 +27,7 @@
 
 use crate::config::HepConfig;
 use crate::streaming::HighReplicas;
+use hep_ds::minheap::NOT_IN_HEAP;
 use hep_ds::{DenseBitset, IndexedMinHeap};
 use hep_graph::{AssignSink, PartitionId, PrunedCsr, VertexId};
 
@@ -96,7 +97,9 @@ pub struct NeppResult {
     /// Edges placed on each partition by the in-memory phase.
     pub sizes: Vec<u64>,
     /// Full degree per vertex, moved out of the consumed CSR for the
-    /// streaming phase's HDRF scores.
+    /// streaming phase's HDRF scores. While NE++ runs, a low-degree
+    /// vertex's slot holds its heap position instead; the run rebuilds
+    /// those slots from the CSR's segment lengths before it returns.
     pub degrees: Vec<u32>,
     /// Run statistics.
     pub stats: NeppStats,
@@ -122,6 +125,10 @@ struct Nepp<'a, S: AssignSink + ?Sized> {
     /// `ever − core`).
     ever: DenseBitset,
     replicas: HighReplicas,
+    /// Secondary-set vertices by external degree. Its position table is
+    /// the CSR's degree table: low-degree slots carry heap positions (a low
+    /// degree is the CSR segment length), high-degree slots keep the degree
+    /// and are never passed to the heap.
     heap: IndexedMinHeap,
     cur: u32,
     /// Endpoints of spilled edges, queued (with the partition that received
@@ -151,7 +158,7 @@ fn balanced_caps(total: u64, parts: u32) -> Vec<u64> {
 /// Runs NE++ over a pruned CSR, emitting in-memory edge assignments into
 /// `sink`. The CSR is consumed: lazy removal destroys adjacency lists.
 pub fn run_nepp<S: AssignSink + ?Sized>(
-    csr: PrunedCsr,
+    mut csr: PrunedCsr,
     k: u32,
     config: &HepConfig,
     sink: &mut S,
@@ -159,9 +166,14 @@ pub fn run_nepp<S: AssignSink + ?Sized>(
     let n = csr.num_vertices();
     let inmem = csr.num_inmem_edges();
     let caps = balanced_caps(inmem, k);
-    let mut stats = NeppStats { column_entries: csr.column_entries(), ..Default::default() };
-    stats.assigned_edges = 0;
+    let stats = NeppStats { column_entries: csr.column_entries(), ..Default::default() };
     let replicas = HighReplicas::new(k, csr.stats().high.clone());
+    let mut positions = csr.take_degrees();
+    for (v, slot) in positions.iter_mut().enumerate() {
+        if !csr.is_high(v as VertexId) {
+            *slot = NOT_IN_HEAP;
+        }
+    }
     let mut engine = Nepp {
         csr,
         k,
@@ -171,7 +183,7 @@ pub fn run_nepp<S: AssignSink + ?Sized>(
         s_cur: DenseBitset::new(n as usize),
         ever: DenseBitset::new(n as usize),
         replicas,
-        heap: IndexedMinHeap::new(n as usize),
+        heap: IndexedMinHeap::with_positions(positions),
         cur: 0,
         pending: Vec::new(),
         next_nonfull: 1,
@@ -279,7 +291,10 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
                     self.csr.swap_remove(v, out, i);
                     self.stats.scan_removed += 1;
                     size -= 1;
-                    self.heap.decrease_key_by(u, 1);
+                    // A high vertex's slot holds its degree, not a position.
+                    if !self.csr.is_high(u) {
+                        self.heap.decrease_key_by(u, 1);
+                    }
                 } else {
                     dext += 1;
                     i += 1;
@@ -298,7 +313,7 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
         debug_assert!(!self.csr.is_high(v), "high-degree vertices are never cored");
         self.core.set(v);
         self.stats.core_count += 1;
-        self.stats.core_degree_sum += self.csr.stats().degree(v) as u64;
+        self.stats.core_degree_sum += self.csr.segment_len(v) as u64;
         self.scan_core_list(v, true);
         self.scan_core_list(v, false);
     }
@@ -376,14 +391,20 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
     fn cleanup_partition(&mut self) {
         // hep-lint: allow(HL002) -- cleanup timing is accumulated for Figure 7 reporting; it never feeds an assignment decision
         let start = std::time::Instant::now();
-        let members: Vec<VertexId> = self.s_cur.iter_ones().collect();
-        for v in members {
-            if self.csr.is_high(v) {
-                self.replicas.set(v, self.cur); // high-degree lists are pruned
-            } else if !self.core.get(v) {
-                // Core lists are dead; a survivor's are cleaned.
-                self.cleanup_list(v, true);
-                self.cleanup_list(v, false);
+        // Clean-up never changes S_cur, so the walk reads one copied word
+        // at a time instead of collecting the members first.
+        for w in 0..self.s_cur.words().len() {
+            let mut word = self.s_cur.words()[w];
+            while word != 0 {
+                let v = (w as VertexId) << 6 | word.trailing_zeros();
+                word &= word - 1;
+                if self.csr.is_high(v) {
+                    self.replicas.set(v, self.cur); // high-degree lists are pruned
+                } else if !self.core.get(v) {
+                    // Core lists are dead; a survivor's are cleaned.
+                    self.cleanup_list(v, true);
+                    self.cleanup_list(v, false);
+                }
             }
         }
         self.ever.union_with(&self.s_cur);
@@ -514,17 +535,24 @@ impl<'a, S: AssignSink + ?Sized> Nepp<'a, S> {
             self.csr.num_inmem_edges(),
             "NE++ must assign every in-memory edge exactly once"
         );
+        // The heap lent the degree table's low-degree slots; rebuild them.
+        let mut degrees = self.heap.into_positions();
+        for (v, d) in degrees.iter_mut().enumerate() {
+            if !self.csr.is_high(v as VertexId) {
+                *d = self.csr.segment_len(v as VertexId);
+            }
+        }
         // Figure 5 bookkeeping: degrees of vertices that were in some S_i
         // but never cored.
         self.ever.difference_with(&self.core);
         for v in self.ever.iter_ones() {
             self.stats.secondary_only_count += 1;
-            self.stats.secondary_only_degree_sum += self.csr.stats().degree(v) as u64;
+            self.stats.secondary_only_degree_sum += degrees[v as usize] as u64;
         }
         NeppResult {
             s_sets: self.replicas,
             sizes: self.sizes,
-            degrees: self.csr.into_degrees(),
+            degrees,
             stats: self.stats,
             trace: self.trace,
             cleanup_seconds: self.cleanup_seconds,
@@ -739,7 +767,14 @@ mod tests {
         #[test]
         fn exactly_once_any_graph(
             pairs in proptest::collection::vec((0u32..60, 0u32..60), 1..400),
-            tau in prop_oneof![Just(0.5), Just(1.0), Just(2.0), Just(10.0), Just(100.0)],
+            tau in prop_oneof![
+                Just(0.5),
+                Just(1.0),
+                Just(2.0),
+                Just(10.0),
+                Just(100.0),
+                Just(f64::INFINITY)
+            ],
             k in 2u32..9,
         ) {
             let mut g = EdgeList::from_pairs(pairs);

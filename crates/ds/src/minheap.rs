@@ -5,8 +5,14 @@
 //! `decrease_key`/`update` run in `O(log |V|)` when a neighbour joins the
 //! secondary set. Ties are broken by element id, which makes the expansion
 //! deterministic and reproducible across runs.
+//!
+//! The lookup table can be lent by the caller ([`IndexedMinHeap::with_positions`]):
+//! NE++ lends its degree table, whose low-degree entries are redundant with
+//! the CSR's segment lengths while it runs, so the heap adds no `|V|`-sized
+//! array of its own.
 
-const NOT_IN_HEAP: u32 = u32::MAX;
+/// Position-table value of an id that is not in the heap.
+pub const NOT_IN_HEAP: u32 = u32::MAX;
 
 /// Binary min-heap over `(key, id)` pairs with `O(1)` id lookup.
 #[derive(Clone, Debug)]
@@ -20,7 +26,25 @@ pub struct IndexedMinHeap {
 impl IndexedMinHeap {
     /// Creates a heap able to hold ids `0..capacity`.
     pub fn new(capacity: usize) -> Self {
-        IndexedMinHeap { slots: Vec::new(), pos: vec![NOT_IN_HEAP; capacity] }
+        Self::with_positions(vec![NOT_IN_HEAP; capacity])
+    }
+
+    /// Creates an empty heap over a caller-provided position table for ids
+    /// `0..positions.len()`. Every id the caller will pass to the heap must
+    /// hold [`NOT_IN_HEAP`]; the entries of other ids may hold
+    /// anything, are never written, and come back unchanged from
+    /// [`Self::into_positions`]. Such an id must never be passed to any
+    /// method: its entry would be read as a slot index.
+    pub fn with_positions(positions: Vec<u32>) -> Self {
+        IndexedMinHeap { slots: Vec::new(), pos: positions }
+    }
+
+    /// Empties the heap and returns its position table: ids that were
+    /// passed to the heap hold [`NOT_IN_HEAP`] again, every other
+    /// entry is as [`Self::with_positions`] received it.
+    pub fn into_positions(mut self) -> Vec<u32> {
+        self.clear();
+        self.pos
     }
 
     /// Number of elements currently in the heap.
@@ -35,7 +59,8 @@ impl IndexedMinHeap {
         self.slots.is_empty()
     }
 
-    /// Heap bytes of the backing storage (for memory accounting).
+    /// Heap bytes of the backing storage, the position table included (for
+    /// memory accounting).
     pub fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<(u64, u32)>() + self.pos.capacity() * 4
     }
@@ -83,7 +108,7 @@ impl IndexedMinHeap {
     }
 
     /// Decreases the key of `id` by `delta`, saturating at zero.
-    /// No-op when `id` is absent (e.g. a high-degree vertex in NE++).
+    /// No-op when `id` is absent.
     pub fn decrease_key_by(&mut self, id: u32, delta: u64) {
         debug_assert!((id as usize) < self.pos.len(), "id {id} beyond heap capacity");
         let p = self.pos[id as usize];
@@ -304,48 +329,67 @@ mod tests {
         ]
     }
 
+    /// Applies `ops` to `h` and to a `BTreeMap` reference model, asserting
+    /// they agree after every operation.
+    fn check_against_model(h: &mut IndexedMinHeap, ops: Vec<Op>) {
+        let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+        for op in ops {
+            match op {
+                Op::Insert(id, k) => {
+                    if let std::collections::btree_map::Entry::Vacant(slot) = model.entry(id) {
+                        h.insert(id, k);
+                        slot.insert(k);
+                    }
+                }
+                Op::Update(id, k) => {
+                    h.update(id, k);
+                    model.insert(id, k);
+                }
+                Op::DecreaseBy(id, d) => {
+                    h.decrease_key_by(id, d);
+                    if let Some(v) = model.get_mut(&id) {
+                        *v = v.saturating_sub(d);
+                    }
+                }
+                Op::Remove(id) => {
+                    prop_assert_eq!(h.remove(id), model.remove(&id));
+                }
+                Op::PopMin => {
+                    let expect = model.iter().map(|(&id, &k)| (k, id)).min();
+                    let got = h.pop_min();
+                    prop_assert_eq!(got, expect);
+                    if let Some((_, id)) = got {
+                        model.remove(&id);
+                    }
+                }
+            }
+            prop_assert_eq!(h.len(), model.len());
+        }
+    }
+
     proptest! {
         /// The heap must agree with a BTreeMap-based reference model under
         /// arbitrary interleavings of all operations.
         #[test]
         fn behaves_like_model(ops in proptest::collection::vec(op_strategy(), 0..300)) {
-            let mut h = IndexedMinHeap::new(64);
-            let mut model: BTreeMap<u32, u64> = BTreeMap::new();
-            for op in ops {
-                match op {
-                    Op::Insert(id, k) => {
-                        if let std::collections::btree_map::Entry::Vacant(slot) = model.entry(id) {
-                            h.insert(id, k);
-                            slot.insert(k);
-                        }
-                    }
-                    Op::Update(id, k) => {
-                        h.update(id, k);
-                        model.insert(id, k);
-                    }
-                    Op::DecreaseBy(id, d) => {
-                        h.decrease_key_by(id, d);
-                        if let Some(v) = model.get_mut(&id) {
-                            *v = v.saturating_sub(d);
-                        }
-                    }
-                    Op::Remove(id) => {
-                        prop_assert_eq!(h.remove(id), model.remove(&id));
-                    }
-                    Op::PopMin => {
-                        let expect = model
-                            .iter()
-                            .map(|(&id, &k)| (k, id))
-                            .min();
-                        let got = h.pop_min();
-                        prop_assert_eq!(got, expect);
-                        if let Some((_, id)) = got {
-                            model.remove(&id);
-                        }
-                    }
-                }
-                prop_assert_eq!(h.len(), model.len());
-            }
+            check_against_model(&mut IndexedMinHeap::new(64), ops);
+        }
+
+        /// The same over a lent position table whose never-inserted ids
+        /// 64..128 hold arbitrary non-sentinel values: the heap neither
+        /// reads nor writes them, and `into_positions` returns them as lent.
+        #[test]
+        fn lent_table_behaves_like_model(
+            ops in proptest::collection::vec(op_strategy(), 0..300),
+            foreign in proptest::collection::vec(0u32..u32::MAX, 64..65),
+        ) {
+            let mut table = vec![NOT_IN_HEAP; 64];
+            table.extend_from_slice(&foreign);
+            let mut h = IndexedMinHeap::with_positions(table);
+            check_against_model(&mut h, ops);
+            let back = h.into_positions();
+            prop_assert!(back[..64].iter().all(|&p| p == NOT_IN_HEAP));
+            prop_assert_eq!(&back[64..], &foreign[..]);
         }
     }
 }

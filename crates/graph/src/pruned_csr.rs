@@ -226,10 +226,11 @@ impl PrunedCsr {
         })
     }
 
-    /// Number of vertices.
+    /// Number of vertices (counted from the segment index, so it holds
+    /// after [`PrunedCsr::take_degrees`]).
     #[inline]
     pub fn num_vertices(&self) -> u32 {
-        self.stats.num_vertices()
+        (self.index_out.len() - 1) as u32
     }
 
     /// Total number of input edges (in-memory + h2h).
@@ -258,16 +259,29 @@ impl PrunedCsr {
         &self.h2h
     }
 
-    /// Degree statistics (full degrees and the V_h classification).
+    /// Degree statistics (full degrees and the V_h classification; the
+    /// degrees are empty after [`PrunedCsr::take_degrees`]).
     #[inline]
     pub fn stats(&self) -> &DegreeStats {
         &self.stats
     }
 
-    /// Consumes the CSR and keeps only its degree table, freeing the
-    /// adjacency arrays — what phase 2 still needs after NE++.
-    pub fn into_degrees(self) -> Vec<u32> {
-        self.stats.degrees
+    /// Moves the degree table out, leaving [`PrunedCsr::stats`] with an
+    /// empty `degrees` (the V_h classification stays). A low-degree
+    /// vertex's degree remains readable as [`PrunedCsr::segment_len`]; NE++
+    /// reuses those slots of the table as its heap's position table and
+    /// rebuilds them from the segment lengths when it ends.
+    pub fn take_degrees(&mut self) -> Vec<u32> {
+        std::mem::take(&mut self.stats.degrees)
+    }
+
+    /// Length of `v`'s column segment: `d(v)` for a low-degree vertex (the
+    /// builder rejects any low segment that is not exactly full), 0 for a
+    /// high-degree one.
+    #[inline]
+    pub fn segment_len(&self, v: VertexId) -> u32 {
+        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
+        (self.index_out[v as usize + 1] - self.index_out[v as usize]) as u32
     }
 
     /// Whether `v` is high-degree (pruned).
@@ -364,7 +378,8 @@ impl PrunedCsr {
     /// Actual heap bytes of this representation as implemented:
     /// `4·column_entries + 8·(|V|+1) + 12·|V| + ⌈|V|/64⌉·8` (the `u64`
     /// index, two size fields, the degree table and the V_h bitset; the h2h
-    /// buffer is conceptually on disk and excluded).
+    /// buffer is conceptually on disk and excluded). The degree table's
+    /// term is 0 once [`PrunedCsr::take_degrees`] has moved it out.
     pub fn heap_bytes(&self) -> usize {
         self.col.len() * 4
             + self.index_out.len() * 8
@@ -789,6 +804,27 @@ mod tests {
                 // low vertex once, which is exactly one column entry.
                 ;
             prop_assert_eq!(csr.column_entries(), expected);
+        }
+
+        /// A low vertex's segment is exactly `d(v)` entries and a high
+        /// one's is empty, so the degree table can be moved out and its low
+        /// entries rebuilt from the segments alone.
+        #[test]
+        fn segments_restore_the_moved_degree_table(
+            pairs in proptest::collection::vec((0u32..30, 0u32..30), 1..120),
+            tau in 0.25f64..8.0,
+        ) {
+            let mut g = EdgeList::from_pairs(pairs);
+            g.canonicalize();
+            prop_assume!(!g.edges.is_empty());
+            let mut csr = PrunedCsr::build(&g, tau);
+            let degrees = csr.take_degrees();
+            prop_assert_eq!(&degrees, &g.degrees());
+            prop_assert_eq!(csr.num_vertices(), g.num_vertices);
+            for v in 0..csr.num_vertices() {
+                let expect = if csr.is_high(v) { 0 } else { degrees[v as usize] };
+                prop_assert_eq!(csr.segment_len(v), expect, "vertex {}", v);
+            }
         }
     }
 }

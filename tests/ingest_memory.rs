@@ -182,6 +182,40 @@ fn nepp_state_stays_below_k_dense_secondary_sets() {
     );
 }
 
+/// NE++ adds three dense bitsets (`C`, the open `S_cur` and `ever`, the
+/// union of the closed sets), V_h's replica rows, the heap's slots, the
+/// spill queue `pending` and two per-partition vectors above the CSR it
+/// consumes. The heap's position table is the CSR's degree table, so no
+/// `4·n`-byte array joins them. The slack for the slots, `pending` and the
+/// per-partition vectors measures 43,008 B (1.08·n) at τ 10, k 128 and
+/// 33,280 B (0.83·n) at τ 1.25, k 32; it is bounded by `2·n`, below the
+/// `4·n` bytes a position table of its own would take.
+#[test]
+fn nepp_state_above_the_csr_is_three_bitsets_and_the_replica_rows() {
+    let _region = region();
+    let g = hep::gen::GraphSpec::ChungLu { n: 40_000, m: 240_000, gamma: 2.2 }.generate(5);
+    for (tau, k) in [(10.0, 128u32), (1.25, 32)] {
+        let csr = PrunedCsr::build(&g, tau);
+        let n = csr.num_vertices() as usize;
+        let bitsets = 3 * n.div_ceil(64) * 8;
+        let replicas = HighReplicas::new(k, csr.stats().high.clone()).heap_bytes();
+        let bound = bitsets + replicas + 2 * n;
+        alloc_track::reset_peak();
+        let baseline = alloc_track::current_bytes();
+        let mut assigned = 0u64;
+        let mut sink = |_u: u32, _v: u32, _p: u32| assigned += 1;
+        let result = run_nepp(csr, k, &HepConfig::with_tau(tau), &mut sink);
+        let peak = alloc_track::peak_bytes().saturating_sub(baseline);
+        assert_eq!(assigned, result.stats.assigned_edges);
+        assert!(
+            peak <= bound,
+            "τ {tau} k {k}: NE++ peak {peak} above the CSR exceeds {bound} \
+             (bitsets {bitsets} + replica rows {replicas} + slack {})",
+            2 * n
+        );
+    }
+}
+
 /// When no sweep count fits the requested τ, the planner degrades τ — more
 /// edges go to the streaming side, the CSR shrinks into the budget — and
 /// the measured peak still honors both the estimate and the budget.
