@@ -568,8 +568,9 @@ mod tests {
     use proptest::prelude::*;
 
     fn run(graph: &EdgeList, k: u32, tau: f64) -> (CollectedAssignment, NeppResult, Vec<Edge>) {
-        let csr = PrunedCsr::build(graph, tau);
-        let h2h = csr.h2h_edges().to_vec();
+        let mut h2h = Vec::new();
+        let stats = hep_graph::DegreeStats::new(graph, tau);
+        let csr = PrunedCsr::build_streaming_h2h(graph, stats, |e| h2h.push(e));
         let mut sink = CollectedAssignment::default();
         let result = run_nepp(csr, k, &HepConfig::with_tau(tau), &mut sink);
         assert_eq!(result.degrees, graph.degrees(), "degree table handed to phase 2");
@@ -688,10 +689,7 @@ mod tests {
     #[test]
     fn low_tau_reduces_inmem_edges() {
         let g = hep_gen::GraphSpec::ChungLu { n: 2000, m: 20_000, gamma: 2.0 }.generate(7);
-        let h2h_count = |tau: f64| {
-            let csr = PrunedCsr::build(&g, tau);
-            csr.h2h_edges().len()
-        };
+        let h2h_count = |tau: f64| PrunedCsr::build(&g, tau).num_h2h_edges();
         assert!(h2h_count(1.0) > h2h_count(10.0));
         assert!(h2h_count(10.0) >= h2h_count(100.0));
     }

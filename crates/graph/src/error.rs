@@ -36,6 +36,15 @@ pub enum GraphError {
         /// The checksum computed over the bytes actually read.
         actual: u64,
     },
+    /// A pruned CSR segment offset does not fit its `u32` slot: the low
+    /// segments before `vertex` in its block of 64 ids hold more than
+    /// `u32::MAX` column entries (a column array of 16 GiB or more).
+    SegmentIndexOverflow {
+        /// The vertex whose segment start overflowed.
+        vertex: u32,
+        /// Its offset from the block base, in column entries.
+        offset: u64,
+    },
     /// The configured memory budget cannot be met: even the most degraded
     /// ingestion plan (smallest τ, maximum column chunking) needs more.
     BudgetExceeded {
@@ -73,6 +82,13 @@ impl fmt::Display for GraphError {
                     f,
                     "{section} checksum mismatch: file records {expected:#018x}, \
                      computed {actual:#018x} (corrupt or tampered edge file)"
+                )
+            }
+            GraphError::SegmentIndexOverflow { vertex, offset } => {
+                write!(
+                    f,
+                    "pruned CSR segment of vertex {vertex} starts {offset} entries \
+                     past its block base, beyond the u32 offset range"
                 )
             }
             GraphError::BudgetExceeded { budget_bytes, required_bytes } => {

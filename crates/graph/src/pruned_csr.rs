@@ -5,75 +5,121 @@
 //! * Adjacency lists of **high-degree vertices are omitted** from the column
 //!   array. Edges between a low- and a high-degree vertex are reachable via
 //!   the low-degree endpoint only; edges between two high-degree vertices are
-//!   written to an external buffer (`h2h`) during construction and later
-//!   partitioned by the streaming phase.
+//!   written to an external sink during construction and later partitioned
+//!   by the streaming phase.
 //! * Every stored adjacency list is split into an **out-list** (edges where
 //!   the vertex is the left endpoint of the input pair) and an **in-list**
 //!   (§3.2.3 "Building the Last Partition"). The two lists are anchored at
 //!   opposite ends of the vertex's segment: out-entry `i` lives at
-//!   `index_out[v] + i`, in-entry `i` at `index_out[v+1] − 1 − i`. No second
-//!   index array marks the split.
+//!   `start(v) + i`, in-entry `i` at `start(v+1) − 1 − i`. No second index
+//!   array marks the split.
+//! * The segment index is **two-level**: a `u64` base per block of 64
+//!   vertex ids plus a `u32` offset per vertex from its block's base, so
+//!   `start(v) = base[v >> 6] + offset[v]`.
 //! * Each sub-list carries a **size field** counting its valid entries.
 //!   Removing an entry swaps it with the last valid entry and decrements the
 //!   size — the constant-time *lazy edge removal* of §3.2.2.
 //!
-//! Per-vertex state is 20 bytes: the `u64` segment index, two `u32` size
-//! fields and the `u32` degree (plus one bit of the V_h bitset). That is
-//! below the paper's `6·b_id` = 24 bytes (§4.2).
+//! Per-vertex state is ≈16.1 bytes: the `u32` index offset, two `u32` size
+//! fields, the `u32` degree and 8/64 bytes of block base (plus one bit of
+//! the V_h bitset). That is below the paper's `6·b_id` = 24 bytes (§4.2).
 
 use crate::degrees::DegreeStats;
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
 use crate::types::{Edge, VertexId};
 
-/// Pruned CSR with one index array, size fields and an h2h edge buffer.
+/// Vertex ids sharing one `u64` block base.
+const BLOCK: usize = 64;
+
+/// The two-level segment index: `start(v) = base[v >> 6] + offset[v]` for
+/// `v` in `0..=n`, `start(n)` being the column array's length.
+#[derive(Clone, Debug, PartialEq)]
+struct SegmentIndex {
+    /// Start of the segment of vertex `64·b`, one per block of 64 ids.
+    base: Vec<u64>,
+    /// Start of v's segment minus its block's base, one per vertex plus
+    /// the end sentinel.
+    offset: Vec<u32>,
+}
+
+impl SegmentIndex {
+    /// The prefix sum of the low-degree segment lengths (`d(v)` for a low
+    /// vertex, 0 for a high one), written straight into the two levels.
+    /// An offset past `u32::MAX` — 63 consecutive low segments holding
+    /// more than 2³² entries, a column array of 16 GiB or more — is
+    /// [`GraphError::SegmentIndexOverflow`].
+    fn new(stats: &DegreeStats) -> Result<Self, GraphError> {
+        let n = stats.num_vertices() as usize;
+        let mut base = Vec::with_capacity((n + 1).div_ceil(BLOCK));
+        let mut offset = Vec::with_capacity(n + 1);
+        let mut end = 0u64;
+        for v in 0..=n {
+            if v % BLOCK == 0 {
+                base.push(end);
+            }
+            let off = end - base[v / BLOCK];
+            let off = u32::try_from(off).map_err(|_| GraphError::SegmentIndexOverflow {
+                vertex: v as VertexId,
+                offset: off,
+            })?;
+            offset.push(off);
+            if v < n && !stats.is_high(v as VertexId) {
+                end += stats.degrees[v] as u64;
+            }
+        }
+        Ok(SegmentIndex { base, offset })
+    }
+
+    /// Start of v's segment (`v = n` gives the column array's length).
+    #[inline]
+    fn start(&self, v: usize) -> u64 {
+        self.base[v / BLOCK] + self.offset[v] as u64
+    }
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.offset.len() - 1
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.base.len() * 8 + self.offset.len() * 4
+    }
+}
+
+/// Pruned CSR with a two-level segment index and size fields.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PrunedCsr {
     stats: DegreeStats,
-    /// `index_out[v]` = start of v's segment; `index_out[v+1]` is its end.
-    index_out: Vec<u64>,
+    /// Segment bounds: v's segment is `index.start(v)..index.start(v + 1)`.
+    index: SegmentIndex,
     /// Column array holding all low-degree adjacency entries.
     col: Vec<VertexId>,
     /// Valid entries in each out-list (counted up from the segment start).
     out_size: Vec<u32>,
     /// Valid entries in each in-list (counted down from the segment end).
     in_size: Vec<u32>,
-    /// Externalized edges between two high-degree vertices. Empty when the
-    /// builder streamed them to an external sink (the paper's edge file).
-    h2h: Vec<Edge>,
-    /// Number of h2h edges (kept separately so streaming builds know it).
+    /// Number of h2h edges emitted to the builder's sink.
     num_h2h: u64,
     /// Total number of input edges (in-memory + h2h).
     num_edges_total: u64,
 }
 
 impl PrunedCsr {
-    /// Builds the pruned CSR in two passes (degree counting, insertion),
-    /// externalizing h2h edges. `tau` is the paper's threshold factor.
+    /// Builds the pruned CSR of an in-memory graph, counting (and
+    /// dropping) its h2h edges. `tau` is the paper's threshold factor; use
+    /// [`PrunedCsr::build_streaming_h2h`] to keep the h2h edges.
     ///
     /// The input must be a simple graph (no self-loops, no duplicate
     /// undirected edges); run [`EdgeList::canonicalize`] first if unsure.
     pub fn build(graph: &EdgeList, tau: f64) -> Self {
-        let stats = DegreeStats::new(graph, tau);
-        Self::build_with_stats(graph, stats)
+        Self::build_streaming_h2h(graph, DegreeStats::new(graph, tau), |_| {})
     }
 
-    /// Builds from precomputed degree statistics (lets callers reuse the
-    /// degree pass, e.g. the τ planner of §4.4).
-    pub fn build_with_stats(graph: &EdgeList, stats: DegreeStats) -> Self {
-        let mut h2h = Vec::new();
-        let mut csr = Self::build_streaming_h2h(graph, stats, |e| h2h.push(e));
-        debug_assert_eq!(h2h.len() as u64, csr.num_h2h);
-        csr.h2h = h2h;
-        csr
-    }
-
-    /// Builds the pruned CSR, emitting h2h edges to `h2h_sink` instead of
-    /// buffering them — the paper's "write out edges between two high-degree
-    /// vertices to an external file while building the CSR" (§3.2.1). The
-    /// returned CSR has an empty [`PrunedCsr::h2h_edges`] buffer but a
-    /// correct [`PrunedCsr::num_inmem_edges`]. h2h edges reach the sink in
-    /// input order.
+    /// Builds the pruned CSR, emitting h2h edges to `h2h_sink` — the
+    /// paper's "write out edges between two high-degree vertices to an
+    /// external file while building the CSR" (§3.2.1). h2h edges reach the
+    /// sink in input order.
     ///
     /// `stats` must be `graph`'s own degree statistics (as from
     /// [`DegreeStats::new`]); this is the one-sweep
@@ -85,7 +131,7 @@ impl PrunedCsr {
     ) -> Self {
         debug_assert_eq!(stats.degrees.len(), graph.num_vertices as usize);
         let pass = || Ok(graph.edges.iter().copied().map(Ok));
-        // hep-lint: allow(HL007) -- an EdgeList's ids are < num_vertices and `stats` holds its exact degrees, so neither the range check nor a segment guard can fire
+        // hep-lint: allow(HL007) -- an EdgeList's ids are < num_vertices and `stats` holds its exact degrees, so neither the range check nor a segment guard can fire; an index overflow needs a 16 GiB column array
         Self::build_from_passes(stats, pass, h2h_sink).expect("stats are the graph's own degrees")
     }
 
@@ -101,7 +147,9 @@ impl PrunedCsr {
     /// [`GraphError::VertexOutOfRange`] instead of panicking on an
     /// out-of-bounds index. A source that disagrees with the degree table —
     /// more entries for a vertex than `d(v)`, or fewer — returns
-    /// [`GraphError::TruncatedBinary`].
+    /// [`GraphError::TruncatedBinary`]. A degree table whose segment index
+    /// offsets overflow `u32` returns [`GraphError::SegmentIndexOverflow`]
+    /// before any pass starts.
     pub fn build_from_passes<I>(
         stats: DegreeStats,
         make_pass: impl FnMut() -> Result<I, GraphError>,
@@ -123,7 +171,8 @@ impl PrunedCsr {
     /// ingest planner still plans them.
     ///
     /// The fill is two-ended: a low vertex's segment is exactly `d(v)`
-    /// entries long, so the index is a prefix sum over the degree table;
+    /// entries long, so the index is a prefix sum over the degree table,
+    /// checked for offset overflow before the column array is allocated;
     /// out-entries fill upward from the segment start and in-entries
     /// downward from its end, with `out_size`/`in_size` as the cursors. A
     /// write that would cross into the other list means the source grew
@@ -131,7 +180,7 @@ impl PrunedCsr {
     /// sweep means it shrank. Both are [`GraphError::TruncatedBinary`] — a
     /// typed error, never a scatter into a neighbouring segment or a
     /// zero-filled phantom entry. The two-ended layout is the CSR's own:
-    /// in-entry `i` (in input order) stays at `index_out[v+1] − 1 − i`.
+    /// in-entry `i` (in input order) stays at `start(v+1) − 1 − i`.
     pub fn build_from_passes_budgeted<I>(
         stats: DegreeStats,
         mut make_pass: impl FnMut() -> Result<I, GraphError>,
@@ -142,16 +191,8 @@ impl PrunedCsr {
         I: Iterator<Item = Result<Edge, GraphError>>,
     {
         let n = stats.num_vertices() as usize;
-        let mut index_out = Vec::with_capacity(n + 1);
-        let mut end = 0u64;
-        index_out.push(end);
-        for (v, &d) in stats.degrees.iter().enumerate() {
-            if !stats.is_high(v as VertexId) {
-                end += d as u64;
-            }
-            index_out.push(end);
-        }
-        let mut col = vec![0u32; end as usize];
+        let index = SegmentIndex::new(&stats)?;
+        let mut col = vec![0u32; index.start(n) as usize];
         let mut out_size = vec![0u32; n];
         let mut in_size = vec![0u32; n];
         let mut num_h2h = 0u64;
@@ -181,31 +222,30 @@ impl PrunedCsr {
                 }
                 let src = e.src as usize;
                 if !src_high && (lo..hi).contains(&src) {
-                    let (start, filled) = (index_out[src], out_size[src] + in_size[src]);
-                    if start + filled as u64 >= index_out[src + 1] {
+                    let (start, end) = (index.start(src), index.start(src + 1));
+                    if start + (out_size[src] + in_size[src]) as u64 >= end {
                         // The segment is full: the source grew since the
                         // degree pass.
                         return Err(GraphError::TruncatedBinary { bytes: 0 });
                     }
-                    // the guard above gives start + out_size < index_out[src + 1] <= col.len()
+                    // the guard above gives start + out_size < end <= col.len()
                     col[(start + out_size[src] as u64) as usize] = e.dst;
                     out_size[src] += 1;
                 }
                 let dst = e.dst as usize;
                 if !dst_high && (lo..hi).contains(&dst) {
-                    let (start, filled) = (index_out[dst], out_size[dst] + in_size[dst]);
-                    let seg_end = index_out[dst + 1];
-                    if start + filled as u64 >= seg_end {
+                    let (start, end) = (index.start(dst), index.start(dst + 1));
+                    if start + (out_size[dst] + in_size[dst]) as u64 >= end {
                         return Err(GraphError::TruncatedBinary { bytes: 0 });
                     }
                     in_size[dst] += 1;
-                    col[(seg_end - in_size[dst] as u64) as usize] = e.src;
+                    col[(end - in_size[dst] as u64) as usize] = e.src;
                 }
             }
             // Every low segment of the sweep must be exactly full: a short
             // one means the source shrank since the degree pass.
             for v in lo..hi {
-                if index_out[v] + (out_size[v] + in_size[v]) as u64 != index_out[v + 1] {
+                if index.start(v) + (out_size[v] + in_size[v]) as u64 != index.start(v + 1) {
                     return Err(GraphError::TruncatedBinary { bytes: 0 });
                 }
             }
@@ -214,23 +254,14 @@ impl PrunedCsr {
                 break;
             }
         }
-        Ok(PrunedCsr {
-            stats,
-            index_out,
-            col,
-            out_size,
-            in_size,
-            h2h: Vec::new(),
-            num_h2h,
-            num_edges_total,
-        })
+        Ok(PrunedCsr { stats, index, col, out_size, in_size, num_h2h, num_edges_total })
     }
 
     /// Number of vertices (counted from the segment index, so it holds
     /// after [`PrunedCsr::take_degrees`]).
     #[inline]
     pub fn num_vertices(&self) -> u32 {
-        (self.index_out.len() - 1) as u32
+        self.index.num_vertices() as u32
     }
 
     /// Total number of input edges (in-memory + h2h).
@@ -246,17 +277,11 @@ impl PrunedCsr {
         self.num_edges_total - self.num_h2h
     }
 
-    /// Number of externalized h2h edges (also correct when they were
-    /// streamed to a sink rather than buffered).
+    /// Number of externalized h2h edges (the ones emitted to the
+    /// builder's sink).
     #[inline]
     pub fn num_h2h_edges(&self) -> u64 {
         self.num_h2h
-    }
-
-    /// The externalized high-high edges, in input order.
-    #[inline]
-    pub fn h2h_edges(&self) -> &[Edge] {
-        &self.h2h
     }
 
     /// Degree statistics (full degrees and the V_h classification; the
@@ -281,7 +306,7 @@ impl PrunedCsr {
     #[inline]
     pub fn segment_len(&self, v: VertexId) -> u32 {
         debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        (self.index_out[v as usize + 1] - self.index_out[v as usize]) as u32
+        (self.index.start(v as usize + 1) - self.index.start(v as usize)) as u32
     }
 
     /// Whether `v` is high-degree (pruned).
@@ -316,9 +341,9 @@ impl PrunedCsr {
         debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
         debug_assert!(i < self.list_len(v, out), "entry {i} past the valid list");
         if out {
-            self.index_out[v as usize] + i as u64
+            self.index.start(v as usize) + i as u64
         } else {
-            self.index_out[v as usize + 1] - 1 - i as u64
+            self.index.start(v as usize + 1) - 1 - i as u64
         }
     }
 
@@ -348,7 +373,7 @@ impl PrunedCsr {
     /// Valid out-neighbours of `v` (test/diagnostic convenience).
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
         debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        let start = self.index_out[v as usize] as usize;
+        let start = self.index.start(v as usize) as usize;
         &self.col[start..start + self.out_size[v as usize] as usize]
     }
 
@@ -376,13 +401,14 @@ impl PrunedCsr {
     }
 
     /// Actual heap bytes of this representation as implemented:
-    /// `4·column_entries + 8·(|V|+1) + 12·|V| + ⌈|V|/64⌉·8` (the `u64`
-    /// index, two size fields, the degree table and the V_h bitset; the h2h
-    /// buffer is conceptually on disk and excluded). The degree table's
-    /// term is 0 once [`PrunedCsr::take_degrees`] has moved it out.
+    /// `4·column_entries + 8·⌈(|V|+1)/64⌉ + 4·(|V|+1) + 12·|V| + ⌈|V|/64⌉·8`
+    /// (the column array, the index's block bases and offsets, two size
+    /// fields, the degree table and the V_h bitset; h2h edges live in the
+    /// builder's sink and are excluded). The degree table's term is 0 once
+    /// [`PrunedCsr::take_degrees`] has moved it out.
     pub fn heap_bytes(&self) -> usize {
         self.col.len() * 4
-            + self.index_out.len() * 8
+            + self.index.heap_bytes()
             + self.out_size.len() * 4
             + self.in_size.len() * 4
             + self.stats.degrees.len() * 4
@@ -412,10 +438,17 @@ mod tests {
         ])
     }
 
+    /// Builds with `h2h_sink` collecting the h2h edges.
+    fn build_collecting_h2h(g: &EdgeList, tau: f64) -> (PrunedCsr, Vec<Edge>) {
+        let mut h2h = Vec::new();
+        let csr = PrunedCsr::build_streaming_h2h(g, DegreeStats::new(g, tau), |e| h2h.push(e));
+        (csr, h2h)
+    }
+
     #[test]
     fn figure4_pruning() {
         let g = figure4_graph();
-        let csr = PrunedCsr::build(&g, 1.5);
+        let (csr, h2h) = build_collecting_h2h(&g, 1.5);
         // v4 and v5 are high-degree; their lists are pruned.
         assert!(csr.is_high(4) && csr.is_high(5));
         assert_eq!(csr.valid_degree(4), 0);
@@ -425,7 +458,8 @@ mod tests {
         assert_eq!(csr.column_entries(), 13);
         // "To not lose the edge (v4, v5), we write it out into an external
         //  edge file".
-        assert_eq!(csr.h2h_edges(), &[Edge::new(4, 5)]);
+        assert_eq!(h2h, [Edge::new(4, 5)]);
+        assert_eq!(csr.num_h2h_edges(), 1);
         assert_eq!(csr.num_inmem_edges(), 10);
         assert_eq!(csr.num_edges_total(), 11);
     }
@@ -487,7 +521,7 @@ mod tests {
     fn no_high_vertices_when_tau_large() {
         let g = figure4_graph();
         let csr = PrunedCsr::build(&g, 1e9);
-        assert_eq!(csr.h2h_edges().len(), 0);
+        assert_eq!(csr.num_h2h_edges(), 0);
         assert_eq!(csr.column_entries(), 22);
         assert_eq!(csr.num_inmem_edges(), 11);
     }
@@ -498,7 +532,7 @@ mod tests {
         // the threshold is 1 < 2, so every vertex is high and every edge h2h.
         let g = EdgeList::from_pairs([(0, 1), (1, 2), (2, 3), (3, 0)]);
         let csr = PrunedCsr::build(&g, 0.5);
-        assert_eq!(csr.h2h_edges().len(), 4);
+        assert_eq!(csr.num_h2h_edges(), 4);
         assert_eq!(csr.column_entries(), 0);
         assert_eq!(csr.num_inmem_edges(), 0);
     }
@@ -547,13 +581,13 @@ mod tests {
                 in_cap[e.dst as usize] += 1;
             }
         }
-        let mut index_out = vec![0u64; n + 1];
+        let mut starts = vec![0u64; n + 1];
         for v in 0..n {
-            index_out[v + 1] = index_out[v] + (out_cap[v] + in_cap[v]) as u64;
+            starts[v + 1] = starts[v] + (out_cap[v] + in_cap[v]) as u64;
         }
-        let mut col = vec![0u32; index_out[n] as usize];
-        let mut out_cursor = index_out[..n].to_vec();
-        let mut in_cursor = index_out[1..].to_vec();
+        let mut col = vec![0u32; starts[n] as usize];
+        let mut out_cursor = starts[..n].to_vec();
+        let mut in_cursor = starts[1..].to_vec();
         for e in edges {
             let (src_high, dst_high) = (stats.is_high(e.src), stats.is_high(e.dst));
             if src_high && dst_high {
@@ -568,17 +602,32 @@ mod tests {
                 col[in_cursor[e.dst as usize] as usize] = e.src;
             }
         }
+        // Split the flat prefix sum into a base per 64 ids and offsets.
+        let index = SegmentIndex {
+            base: starts.iter().step_by(64).copied().collect(),
+            offset: starts.iter().enumerate().map(|(v, &s)| (s - starts[v & !63]) as u32).collect(),
+        };
         let csr = PrunedCsr {
             stats,
-            index_out,
+            index,
             col,
             out_size: out_cap,
             in_size: in_cap,
-            h2h: Vec::new(),
             num_h2h: h2h.len() as u64,
             num_edges_total: edges.len() as u64,
         };
         (csr, h2h)
+    }
+
+    /// A ring over `n` ids (every vertex low, degree 2) plus a hub at
+    /// `hub` joined to every fourth other id in alternating directions,
+    /// which makes it the one high vertex at τ 2.
+    fn ring_with_hub(n: u32, hub: u32) -> EdgeList {
+        let mut pairs: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+        let spokes = (0..n).filter(|v| v % 4 == 1).filter(|&v| v.abs_diff(hub) > 1);
+        let spokes = spokes.filter(|&v| v.abs_diff(hub) != n - 1);
+        pairs.extend(spokes.map(|v| if v % 8 == 1 { (hub, v) } else { (v, hub) }));
+        EdgeList::with_vertices(n, pairs).unwrap()
     }
 
     /// The graph shapes the builder oracle covers, each with a τ.
@@ -608,6 +657,15 @@ mod tests {
                 1.0,
             ),
             ("empty", EdgeList::with_vertices(0, std::iter::empty()).unwrap(), 1.0),
+            // Vertex counts around the index's 64-id blocks. The end
+            // sentinel is the last slot of block 0 at |V| = 63 and opens
+            // block 1 at |V| = 64 and block 2 at |V| = 129; the hub sits on
+            // either side of the first block edge, so a low segment ends
+            // exactly on it (63's at |V| ∈ {65, 129}, 127's at |V| = 129).
+            ("block_63", ring_with_hub(63, 31), 2.0),
+            ("block_64", ring_with_hub(64, 63), 2.0),
+            ("block_65", ring_with_hub(65, 64), 2.0),
+            ("block_129", ring_with_hub(129, 64), 2.0),
             ("edgeless", EdgeList::with_vertices(5, std::iter::empty()).unwrap(), 1.0),
         ]
     }
@@ -640,9 +698,19 @@ mod tests {
             if name == "all_high" {
                 assert!(want.1.len() == g.edges.len() && want.0.column_entries() == 0);
             }
-            let mut in_memory = PrunedCsr::build_with_stats(&g, stats.clone());
-            assert_eq!(in_memory.h2h_edges(), &want.1[..], "{name}: in-memory h2h");
-            in_memory.h2h = Vec::new();
+            if let Some(n) = name.strip_prefix("block_") {
+                let n: u32 = n.parse().unwrap();
+                let hub = (0..n).find(|&v| stats.is_high(v));
+                assert!(stats.num_high == 1 && hub.is_some(), "{name} needs one high hub");
+                assert_eq!(want.0.num_vertices(), n);
+                if n > 64 {
+                    assert_eq!(hub, Some(64), "{name}: the hub opens block 1");
+                    assert!(want.0.segment_len(63) > 0, "{name}: 63's segment ends on the edge");
+                }
+            }
+            let mut h2h = Vec::new();
+            let in_memory = PrunedCsr::build_streaming_h2h(&g, stats.clone(), |e| h2h.push(e));
+            assert_eq!(h2h, want.1, "{name}: in-memory h2h");
             assert_eq!(in_memory, want.0, "{name}: in-memory builder");
 
             let mut path = std::env::temp_dir();
@@ -659,6 +727,58 @@ mod tests {
             }
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    #[test]
+    fn swap_remove_and_entry_across_a_block_edge() {
+        // Vertices 63 and 64 straddle the index's first block edge: 63's
+        // segment is [8, 12), the last of block 0, and 64's starts at
+        // block 1's base, 12. Both are [out: 2 | in: 2].
+        let pairs =
+            [(63, 10), (12, 63), (63, 11), (13, 63), (64, 20), (21, 64), (64, 22), (23, 64)];
+        let g = EdgeList::with_vertices(129, pairs).unwrap();
+        let mut csr = PrunedCsr::build(&g, 100.0);
+        assert_eq!((csr.segment_len(63), csr.segment_len(64)), (4, 4));
+        assert_eq!(csr.entry(63, true, 0), (8, 10));
+        assert_eq!(csr.entry(63, false, 0), (11, 12), "in-entry 0 is block 0's last slot");
+        assert_eq!(csr.entry(63, false, 1), (10, 13));
+        assert_eq!(csr.entry(64, true, 0), (12, 20), "out-entry 0 is block 1's base");
+        assert_eq!(csr.entry(64, false, 0), (15, 21));
+        csr.swap_remove(63, false, 0); // removes entry "12", swapping in "13"
+        assert_eq!(csr.in_neighbors(63).collect::<Vec<_>>(), [13]);
+        assert_eq!(csr.entry(63, false, 0), (11, 13));
+        csr.swap_remove(64, true, 0); // removes entry "20", swapping in "22"
+        assert_eq!(csr.out_neighbors(64), &[22]);
+        assert_eq!(csr.entry(64, true, 0), (12, 22));
+        // The lists sharing each segment are untouched.
+        assert_eq!(csr.out_neighbors(63), &[10, 11]);
+        assert_eq!(csr.in_neighbors(64).collect::<Vec<_>>(), [21, 23]);
+        assert_eq!((csr.valid_degree(63), csr.valid_degree(64)), (3, 3));
+    }
+
+    #[test]
+    fn index_offset_overflow_is_a_typed_error() {
+        // 64 low vertices of degree 2^27 would need a 32 GiB column
+        // array. Vertex 32's offset, 32·2^27 = 2^32, is the first past
+        // u32::MAX; the index pass fails before `col` is allocated or any
+        // edge pass starts.
+        let stats = DegreeStats::from_degrees(vec![1 << 27; 64], (1u64 << 27) as f64, 1.0);
+        assert_eq!(stats.num_high, 0);
+        let mut passes = 0;
+        let err = PrunedCsr::build_from_passes(
+            stats,
+            || {
+                passes += 1;
+                Ok(std::iter::empty())
+            },
+            |_| {},
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, GraphError::SegmentIndexOverflow { vertex: 32, offset } if offset == 1 << 32),
+            "got {err}"
+        );
+        assert_eq!(passes, 0, "no edge pass may start");
     }
 
     #[test]
@@ -756,7 +876,7 @@ mod tests {
             let mut g = EdgeList::from_pairs(pairs);
             g.canonicalize();
             prop_assume!(!g.edges.is_empty());
-            let csr = PrunedCsr::build(&g, tau);
+            let (csr, h2h) = build_collecting_h2h(&g, tau);
             // Each edge is "owned" by exactly one location: the out-entry of
             // a low src, else the in-entry of a low dst (src high), else h2h.
             let mut found = std::collections::HashMap::new();
@@ -770,7 +890,7 @@ mod tests {
                     }
                 }
             }
-            for e in csr.h2h_edges() {
+            for e in &h2h {
                 *found.entry(e.canonical()).or_insert(0) += 1;
             }
             // Every input edge appears exactly once from the "owning" side.

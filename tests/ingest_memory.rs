@@ -111,9 +111,9 @@ fn peak_ingestion_within_estimate_within_budget_across_scales() {
 }
 
 /// [`PrunedCsr::heap_bytes`] is exactly what a built CSR holds on the heap:
-/// `20·|V| + 8 + 4·column_entries + ⌈|V|/64⌉·8` (the `u64` segment index,
-/// two size fields, the degree table, the V_h bitset and the column
-/// array). A per-vertex array added to the CSR without its accounting
+/// `16·|V| + 4 + 8·⌈(|V|+1)/64⌉ + 4·column_entries + ⌈|V|/64⌉·8` (the
+/// segment index's `u32` offsets and `u64` block bases, two size fields,
+/// the degree table, the V_h bitset and the column array). A per-vertex array added to the CSR without its accounting
 /// fails here.
 #[test]
 fn csr_heap_bytes_equal_allocator_measured_bytes() {
@@ -123,7 +123,11 @@ fn csr_heap_bytes_equal_allocator_measured_bytes() {
     for tau in [1.0, 10.0] {
         let (csr, _, _, _) = measured_ingest(&file, tau, None);
         let n = csr.num_vertices() as usize;
-        let formula = 20 * n + 8 + 4 * csr.column_entries() as usize + n.div_ceil(64) * 8;
+        let formula = 16 * n
+            + 4
+            + 8 * (n + 1).div_ceil(64)
+            + 4 * csr.column_entries() as usize
+            + n.div_ceil(64) * 8;
         assert_eq!(csr.heap_bytes(), formula, "τ {tau}: heap_bytes() against the formula");
         let held = alloc_track::current_bytes();
         drop(csr);
