@@ -736,8 +736,12 @@ mod tests {
         let result = run_nepp(csr, 4, &config, &mut sink);
         let trace = result.trace.expect("trace requested");
         assert!(!trace.is_empty());
-        let col_entries = PrunedCsr::build(&g, 10.0).column_entries();
-        assert!(trace.iter().all(|&idx| idx < col_entries));
+        // Positions index the column array: its entries plus a two-word
+        // header per non-empty low segment.
+        let csr = PrunedCsr::build(&g, 10.0);
+        let headers = (0..csr.num_vertices()).filter(|&v| csr.segment_len(v) > 0).count();
+        let col_words = csr.column_entries() + 2 * headers as u64;
+        assert!(trace.iter().all(|&idx| idx < col_words));
     }
 
     #[test]

@@ -96,20 +96,22 @@ pub const INGEST_FIXED_OVERHEAD_BYTES: u64 = 2 << 20;
 pub const INGEST_SWEEP_GRID: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Heap bytes resident after a budgeted build: degree statistics (degrees
-/// and the high bitset), size fields, the segment index and the column
-/// array. The CSR holds ≈16.1 bytes per vertex
-/// ([`hep_graph::PrunedCsr::heap_bytes`]): its two-level index takes
-/// `4·(n+1) + 8·⌈(n+1)/64⌉` bytes, so the `8·(n+1)` index term below
-/// overcharges it by ≈4·n, and the second `8·n` is headroom for the
+/// and the high bitset), list sizes, the segment index and the column
+/// array. The CSR holds ≈8.1 bytes per vertex plus 8 per non-empty low
+/// segment ([`hep_graph::PrunedCsr::heap_bytes`]). The list sizes are
+/// two header words in each non-empty low segment, so the `8·n` size
+/// term below overcharges them by `8·(|V_h| + isolated)`; the two-level
+/// index takes `4·(n+1) + 8·⌈(n+1)/64⌉` bytes, so the `8·(n+1)` index
+/// term overcharges it by ≈4·n; and the second `8·n` is headroom for the
 /// in-list index the CSR no longer allocates (in-lists are anchored at
-/// their segment's end). Both stay so the plans, and the workloads they
-/// pick, do not move with the layout: charging the real index would drop
-/// `web-budget`'s τ = 2.5 estimate from 201.23 to 197.39 MiB, under its
-/// 200 MiB budget, and flip its plan from τ 1.25 to 2.5.
+/// their segment's end). All three stay so the plans, and the workloads
+/// they pick, do not move with the layout: charging the real index alone
+/// would drop `web-budget`'s τ = 2.5 estimate from 201.23 to 197.39 MiB,
+/// under its 200 MiB budget, and flip its plan from τ 1.25 to 2.5.
 fn ingest_resident_bytes(n: u64, column_entries: u64) -> u64 {
     4 * n                      // DegreeStats::degrees
         + n.div_ceil(64) * 8   // DegreeStats high bitset
-        + 8 * n                // out/in size fields
+        + 8 * n                // list sizes (8·(|V_h| + isolated) over, see above)
         + 8 * (n + 1) + 8 * n  // segment index (≈4·n over) + headroom (see above)
         + 4 * column_entries // column array
 }

@@ -11,18 +11,24 @@
 //!   the vertex is the left endpoint of the input pair) and an **in-list**
 //!   (§3.2.3 "Building the Last Partition"). The two lists are anchored at
 //!   opposite ends of the vertex's segment: out-entry `i` lives at
-//!   `start(v) + i`, in-entry `i` at `start(v+1) − 1 − i`. No second index
-//!   array marks the split.
+//!   `start(v) + 2 + i` (after the header below), in-entry `i` at
+//!   `start(v+1) − 1 − i`. No second index array marks the split.
 //! * The segment index is **two-level**: a `u64` base per block of 64
 //!   vertex ids plus a `u32` offset per vertex from its block's base, so
 //!   `start(v) = base[v >> 6] + offset[v]`.
-//! * Each sub-list carries a **size field** counting its valid entries.
-//!   Removing an entry swaps it with the last valid entry and decrements the
-//!   size — the constant-time *lazy edge removal* of §3.2.2.
+//! * Each sub-list's **size lives in its segment's header**: a non-empty
+//!   segment opens with two words, `col[start] = out size` and
+//!   `col[start + 1] = in size`, so the out-list fills up from
+//!   `start + 2` and the in-list down from the segment's end. High-degree
+//!   and isolated vertices hold no list and get an empty segment with no
+//!   header: the index alone tells which ids have lists. Removing an entry
+//!   swaps it with the last valid entry and decrements its header word —
+//!   the constant-time *lazy edge removal* of §3.2.2.
 //!
-//! Per-vertex state is ≈16.1 bytes: the `u32` index offset, two `u32` size
-//! fields, the `u32` degree and 8/64 bytes of block base (plus one bit of
-//! the V_h bitset). That is below the paper's `6·b_id` = 24 bytes (§4.2).
+//! Per-vertex state is ≈8.1 bytes: the `u32` index offset, the `u32`
+//! degree and 8/64 bytes of block base (plus one bit of the V_h bitset),
+//! and 8 bytes of header per non-empty low segment. That is below the
+//! paper's `6·b_id` = 24 bytes (§4.2).
 
 use crate::degrees::DegreeStats;
 use crate::edgelist::EdgeList;
@@ -31,6 +37,9 @@ use crate::types::{Edge, VertexId};
 
 /// Vertex ids sharing one `u64` block base.
 const BLOCK: usize = 64;
+
+/// Words opening a non-empty segment: the out size, then the in size.
+const HEADER: usize = 2;
 
 /// The two-level segment index: `start(v) = base[v >> 6] + offset[v]` for
 /// `v` in `0..=n`, `start(n)` being the column array's length.
@@ -44,11 +53,11 @@ struct SegmentIndex {
 }
 
 impl SegmentIndex {
-    /// The prefix sum of the low-degree segment lengths (`d(v)` for a low
-    /// vertex, 0 for a high one), written straight into the two levels.
-    /// An offset past `u32::MAX` — 63 consecutive low segments holding
-    /// more than 2³² entries, a column array of 16 GiB or more — is
-    /// [`GraphError::SegmentIndexOverflow`].
+    /// The prefix sum of the segment lengths (`HEADER + d(v)` for a low
+    /// vertex with `d(v) > 0`, 0 for a high or isolated one), written
+    /// straight into the two levels. An offset past `u32::MAX` — 63
+    /// consecutive low segments holding more than 2³² words, a column
+    /// array of 16 GiB or more — is [`GraphError::SegmentIndexOverflow`].
     fn new(stats: &DegreeStats) -> Result<Self, GraphError> {
         let n = stats.num_vertices() as usize;
         let mut base = Vec::with_capacity((n + 1).div_ceil(BLOCK));
@@ -64,8 +73,8 @@ impl SegmentIndex {
                 offset: off,
             })?;
             offset.push(off);
-            if v < n && !stats.is_high(v as VertexId) {
-                end += stats.degrees[v] as u64;
+            if v < n && stats.degrees[v] > 0 && !stats.is_high(v as VertexId) {
+                end += HEADER as u64 + stats.degrees[v] as u64;
             }
         }
         Ok(SegmentIndex { base, offset })
@@ -87,18 +96,19 @@ impl SegmentIndex {
     }
 }
 
-/// Pruned CSR with a two-level segment index and size fields.
+/// Pruned CSR with a two-level segment index and in-segment size headers.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PrunedCsr {
     stats: DegreeStats,
     /// Segment bounds: v's segment is `index.start(v)..index.start(v + 1)`.
     index: SegmentIndex,
-    /// Column array holding all low-degree adjacency entries.
+    /// Column array: per non-empty low segment, the out and in sizes, the
+    /// out-list counted up after them and the in-list counted down from
+    /// the segment end.
     col: Vec<VertexId>,
-    /// Valid entries in each out-list (counted up from the segment start).
-    out_size: Vec<u32>,
-    /// Valid entries in each in-list (counted down from the segment end).
-    in_size: Vec<u32>,
+    /// Σ_{v∈V_l} d(v): the column array's adjacency entries, headers
+    /// excluded.
+    column_entries: u64,
     /// Number of h2h edges emitted to the builder's sink.
     num_h2h: u64,
     /// Total number of input edges (in-memory + h2h).
@@ -167,22 +177,27 @@ impl PrunedCsr {
     /// contiguous slice of the id space. The h2h sequence is emitted during
     /// the first sweep only, and the built CSR is **bit-identical for any
     /// `column_passes`**. Sweeps no longer save memory (the insertion
-    /// cursors are the size fields themselves); they remain because the
-    /// ingest planner still plans them.
+    /// cursors are the out-size header words and the degree table's own
+    /// slots); they remain because the ingest planner still plans them.
     ///
-    /// The fill is two-ended: a low vertex's segment is exactly `d(v)`
-    /// entries long, so the index is a prefix sum over the degree table,
-    /// checked for offset overflow before the column array is allocated;
-    /// out-entries fill upward from the segment start and in-entries
-    /// downward from its end, with `out_size`/`in_size` as the cursors. A
-    /// write that would cross into the other list means the source grew
-    /// since the degree pass; a segment not exactly full at the end of its
-    /// sweep means it shrank. Both are [`GraphError::TruncatedBinary`] — a
-    /// typed error, never a scatter into a neighbouring segment or a
-    /// zero-filled phantom entry. The two-ended layout is the CSR's own:
-    /// in-entry `i` (in input order) stays at `start(v+1) − 1 − i`.
+    /// The fill is two-ended: a low vertex's segment is exactly its
+    /// two-word header plus `d(v)` entries (none at all when `d(v)` is 0),
+    /// so the index is a prefix sum over the degree table, checked for
+    /// offset overflow before the column array is allocated. Out-entries
+    /// fill upward after the header, with the out-size word as the cursor;
+    /// in-entries fill downward from the segment's end, with v's degree
+    /// slot counting the in-slots left, so an in-entry write loads nothing
+    /// from the column array. Each sweep's end check writes the in sizes
+    /// into the headers and gives every degree slot `d(v)` back. A write
+    /// into an empty segment, or past either end of a list's room, means
+    /// the source grew since the degree pass; a segment whose lists do not
+    /// sum to exactly `d(v)` at the end of its sweep means it shrank or
+    /// grew. Both are [`GraphError::TruncatedBinary`] — a typed error,
+    /// never a scatter into a neighbouring segment or a zero-filled
+    /// phantom entry. The two-ended layout is the CSR's own: in-entry `i`
+    /// (in input order) stays at `start(v+1) − 1 − i`.
     pub fn build_from_passes_budgeted<I>(
-        stats: DegreeStats,
+        mut stats: DegreeStats,
         mut make_pass: impl FnMut() -> Result<I, GraphError>,
         mut h2h_sink: impl FnMut(Edge),
         column_passes: usize,
@@ -192,9 +207,8 @@ impl PrunedCsr {
     {
         let n = stats.num_vertices() as usize;
         let index = SegmentIndex::new(&stats)?;
+        let column_entries = stats.low_degree_adjacency_entries();
         let mut col = vec![0u32; index.start(n) as usize];
-        let mut out_size = vec![0u32; n];
-        let mut in_size = vec![0u32; n];
         let mut num_h2h = 0u64;
         let mut num_edges_total = 0u64;
         let seg_len = n.div_ceil(column_passes.clamp(1, n.max(1))).max(1);
@@ -222,39 +236,56 @@ impl PrunedCsr {
                 }
                 let src = e.src as usize;
                 if !src_high && (lo..hi).contains(&src) {
-                    let (start, end) = (index.start(src), index.start(src + 1));
-                    if start + (out_size[src] + in_size[src]) as u64 >= end {
-                        // The segment is full: the source grew since the
-                        // degree pass.
+                    // The out size is the out-list's cursor. An empty
+                    // segment has no header to read: `src` was isolated
+                    // in the degree pass, so the source grew.
+                    let (start, end) = (index.start(src) as usize, index.start(src + 1) as usize);
+                    if start == end || start + HEADER + col[start] as usize >= end {
                         return Err(GraphError::TruncatedBinary { bytes: 0 });
                     }
-                    // the guard above gives start + out_size < end <= col.len()
-                    col[(start + out_size[src] as u64) as usize] = e.dst;
-                    out_size[src] += 1;
+                    let out = col[start];
+                    col[start + HEADER + out as usize] = e.dst;
+                    col[start] = out + 1;
                 }
                 let dst = e.dst as usize;
                 if !dst_high && (lo..hi).contains(&dst) {
-                    let (start, end) = (index.start(dst), index.start(dst + 1));
-                    if start + (out_size[dst] + in_size[dst]) as u64 >= end {
+                    // The degree slot counts the in-slots left, `r`; in-entry
+                    // `d − r` lives at `end − 1 − (d − r)` = `start + 1 + r`.
+                    // No slot left (none at all in an empty segment) means
+                    // the source grew.
+                    let r = stats.degrees[dst];
+                    if r == 0 {
                         return Err(GraphError::TruncatedBinary { bytes: 0 });
                     }
-                    in_size[dst] += 1;
-                    col[(end - in_size[dst] as u64) as usize] = e.src;
+                    col[index.start(dst) as usize + 1 + r as usize] = e.src;
+                    stats.degrees[dst] = r - 1;
                 }
             }
             // Every low segment of the sweep must be exactly full: a short
-            // one means the source shrank since the degree pass.
+            // one means the source shrank since the degree pass, and lists
+            // summing past `d(v)` mean it grew (each list's writes stay
+            // inside the segment). Then the in size goes into the header
+            // and the degree slot gets `d(v)` back.
             for v in lo..hi {
-                if index.start(v) + (out_size[v] + in_size[v]) as u64 != index.start(v + 1) {
+                let (start, end) = (index.start(v) as usize, index.start(v + 1) as usize);
+                if start == end {
+                    continue; // high or isolated: no list, no header
+                }
+                let d = (end - start - HEADER) as u32;
+                // out + in = d(v) exactly when out equals the in-slots left.
+                let (out, left) = (col[start], stats.degrees[v]);
+                if out != left {
                     return Err(GraphError::TruncatedBinary { bytes: 0 });
                 }
+                col[start + 1] = d - left;
+                stats.degrees[v] = d;
             }
             lo = hi;
             if lo >= n {
                 break;
             }
         }
-        Ok(PrunedCsr { stats, index, col, out_size, in_size, num_h2h, num_edges_total })
+        Ok(PrunedCsr { stats, index, col, column_entries, num_h2h, num_edges_total })
     }
 
     /// Number of vertices (counted from the segment index, so it holds
@@ -300,13 +331,20 @@ impl PrunedCsr {
         std::mem::take(&mut self.stats.degrees)
     }
 
-    /// Length of `v`'s column segment: `d(v)` for a low-degree vertex (the
-    /// builder rejects any low segment that is not exactly full), 0 for a
-    /// high-degree one.
+    /// Bounds `start..end` of `v`'s column segment.
+    #[inline]
+    fn bounds(&self, v: VertexId) -> (usize, usize) {
+        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
+        (self.index.start(v as usize) as usize, self.index.start(v as usize + 1) as usize)
+    }
+
+    /// Length of `v`'s adjacency segment, header excluded: `d(v)` for a
+    /// low-degree vertex (the builder rejects any low segment that is not
+    /// exactly full), 0 for a high-degree or isolated one.
     #[inline]
     pub fn segment_len(&self, v: VertexId) -> u32 {
-        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        (self.index.start(v as usize + 1) - self.index.start(v as usize)) as u32
+        let (start, end) = self.bounds(v);
+        (end - start).saturating_sub(HEADER) as u32
     }
 
     /// Whether `v` is high-degree (pruned).
@@ -315,66 +353,72 @@ impl PrunedCsr {
         self.stats.is_high(v)
     }
 
-    /// Number of valid entries in `v`'s out-list (`out`) or in-list.
+    /// Number of valid entries in `v`'s out-list (`out`) or in-list: its
+    /// header word, or 0 for an empty segment (which has no header).
     #[inline]
     pub fn list_len(&self, v: VertexId, out: bool) -> u32 {
-        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        if out {
-            self.out_size[v as usize]
+        let (start, end) = self.bounds(v);
+        if start == end {
+            0
         } else {
-            self.in_size[v as usize]
+            self.col[start + usize::from(!out)]
         }
     }
 
     /// Entry `i` of `v`'s out-list (`out`) or in-list, as its column
     /// position and the neighbour stored there. Out-entries count up from
-    /// the segment start, in-entries down from the segment end.
+    /// the header, in-entries down from the segment end.
     #[inline]
     pub fn entry(&self, v: VertexId, out: bool, i: u32) -> (u64, VertexId) {
         let pos = self.position(v, out, i);
         // position() stays inside v's segment, and segments tile the column array
-        (pos, self.col[pos as usize])
+        (pos as u64, self.col[pos])
     }
 
+    /// Column position of entry `i` of `v`'s out-list (`out`) or in-list,
+    /// read from the one segment bound the list is anchored at.
     #[inline]
-    fn position(&self, v: VertexId, out: bool, i: u32) -> u64 {
-        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
+    fn position(&self, v: VertexId, out: bool, i: u32) -> usize {
         debug_assert!(i < self.list_len(v, out), "entry {i} past the valid list");
         if out {
-            self.index.start(v as usize) + i as u64
+            self.index.start(v as usize) as usize + HEADER + i as usize
         } else {
-            self.index.start(v as usize + 1) - 1 - i as u64
+            self.index.start(v as usize + 1) as usize - 1 - i as usize
         }
     }
 
     /// Number of valid (unassigned) entries in `v`'s adjacency list.
     #[inline]
     pub fn valid_degree(&self, v: VertexId) -> u32 {
-        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        self.out_size[v as usize] + self.in_size[v as usize]
+        let (start, end) = self.bounds(v);
+        if start == end {
+            0
+        } else {
+            self.col[start] + self.col[start + 1]
+        }
     }
 
     /// Lazy removal (§3.2.2): swap entry `i` of `v`'s out-list (`out`) or
-    /// in-list with the list's last valid entry and shrink its size field.
-    /// O(1).
+    /// in-list with the list's last valid entry and shrink its header
+    /// word. O(1).
     #[inline]
     pub fn swap_remove(&mut self, v: VertexId, out: bool, i: u32) {
-        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        let last = self.list_len(v, out) - 1;
+        debug_assert!(i < self.list_len(v, out), "entry {i} past the valid list");
+        let size = self.index.start(v as usize) as usize + usize::from(!out);
+        let last = self.col[size] - 1;
         let (a, b) = (self.position(v, out, i), self.position(v, out, last));
-        self.col.swap(a as usize, b as usize);
-        if out {
-            self.out_size[v as usize] = last;
-        } else {
-            self.in_size[v as usize] = last;
-        }
+        self.col.swap(a, b);
+        self.col[size] = last;
     }
 
     /// Valid out-neighbours of `v` (test/diagnostic convenience).
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
-        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        let start = self.index.start(v as usize) as usize;
-        &self.col[start..start + self.out_size[v as usize] as usize]
+        let (start, end) = self.bounds(v);
+        if start == end {
+            return &[];
+        }
+        let first = start + HEADER;
+        &self.col[first..first + self.col[start] as usize]
     }
 
     /// Valid in-neighbours of `v` in list order (test/diagnostic
@@ -388,11 +432,11 @@ impl PrunedCsr {
         self.out_neighbors(v).iter().copied().chain(self.in_neighbors(v))
     }
 
-    /// Total column-array capacity (the paper's Σ_{v∈V_l} d(v); Figure 4's
-    /// "13 entries instead of 22").
+    /// Adjacency entries of the column array, headers excluded (the
+    /// paper's Σ_{v∈V_l} d(v); Figure 4's "13 entries instead of 22").
     #[inline]
     pub fn column_entries(&self) -> u64 {
-        self.col.len() as u64
+        self.column_entries
     }
 
     /// Remaining valid column entries (shrinks as edges are removed).
@@ -401,16 +445,15 @@ impl PrunedCsr {
     }
 
     /// Actual heap bytes of this representation as implemented:
-    /// `4·column_entries + 8·⌈(|V|+1)/64⌉ + 4·(|V|+1) + 12·|V| + ⌈|V|/64⌉·8`
-    /// (the column array, the index's block bases and offsets, two size
-    /// fields, the degree table and the V_h bitset; h2h edges live in the
+    /// `4·(column_entries + 2·|{v ∈ V_l : d(v) > 0}|) + 8·⌈(|V|+1)/64⌉ +
+    /// 4·(|V|+1) + 4·|V| + ⌈|V|/64⌉·8` (the column array with its two
+    /// header words per non-empty low segment, the index's block bases and
+    /// offsets, the degree table and the V_h bitset; h2h edges live in the
     /// builder's sink and are excluded). The degree table's term is 0 once
     /// [`PrunedCsr::take_degrees`] has moved it out.
     pub fn heap_bytes(&self) -> usize {
         self.col.len() * 4
             + self.index.heap_bytes()
-            + self.out_size.len() * 4
-            + self.in_size.len() * 4
             + self.stats.degrees.len() * 4
             + self.stats.high.heap_bytes()
     }
@@ -498,14 +541,17 @@ mod tests {
 
     #[test]
     fn swap_remove_in_is_constant_time_swap() {
-        // Vertex 0's segment is [out: 4 | in: 1, 2, 3], the in-list
-        // anchored at the segment end and counted down in input order.
+        // Vertex 0's segment is [header: 1, 3 | out: 4 | in: 1, 2, 3],
+        // the in-list anchored at the segment end and counted down in
+        // input order.
         let g = EdgeList::from_pairs([(1, 0), (2, 0), (0, 4), (3, 0)]);
         let mut csr = PrunedCsr::build(&g, 100.0);
         let in_list = |csr: &PrunedCsr| csr.in_neighbors(0).collect::<Vec<_>>();
         assert_eq!(in_list(&csr), [1, 2, 3]);
-        assert_eq!(csr.entry(0, false, 0), (3, 1), "in-entry 0 is the segment's last slot");
-        assert_eq!(csr.entry(0, false, 2), (1, 3));
+        assert_eq!(csr.col[..2], [1, 3], "the header holds the out and in sizes");
+        assert_eq!(csr.entry(0, true, 0), (2, 4), "out-entry 0 follows the header");
+        assert_eq!(csr.entry(0, false, 0), (5, 1), "in-entry 0 is the segment's last slot");
+        assert_eq!(csr.entry(0, false, 2), (3, 3));
         csr.swap_remove(0, false, 0); // removes entry "1", swapping in "3"
         assert_eq!(in_list(&csr), [3, 2]);
         csr.swap_remove(0, false, 1);
@@ -515,6 +561,7 @@ mod tests {
         // The out-list sharing the segment is untouched.
         assert_eq!(csr.out_neighbors(0), &[4]);
         assert_eq!(csr.valid_degree(0), 1);
+        assert_eq!(csr.col[..2], [1, 0], "the in size is down to 0");
     }
 
     #[test]
@@ -560,9 +607,10 @@ mod tests {
 
     /// The two-pass build the one-pass builder replaced, kept as its
     /// oracle: a count pass sizes every out- and in-list, a fill pass
-    /// inserts in input order, out-lists upward from the segment start and
-    /// in-lists downward from the segment end. h2h edges are returned in
-    /// input order.
+    /// inserts in input order, out-lists upward after the segment's
+    /// two-word header and in-lists downward from the segment end, and the
+    /// counts are written into the headers last. A vertex with no entries
+    /// gets no header. h2h edges are returned in input order.
     fn reference_build(edges: &[Edge], stats: DegreeStats) -> (PrunedCsr, Vec<Edge>) {
         let n = stats.num_vertices() as usize;
         let mut out_cap = vec![0u32; n];
@@ -583,10 +631,11 @@ mod tests {
         }
         let mut starts = vec![0u64; n + 1];
         for v in 0..n {
-            starts[v + 1] = starts[v] + (out_cap[v] + in_cap[v]) as u64;
+            let entries = (out_cap[v] + in_cap[v]) as u64;
+            starts[v + 1] = starts[v] + if entries > 0 { 2 + entries } else { 0 };
         }
         let mut col = vec![0u32; starts[n] as usize];
-        let mut out_cursor = starts[..n].to_vec();
+        let mut out_cursor: Vec<u64> = starts[..n].iter().map(|s| s + 2).collect();
         let mut in_cursor = starts[1..].to_vec();
         for e in edges {
             let (src_high, dst_high) = (stats.is_high(e.src), stats.is_high(e.dst));
@@ -602,6 +651,14 @@ mod tests {
                 col[in_cursor[e.dst as usize] as usize] = e.src;
             }
         }
+        let mut column_entries = 0u64;
+        for v in 0..n {
+            if starts[v] < starts[v + 1] {
+                col[starts[v] as usize] = out_cap[v];
+                col[starts[v] as usize + 1] = in_cap[v];
+                column_entries += (out_cap[v] + in_cap[v]) as u64;
+            }
+        }
         // Split the flat prefix sum into a base per 64 ids and offsets.
         let index = SegmentIndex {
             base: starts.iter().step_by(64).copied().collect(),
@@ -611,8 +668,7 @@ mod tests {
             stats,
             index,
             col,
-            out_size: out_cap,
-            in_size: in_cap,
+            column_entries,
             num_h2h: h2h.len() as u64,
             num_edges_total: edges.len() as u64,
         };
@@ -628,6 +684,22 @@ mod tests {
         let spokes = spokes.filter(|&v| v.abs_diff(hub) != n - 1);
         pairs.extend(spokes.map(|v| if v % 8 == 1 { (hub, v) } else { (v, hub) }));
         EdgeList::with_vertices(n, pairs).unwrap()
+    }
+
+    /// Ids in the `isolated_gaps` shape with no edge: between low
+    /// segments, on both sides of the index's first block edge, and last.
+    const GAPS: [u32; 9] = [3, 4, 17, 62, 63, 64, 65, 66, 129];
+
+    /// A ring through the 121 ids of `0..130` not in [`GAPS`], in id
+    /// order, plus a hub at 30 joined to every fourth ring id in
+    /// alternating directions, which makes it the one high vertex at τ 2.
+    fn isolated_gaps() -> EdgeList {
+        let ring: Vec<u32> = (0..130).filter(|v| !GAPS.contains(v)).collect();
+        let mut pairs: Vec<(u32, u32)> =
+            ring.iter().zip(ring.iter().cycle().skip(1)).map(|(&a, &b)| (a, b)).collect();
+        let spokes = ring.iter().step_by(4).filter(|&&v| v.abs_diff(30) > 2);
+        pairs.extend(spokes.map(|&v| if v % 8 < 4 { (30, v) } else { (v, 30) }));
+        EdgeList::with_vertices(130, pairs).unwrap()
     }
 
     /// The graph shapes the builder oracle covers, each with a τ.
@@ -667,6 +739,7 @@ mod tests {
             ("block_65", ring_with_hub(65, 64), 2.0),
             ("block_129", ring_with_hub(129, 64), 2.0),
             ("edgeless", EdgeList::with_vertices(5, std::iter::empty()).unwrap(), 1.0),
+            ("isolated_gaps", isolated_gaps(), 2.0),
         ]
     }
 
@@ -708,10 +781,36 @@ mod tests {
                     assert!(want.0.segment_len(63) > 0, "{name}: 63's segment ends on the edge");
                 }
             }
+            if name == "isolated_gaps" {
+                assert!(stats.is_high(30) && stats.num_high == 1, "{name} needs one high hub");
+                let n = want.0.num_vertices();
+                assert!(GAPS.iter().all(|&v| stats.degree(v) == 0), "{name}: gaps are isolated");
+                assert_eq!(GAPS.last(), Some(&(n - 1)), "{name}: the last id is a gap");
+                assert!(stats.degree(61) > 0 && stats.degree(67) > 0);
+                // The gaps at the end and around the block edge are empty
+                // segments: 129's lies at the column array's end.
+                assert_eq!(want.0.index.start(n as usize - 1), want.0.col.len() as u64);
+            }
             let mut h2h = Vec::new();
             let in_memory = PrunedCsr::build_streaming_h2h(&g, stats.clone(), |e| h2h.push(e));
             assert_eq!(h2h, want.1, "{name}: in-memory h2h");
             assert_eq!(in_memory, want.0, "{name}: in-memory builder");
+            // A low vertex's segment holds d(v) entries after its header;
+            // a high or isolated one has neither entries nor a header, and
+            // reads as empty lists even at the column array's end.
+            let mut low_entries = 0u64;
+            for v in 0..in_memory.num_vertices() {
+                let d = if stats.is_high(v) { 0 } else { stats.degree(v) };
+                low_entries += d as u64;
+                assert_eq!(in_memory.segment_len(v), d, "{name}: segment of {v}");
+                assert_eq!(in_memory.valid_degree(v), d, "{name}: valid degree of {v}");
+                if d == 0 {
+                    assert!(in_memory.out_neighbors(v).is_empty(), "{name}: {v} has no out-list");
+                    assert_eq!(in_memory.neighbors(v).count(), 0, "{name}: {v} has no list");
+                    assert_eq!((in_memory.list_len(v, true), in_memory.list_len(v, false)), (0, 0));
+                }
+            }
+            assert_eq!(in_memory.column_entries(), low_entries, "{name}: Σ_{{V_l}} d(v)");
 
             let mut path = std::env::temp_dir();
             path.push(format!("hep_pruned_csr_oracle_{}_{name}.hepb", std::process::id()));
@@ -731,25 +830,28 @@ mod tests {
 
     #[test]
     fn swap_remove_and_entry_across_a_block_edge() {
-        // Vertices 63 and 64 straddle the index's first block edge: 63's
-        // segment is [8, 12), the last of block 0, and 64's starts at
-        // block 1's base, 12. Both are [out: 2 | in: 2].
+        // Vertices 63 and 64 straddle the index's first block edge: after
+        // the 3-word segments of 10..=13 and 20..=23, 63's segment is
+        // [24, 30), the last of block 0, and 64's starts at block 1's
+        // base, 30. Both are [header: 2, 2 | out: 2 | in: 2].
         let pairs =
             [(63, 10), (12, 63), (63, 11), (13, 63), (64, 20), (21, 64), (64, 22), (23, 64)];
         let g = EdgeList::with_vertices(129, pairs).unwrap();
         let mut csr = PrunedCsr::build(&g, 100.0);
         assert_eq!((csr.segment_len(63), csr.segment_len(64)), (4, 4));
-        assert_eq!(csr.entry(63, true, 0), (8, 10));
-        assert_eq!(csr.entry(63, false, 0), (11, 12), "in-entry 0 is block 0's last slot");
-        assert_eq!(csr.entry(63, false, 1), (10, 13));
-        assert_eq!(csr.entry(64, true, 0), (12, 20), "out-entry 0 is block 1's base");
-        assert_eq!(csr.entry(64, false, 0), (15, 21));
+        assert_eq!(csr.index.base[1], 30, "64's header opens block 1");
+        assert_eq!(csr.entry(63, true, 0), (26, 10));
+        assert_eq!(csr.entry(63, false, 0), (29, 12), "in-entry 0 is block 0's last slot");
+        assert_eq!(csr.entry(63, false, 1), (28, 13));
+        assert_eq!(csr.entry(64, true, 0), (32, 20), "out-entry 0 follows block 1's header");
+        assert_eq!(csr.entry(64, false, 0), (35, 21));
         csr.swap_remove(63, false, 0); // removes entry "12", swapping in "13"
         assert_eq!(csr.in_neighbors(63).collect::<Vec<_>>(), [13]);
-        assert_eq!(csr.entry(63, false, 0), (11, 13));
+        assert_eq!(csr.entry(63, false, 0), (29, 13));
         csr.swap_remove(64, true, 0); // removes entry "20", swapping in "22"
         assert_eq!(csr.out_neighbors(64), &[22]);
-        assert_eq!(csr.entry(64, true, 0), (12, 22));
+        assert_eq!(csr.entry(64, true, 0), (32, 22));
+        assert_eq!((&csr.col[24..26], &csr.col[30..32]), (&[2, 1][..], &[1, 2][..]), "headers");
         // The lists sharing each segment are untouched.
         assert_eq!(csr.out_neighbors(63), &[10, 11]);
         assert_eq!(csr.in_neighbors(64).collect::<Vec<_>>(), [21, 23]);
@@ -759,9 +861,9 @@ mod tests {
     #[test]
     fn index_offset_overflow_is_a_typed_error() {
         // 64 low vertices of degree 2^27 would need a 32 GiB column
-        // array. Vertex 32's offset, 32·2^27 = 2^32, is the first past
-        // u32::MAX; the index pass fails before `col` is allocated or any
-        // edge pass starts.
+        // array. Vertex 32's offset, 32·(2 + 2^27) = 2^32 + 64 with the
+        // header words, is the first past u32::MAX; the index pass fails
+        // before `col` is allocated or any edge pass starts.
         let stats = DegreeStats::from_degrees(vec![1 << 27; 64], (1u64 << 27) as f64, 1.0);
         assert_eq!(stats.num_high, 0);
         let mut passes = 0;
@@ -775,7 +877,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(
-            matches!(err, GraphError::SegmentIndexOverflow { vertex: 32, offset } if offset == 1 << 32),
+            matches!(err, GraphError::SegmentIndexOverflow { vertex: 32, offset } if offset == (1 << 32) + 64),
             "got {err}"
         );
         assert_eq!(passes, 0, "no edge pass may start");
@@ -799,6 +901,36 @@ mod tests {
                 )
                 .unwrap_err();
                 assert!(matches!(err, GraphError::TruncatedBinary { .. }), "got {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn budgeted_build_rejects_growth_at_an_empty_segment() {
+        // The degree pass saw vertices 2 and 6 isolated and vertex 5 high,
+        // so none has a header: 2's empty segment sits between 1's and
+        // 3's, 6's at the column array's end, after the last non-empty
+        // segment (4's). A build pass yields an edge at one of them, as
+        // source and as destination; its other end is the high vertex 5,
+        // which has no list to fill. Reading a header for 2 would read
+        // 3's, for 6 would run past the column array, and a write at 4
+        // would run past it too.
+        for v in [2, 6, 4] {
+            for extra in [Edge::new(v, 5), Edge::new(5, v)] {
+                for column_passes in [1, 2] {
+                    let stats = DegreeStats::from_degrees(vec![1, 1, 0, 1, 1, 100, 0], 1.0, 10.0);
+                    let err = PrunedCsr::build_from_passes_budgeted(
+                        stats,
+                        || Ok([Edge::new(0, 1), extra, Edge::new(3, 4)].into_iter().map(Ok)),
+                        |_| {},
+                        column_passes,
+                    )
+                    .unwrap_err();
+                    assert!(
+                        matches!(err, GraphError::TruncatedBinary { .. }),
+                        "{extra:?} at {column_passes} passes: got {err}"
+                    );
+                }
             }
         }
     }

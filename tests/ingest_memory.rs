@@ -111,10 +111,12 @@ fn peak_ingestion_within_estimate_within_budget_across_scales() {
 }
 
 /// [`PrunedCsr::heap_bytes`] is exactly what a built CSR holds on the heap:
-/// `16·|V| + 4 + 8·⌈(|V|+1)/64⌉ + 4·column_entries + ⌈|V|/64⌉·8` (the
-/// segment index's `u32` offsets and `u64` block bases, two size fields,
-/// the degree table, the V_h bitset and the column array). A per-vertex array added to the CSR without its accounting
-/// fails here.
+/// `8·|V| + 4 + 8·⌈(|V|+1)/64⌉ +
+/// 4·(column_entries + 2·|{v ∈ V_l : d(v) > 0}|) + ⌈|V|/64⌉·8` (the
+/// segment index's `u32` offsets and `u64` block bases, the degree table,
+/// the column array with its two-word size header per non-empty low
+/// segment, and the V_h bitset). A per-vertex array added to the CSR
+/// without its accounting fails here.
 #[test]
 fn csr_heap_bytes_equal_allocator_measured_bytes() {
     let _region = region();
@@ -123,10 +125,13 @@ fn csr_heap_bytes_equal_allocator_measured_bytes() {
     for tau in [1.0, 10.0] {
         let (csr, _, _, _) = measured_ingest(&file, tau, None);
         let n = csr.num_vertices() as usize;
-        let formula = 16 * n
+        let degrees = &csr.stats().degrees;
+        let headers = (0..n).filter(|&v| degrees[v] > 0 && !csr.is_high(v as u32)).count();
+        assert!(headers < n, "τ {tau}: some ids are high or isolated");
+        let formula = 8 * n
             + 4
             + 8 * (n + 1).div_ceil(64)
-            + 4 * csr.column_entries() as usize
+            + 4 * (csr.column_entries() as usize + 2 * headers)
             + n.div_ceil(64) * 8;
         assert_eq!(csr.heap_bytes(), formula, "τ {tau}: heap_bytes() against the formula");
         let held = alloc_track::current_bytes();
