@@ -30,7 +30,7 @@ fn main() {
     banner(
         "IO scaling: buffered vs mmap HEPB passes, budget-vs-τ planning",
         "Backends are bit-identical in output; this measures the syscall/\n\
-         page-fault trade and the planner's τ/sweep degradation curve.",
+         page-fault trade and the planner's τ degradation curve.",
     );
     let test = hep_bench::test_mode();
     let reps = if test { 1 } else { 3 };
@@ -65,32 +65,28 @@ fn main() {
     println!("{}", t.render());
 
     // Budget-vs-τ: the planner's degradation curve from unbounded down to
-    // fractions of the single-sweep footprint. Infeasible budgets (below
+    // fractions of the requested τ's footprint. Infeasible budgets (below
     // the all-high floor) are recorded as such.
     let stats = file.degree_stats(tau).unwrap();
     let unbounded = plan_ingest(&stats.degrees, stats.mean_degree, tau, None, 0).unwrap();
-    let single_sweep = unbounded.estimated_peak_bytes;
-    let mut t = Table::new(["budget", "τ ran", "column sweeps", "est. peak"]);
+    let requested_peak = unbounded.estimated_peak_bytes;
+    let mut t = Table::new(["budget", "τ ran", "est. peak"]);
     let mut budget_rows = Vec::new();
     let budgets: Vec<Option<u64>> = std::iter::once(None)
         .chain(
-            [1.0, 0.9, 0.75, 0.5, 0.25, 0.1, 0.02].map(|f| Some((single_sweep as f64 * f) as u64)),
+            [1.0, 0.9, 0.75, 0.5, 0.25, 0.1, 0.02]
+                .map(|f| Some((requested_peak as f64 * f) as u64)),
         )
         .collect();
     for budget in budgets {
         let label = budget.map_or("unbounded".into(), format_bytes);
         match plan_ingest(&stats.degrees, stats.mean_degree, tau, budget, 0) {
             Ok(plan) => {
-                t.row([
-                    label,
-                    format!("{}", plan.tau),
-                    format!("{}", plan.column_passes),
-                    format_bytes(plan.estimated_peak_bytes),
-                ]);
+                t.row([label, format!("{}", plan.tau), format_bytes(plan.estimated_peak_bytes)]);
                 budget_rows.push((budget, Some(plan)));
             }
             Err(e) => {
-                t.row([label, format!("infeasible ({e})"), String::new(), String::new()]);
+                t.row([label, format!("infeasible ({e})"), String::new()]);
                 budget_rows.push((budget, None));
             }
         }
@@ -141,7 +137,6 @@ fn main() {
                     Some(p) => Json::object([
                         ("budget_bytes", (*budget).into()),
                         ("tau", p.tau.into()),
-                        ("column_passes", p.column_passes.into()),
                         ("estimated_peak_bytes", p.estimated_peak_bytes.into()),
                         ("resident_bytes", p.resident_bytes.into()),
                     ]),

@@ -136,7 +136,8 @@ fn bench_parallel_graph_build(c: &mut Criterion) {
     group.bench_function("csr_build", |b| {
         b.iter(|| {
             let mut h2h = 0u64;
-            let csr = PrunedCsr::build_streaming_h2h(&g, stats.clone(), |_| h2h += 1);
+            let pass = || Ok(g.edges.iter().copied().map(Ok));
+            let csr = PrunedCsr::build_from_passes(stats.clone(), pass, |_| h2h += 1).unwrap();
             black_box(csr.column_entries() + h2h)
         })
     });

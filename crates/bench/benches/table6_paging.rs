@@ -27,9 +27,14 @@ fn main() {
     let report = hep.partition_with_report(&g, 32, &mut sink).expect("HEP runs");
     let cpu_seconds = start.elapsed().as_secs_f64();
     let trace = report.trace.expect("trace recorded");
-    let words_per_page = 1024u64; // 4 KiB pages of u32 entries
-    let column_bytes = report.inmem_edges * 2 * 4;
-    let total_pages = column_bytes.div_ceil(4096).max(1);
+    // 4 KiB pages of u32 entries over the column array as NE++ indexes
+    // it, segment headers included: its words up to the highest one the
+    // trace touches.
+    let words_per_page = 1024u64;
+    let column_words = trace.iter().max().map_or(0, |&w| w + 1);
+    let total_pages = column_words.div_ceil(words_per_page).max(1);
+    let touched_pages =
+        trace.iter().map(|&w| w / words_per_page).collect::<std::collections::HashSet<_>>().len();
     let mut t = Table::new(["mem. limit", "limit/col.array", "run-time (model)", "hard faults"]);
     let percents: &[u64] = if hep_bench::test_mode() {
         &[100, 50, 10]
@@ -39,6 +44,10 @@ fn main() {
     for &percent in percents {
         let pages = (total_pages * percent / 100).max(1);
         let stats = replay_trace(&trace, words_per_page, pages);
+        if percent == 100 {
+            // The whole array fits: every page faults once, on first touch.
+            assert_eq!(stats.faults, touched_pages as u64, "100% must fault only cold");
+        }
         t.row([
             format_bytes(pages * 4096),
             format!("{percent}%"),

@@ -29,10 +29,9 @@ pub struct HepConfig {
     pub informed_streaming: bool,
     /// Memory budget for the out-of-core ingestion pipeline (§4.2: the
     /// machine's memory budget is the planner's primary input). When set,
-    /// [`crate::planner::plan_ingest`] chooses τ and the column-sweep
-    /// count so the estimated peak ingestion+build footprint fits; τ is
-    /// **degraded** (never the budget exceeded) when the configured τ
-    /// does not fit. `None` ingests unbounded at the configured τ.
+    /// [`crate::planner::plan_ingest`] chooses τ so the estimated peak
+    /// footprint fits; τ is **degraded** (never the budget exceeded) when
+    /// the configured τ does not fit. `None` ingests unbounded at the configured τ.
     /// Defaults to the `HEP_MEMORY_BUDGET` environment variable when set
     /// (bytes, with optional `K`/`M`/`G` suffix); a set value that does not
     /// parse or is zero makes [`HepConfig::validate`] fail rather than run

@@ -47,17 +47,15 @@ impl Drop for TempFileGuard {
 /// the allocation-tracking tests measure the same code path.
 ///
 /// When `memory_budget_bytes` is set, [`plan_ingest`] first picks the
-/// column-sweep count — and, only if no sweep count suffices, a degraded
-/// τ — so the estimated peak footprint fits; the returned [`IngestPlan`]
-/// records what actually ran. `io_mode` overrides the file's pass backend
-/// ([`IoMode::Auto`] keeps the file's own setting, which defaults to the
-/// `HEP_IO_MODE` environment).
+/// largest τ (the configured one, or a degraded one) whose estimated peak
+/// footprint fits; the returned [`IngestPlan`] records what actually ran.
+/// `io_mode` overrides the file's pass backend ([`IoMode::Auto`] keeps the
+/// file's own setting, which defaults to the `HEP_IO_MODE` environment).
 ///
 /// `stream` extends the plan's peak accounting over phase 2: given the
 /// partition count `k` the driver will stream with, the planner charges
-/// [`estimate_stream_overhead_bytes`] alongside the resident arrays
-/// (ROADMAP: "the phase-2 replica sets are unbudgeted" — no longer). Pass
-/// `None` to plan ingestion alone, the pre-phase-2 behavior.
+/// [`estimate_stream_overhead_bytes`] alongside the resident arrays. Pass
+/// `None` to plan ingestion alone.
 pub fn ingest_file_budgeted(
     file: &BinaryEdgeFile,
     tau: f64,
@@ -79,8 +77,7 @@ pub fn ingest_file_budgeted(
     } else {
         DegreeStats::from_degrees(stats.degrees, stats.mean_degree, plan.tau)
     };
-    let csr =
-        PrunedCsr::build_from_passes_budgeted(stats, || file.pass(), h2h_sink, plan.column_passes)?;
+    let csr = PrunedCsr::build_from_passes(stats, || file.pass(), h2h_sink)?;
     Ok((csr, plan))
 }
 
@@ -127,9 +124,9 @@ pub struct HepRunReport {
     /// Per-phase wall-clock breakdown.
     pub timings: PhaseTimings,
     /// The executed ingestion plan of the file driver: the τ actually run
-    /// (degraded below the configured τ only when no column-sweep count
-    /// fits the budget), the sweep count, and the planner's footprint
-    /// estimates. `None` for in-memory runs, which ingest nothing.
+    /// (degraded below the configured τ only when it does not fit the
+    /// budget) and the planner's footprint estimates. `None` for in-memory
+    /// runs, which ingest nothing.
     pub ingest: Option<IngestPlan>,
 }
 
@@ -156,15 +153,16 @@ impl Hep {
         let stats = DegreeStats::new(graph, self.config.tau);
         let guard = TempFileGuard(h2h_temp_path());
         let mut spill = EdgeFileWriter::create(&guard.0, graph.num_vertices)?;
-        let csr = PrunedCsr::build_streaming_h2h(graph, stats, |e| spill.push(e));
+        let pass = || Ok(graph.edges.iter().copied().map(Ok));
+        let csr = PrunedCsr::build_from_passes(stats, pass, |e| spill.push(e))?;
         spill.finish()?;
         self.finish_phases(csr, k, guard, build_start.elapsed().as_secs_f64(), None, sink)
     }
 
     /// Runs both phases directly off a headered binary edge file, never
-    /// materializing an [`EdgeList`]: the degree pass and the CSR column
-    /// sweeps stream over the file with a reused read buffer (§4.1 applied
-    /// to disk), honoring [`HepConfig::memory_budget_bytes`] and
+    /// materializing an [`EdgeList`]: the degree pass and the CSR
+    /// insertion pass stream over the file with a reused read buffer (§4.1
+    /// applied to disk), honoring [`HepConfig::memory_budget_bytes`] and
     /// [`HepConfig::io_mode`] via [`ingest_file_budgeted`]. Everything
     /// after graph building is shared with [`Hep::partition_with_report`].
     pub fn partition_file_with_report(
@@ -461,23 +459,16 @@ mod tests {
             let report = Hep { config }.partition_file_with_report(&file, 8, &mut sink).unwrap();
             let plan = report.ingest.expect("file driver always reports an ingest plan");
             assert_eq!(plan.tau, tau);
-            assert_eq!(plan.column_passes, 1, "unbounded runs ingest in one sweep");
             (sink.assignments, report.partition_sizes, plan)
         };
-        // A budget one byte below the single-sweep peak forces extra column
-        // sweeps at the same τ; the assignment must be bit-identical.
-        let stats = file.degree_stats(tau).unwrap();
-        let one_sweep =
-            crate::planner::plan_ingest(&stats.degrees, stats.mean_degree, tau, None, 0).unwrap();
+        // A budget equal to the unbounded estimate keeps τ; the assignment
+        // must be bit-identical.
         let mut config = HepConfig::with_tau(tau);
-        config.memory_budget_bytes = Some(one_sweep.estimated_peak_bytes - 1);
+        config.memory_budget_bytes = Some(unbudgeted.2.estimated_peak_bytes);
         let mut sink = CollectedAssignment::default();
         let report = Hep { config }.partition_file_with_report(&file, 8, &mut sink).unwrap();
         std::fs::remove_file(&path).ok();
-        let plan = report.ingest.unwrap();
-        assert_eq!(plan.tau, tau, "budget was met by sweeping, not by degrading τ");
-        assert!(plan.column_passes > 1, "tight budget must force extra sweeps");
-        assert!(plan.estimated_peak_bytes < one_sweep.estimated_peak_bytes);
+        assert_eq!(report.ingest, Some(unbudgeted.2), "the budget must not move the plan");
         assert_eq!(sink.assignments, unbudgeted.0, "budgeted ingestion changed the output");
         assert_eq!(report.partition_sizes, unbudgeted.1);
     }

@@ -30,7 +30,7 @@ pub use hep::{ingest_file_budgeted, Hep, HepRunReport, PhaseTimings};
 pub use nepp::{NeppResult, NeppStats};
 pub use planner::{
     estimate_stream_overhead_bytes, ingest_peak_bytes, plan_ingest, plan_stream_batch, IngestPlan,
-    INGEST_FIXED_OVERHEAD_BYTES, INGEST_SWEEP_GRID,
+    INGEST_FIXED_OVERHEAD_BYTES,
 };
 pub use simple_hybrid::SimpleHybrid;
 pub use streaming::{stream_h2h, stream_h2h_serial, HighReplicas};

@@ -570,7 +570,8 @@ mod tests {
     fn run(graph: &EdgeList, k: u32, tau: f64) -> (CollectedAssignment, NeppResult, Vec<Edge>) {
         let mut h2h = Vec::new();
         let stats = hep_graph::DegreeStats::new(graph, tau);
-        let csr = PrunedCsr::build_streaming_h2h(graph, stats, |e| h2h.push(e));
+        let pass = || Ok(graph.edges.iter().copied().map(Ok));
+        let csr = PrunedCsr::build_from_passes(stats, pass, |e| h2h.push(e)).unwrap();
         let mut sink = CollectedAssignment::default();
         let result = run_nepp(csr, k, &HepConfig::with_tau(tau), &mut sink);
         assert_eq!(result.degrees, graph.degrees(), "degree table handed to phase 2");

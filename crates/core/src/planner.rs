@@ -67,16 +67,16 @@ pub fn estimate_stream_overhead_bytes(degrees: &[u32], k: u32, _batch: usize) ->
     table + tracker + dense_export + headroom
 }
 
-/// An ingestion plan under a memory budget: the τ and column-sweep count
-/// the out-of-core pipeline will run with, plus its predicted footprints.
+/// An ingestion plan under a memory budget: the τ the out-of-core
+/// pipeline will run with, plus its predicted footprints.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IngestPlan {
     /// The chosen threshold factor (≤ the requested τ; degraded only when
-    /// the requested τ cannot fit the budget at any sweep count).
+    /// the requested τ does not fit the budget).
     pub tau: f64,
-    /// Column-insertion sweeps for
-    /// [`hep_graph::PrunedCsr::build_from_passes_budgeted`] (1 = one
-    /// insertion pass after the degree pass).
+    /// Always 1: ingestion is one insertion pass after the degree pass.
+    /// Kept only because the frozen benchmark harness under `perfbench/`
+    /// reads it; ROADMAP direction 2 deletes it.
     pub column_passes: usize,
     /// Predicted peak heap bytes of the degree pass + CSR build.
     pub estimated_peak_bytes: u64,
@@ -89,11 +89,6 @@ pub struct IngestPlan {
 /// arrays: the pass read buffer (1 MiB), the h2h spill writer and
 /// allocator slack.
 pub const INGEST_FIXED_OVERHEAD_BYTES: u64 = 2 << 20;
-
-/// Sweep counts the ingest planner considers (powers of two: each step
-/// halves the transient cursor arrays at the price of one more pass over
-/// the file).
-pub const INGEST_SWEEP_GRID: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Heap bytes resident after a budgeted build: degree statistics (degrees
 /// and the high bitset), list sizes, the segment index and the column
@@ -116,39 +111,33 @@ fn ingest_resident_bytes(n: u64, column_entries: u64) -> u64 {
         + 4 * column_entries // column array
 }
 
-/// Predicted peak heap bytes of a budgeted ingestion+build at `sweeps`
-/// column passes: the resident arrays plus a cursor term (`8·⌈n/sweeps⌉`)
-/// and the fixed overhead. The builder's cursors now live in the size
-/// fields, so the cursor term is headroom the build no longer allocates.
-pub fn ingest_peak_bytes(n: u64, column_entries: u64, sweeps: usize) -> u64 {
-    ingest_resident_bytes(n, column_entries)
-        + 8 * n.div_ceil(sweeps.max(1) as u64)
-        + INGEST_FIXED_OVERHEAD_BYTES
+/// Predicted peak heap bytes of the degree pass plus the CSR build: the
+/// resident arrays and the fixed overhead. The builder keeps its insertion
+/// cursors in the segment headers and the degree table, so it allocates
+/// nothing beyond what stays resident.
+pub fn ingest_peak_bytes(n: u64, column_entries: u64) -> u64 {
+    ingest_resident_bytes(n, column_entries) + INGEST_FIXED_OVERHEAD_BYTES
 }
 
 /// Plans out-of-core ingestion against a memory budget (§4.2: the budget,
 /// not |E|, dictates what is held at once). Given the raw degree sequence
 /// (one file pass, τ-independent), each candidate τ costs one `O(|V|)` sum
-/// over `degrees` and no allocation. The planner searches τ from
-/// `requested_tau` downward (halving) and, per τ, the smallest sweep count
-/// in [`INGEST_SWEEP_GRID`] whose predicted peak
-/// ([`ingest_peak_bytes`]) fits — **quality first**: τ is degraded only
-/// when no sweep count fits, so the plan never exceeds the budget and
-/// gives up the least possible pruning quality. `budget_bytes = None`
-/// plans the requested τ at one sweep.
+/// over `degrees` and no allocation. The planner halves τ from
+/// `requested_tau` until the predicted peak fits: the paper's "maximal
+/// value of τ that keeps the memory bound" on that halving grid, so the
+/// plan never exceeds the budget. `budget_bytes = None` plans the
+/// requested τ.
 ///
 /// Errors with [`GraphError::BudgetExceeded`] when even the most degraded
-/// plan (τ classifying only isolated vertices as low, maximum sweeps)
-/// misses the budget — the floor is the vertex-proportional state, which
-/// no τ can shrink.
+/// plan (τ classifying only isolated vertices as low) misses the budget —
+/// the floor is the vertex-proportional state, which no τ can shrink.
 ///
 /// `phase2_overhead_bytes` extends the peak accounting past ingestion:
 /// the streaming engine's working state
 /// ([`estimate_stream_overhead_bytes`]) lives alongside the resident
-/// arrays after the build, so the charged peak per candidate plan is
-/// `max(ingest peak, resident + phase2)`. Pass `0` to plan ingestion
-/// alone (the pre-phase-2 behavior). Sweeps and τ cannot shrink the
-/// phase-2 term.
+/// arrays after the build, so the charged peak per candidate τ is
+/// `max(ingest peak, resident + phase2)` ([`ingest_peak_bytes`]). Pass `0`
+/// to plan ingestion alone. τ cannot shrink the phase-2 term.
 pub fn plan_ingest(
     degrees: &[u32],
     mean_degree: f64,
@@ -172,46 +161,33 @@ pub fn plan_ingest(
             .map(|&d| d as u64)
             .sum()
     };
-    let peak_at = |entries: u64, sweeps: usize| -> u64 {
-        ingest_peak_bytes(n, entries, sweeps)
-            .max(ingest_resident_bytes(n, entries).saturating_add(phase2_overhead_bytes))
+    let plan_at = |tau: f64, entries: u64| -> IngestPlan {
+        let resident_bytes = ingest_resident_bytes(n, entries);
+        let estimated_peak_bytes =
+            ingest_peak_bytes(n, entries).max(resident_bytes.saturating_add(phase2_overhead_bytes));
+        IngestPlan { tau, column_passes: 1, estimated_peak_bytes, resident_bytes }
     };
-    let budget = match budget_bytes {
-        None => {
-            let entries = entries_at(requested_tau);
-            return Ok(IngestPlan {
-                tau: requested_tau,
-                column_passes: 1,
-                estimated_peak_bytes: peak_at(entries, 1),
-                resident_bytes: ingest_resident_bytes(n, entries),
-            });
-        }
-        Some(b) => b,
+    let Some(budget) = budget_bytes else {
+        return Ok(plan_at(requested_tau, entries_at(requested_tau)));
     };
     // τ halves until no vertex is low (zero entries); 64 halvings cross the
-    // whole f64 range of useful thresholds.
+    // whole f64 range of useful thresholds. The peak only falls as τ does,
+    // so the last plan tried is the cheapest.
     let mut tau = requested_tau;
-    let mut min_peak = u64::MAX;
+    let mut required_bytes = u64::MAX;
     for _ in 0..=64 {
         let entries = entries_at(tau);
-        for sweeps in INGEST_SWEEP_GRID {
-            let peak = peak_at(entries, sweeps);
-            min_peak = min_peak.min(peak);
-            if peak <= budget {
-                return Ok(IngestPlan {
-                    tau,
-                    column_passes: sweeps,
-                    estimated_peak_bytes: peak,
-                    resident_bytes: ingest_resident_bytes(n, entries),
-                });
-            }
+        let plan = plan_at(tau, entries);
+        if plan.estimated_peak_bytes <= budget {
+            return Ok(plan);
         }
+        required_bytes = plan.estimated_peak_bytes;
         if entries == 0 {
             break;
         }
         tau /= 2.0;
     }
-    Err(GraphError::BudgetExceeded { budget_bytes: budget, required_bytes: min_peak })
+    Err(GraphError::BudgetExceeded { budget_bytes: budget, required_bytes })
 }
 
 #[cfg(test)]
@@ -224,11 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn ingest_plan_unbounded_keeps_requested_tau_single_sweep() {
+    fn ingest_plan_unbounded_keeps_requested_tau() {
         let g = graph();
         let plan = plan_ingest(&g.degrees(), g.mean_degree(), 10.0, None, 0).unwrap();
         assert_eq!(plan.tau, 10.0);
-        assert_eq!(plan.column_passes, 1);
+        assert_eq!(plan.column_passes, 1, "the leftover field is always 1");
         assert!(plan.resident_bytes < plan.estimated_peak_bytes);
         // A generous explicit budget plans identically.
         let same = plan_ingest(&g.degrees(), g.mean_degree(), 10.0, Some(u64::MAX), 0).unwrap();
@@ -236,18 +212,18 @@ mod tests {
     }
 
     #[test]
-    fn ingest_plan_prefers_more_sweeps_over_degrading_tau() {
+    fn ingest_plan_keeps_tau_exactly_at_its_estimate() {
+        // A budget equal to the requested τ's estimate plans it unchanged;
+        // one byte less halves τ.
         let g = graph();
         let degrees = g.degrees();
         let mean = g.mean_degree();
-        let one_sweep = plan_ingest(&degrees, mean, 10.0, None, 0).unwrap();
-        // Squeeze out just the single-sweep cursor slack: more sweeps at
-        // the same tau must fit before tau is touched.
-        let budget = one_sweep.estimated_peak_bytes - 1;
-        let plan = plan_ingest(&degrees, mean, 10.0, Some(budget), 0).unwrap();
-        assert_eq!(plan.tau, 10.0, "tau must not degrade while sweeps can absorb the cut");
-        assert!(plan.column_passes > 1);
-        assert!(plan.estimated_peak_bytes <= budget);
+        let unbounded = plan_ingest(&degrees, mean, 10.0, None, 0).unwrap();
+        let budget = unbounded.estimated_peak_bytes;
+        assert_eq!(plan_ingest(&degrees, mean, 10.0, Some(budget), 0).unwrap(), unbounded);
+        let plan = plan_ingest(&degrees, mean, 10.0, Some(budget - 1), 0).unwrap();
+        assert_eq!(plan.tau, 5.0, "the next τ on the halving grid");
+        assert!(plan.estimated_peak_bytes < budget);
     }
 
     #[test]
@@ -256,11 +232,11 @@ mod tests {
         let degrees = g.degrees();
         let mean = g.mean_degree();
         let n = g.num_vertices as u64;
-        // Budget below what tau=100 needs even at max sweeps, but above
-        // the all-high floor: only a smaller tau fits.
+        // Budget below what tau=100 needs, but above the all-high floor:
+        // only a smaller tau fits.
         let all_low_peak =
             plan_ingest(&degrees, mean, 100.0, None, 0).unwrap().estimated_peak_bytes;
-        let all_high_peak = ingest_peak_bytes(n, 0, 64);
+        let all_high_peak = ingest_peak_bytes(n, 0);
         assert!(all_high_peak < all_low_peak);
         let budget = all_high_peak + (all_low_peak - all_high_peak) / 8;
         let plan = plan_ingest(&degrees, mean, 100.0, Some(budget), 0).unwrap();
@@ -333,7 +309,7 @@ mod tests {
         let degrees = g.degrees();
         let mean = g.mean_degree();
         let base = plan_ingest(&degrees, mean, 10.0, None, 0).unwrap();
-        // A phase-2 term smaller than the ingest transient changes nothing.
+        // A phase-2 term smaller than the fixed ingest overhead changes nothing.
         let small = plan_ingest(&degrees, mean, 10.0, None, 1).unwrap();
         assert_eq!(base, small);
         // A dominating phase-2 term shows up as the charged peak.
@@ -341,7 +317,7 @@ mod tests {
         let plan = plan_ingest(&degrees, mean, 10.0, None, huge).unwrap();
         assert_eq!(plan.estimated_peak_bytes, plan.resident_bytes + huge);
         // And a budget below resident + phase2 is a typed failure even
-        // though ingestion alone would fit: sweeps cannot shrink phase 2.
+        // though ingestion alone would fit: τ cannot shrink phase 2.
         let budget = base.estimated_peak_bytes;
         let err = plan_ingest(&degrees, mean, 10.0, Some(budget), huge).unwrap_err();
         assert!(matches!(err, GraphError::BudgetExceeded { .. }), "got {err}");
@@ -358,7 +334,7 @@ mod tests {
         let n = g.num_vertices as u64;
         let all_low_peak =
             plan_ingest(&degrees, mean, 100.0, None, 0).unwrap().estimated_peak_bytes;
-        let floor = ingest_peak_bytes(n, 0, 64);
+        let floor = ingest_peak_bytes(n, 0);
         let budget = floor + (all_low_peak - floor) / 4;
         let plan = plan_ingest(&degrees, mean, 100.0, Some(budget), 0).unwrap();
         assert!(plan.tau < 100.0, "the budget must force degradation");

@@ -48,7 +48,7 @@ pub const KNOBS: &[EnvKnob] = &[
     EnvKnob {
         name: "HEP_MEMORY_BUDGET",
         default: "unbounded",
-        doc: "Ingestion memory budget in bytes (K/M/G suffixes); the planner fits sweeps, then τ. A malformed or zero value is a config error",
+        doc: "Ingestion memory budget in bytes (K/M/G suffixes); the planner degrades τ until the estimated peak fits. A malformed or zero value is a config error",
         since: "PR 6",
     },
     EnvKnob {

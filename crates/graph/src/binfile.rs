@@ -478,7 +478,7 @@ impl BinaryEdgeFile {
 
     /// Starts a streaming pass over the edges. Each call reopens the file,
     /// so passes are repeatable (HEP's graph build takes two: degrees, then
-    /// one insertion pass per column sweep). The pass verifies the payload
+    /// one insertion pass). The pass verifies the payload
     /// checksum as it reads; the mismatch, if any, is the final item the
     /// iterator yields.
     pub fn pass(&self) -> Result<EdgePass, GraphError> {

@@ -117,68 +117,27 @@ pub struct PrunedCsr {
 
 impl PrunedCsr {
     /// Builds the pruned CSR of an in-memory graph, counting (and
-    /// dropping) its h2h edges. `tau` is the paper's threshold factor; use
-    /// [`PrunedCsr::build_streaming_h2h`] to keep the h2h edges.
+    /// dropping) its h2h edges. `tau` is the paper's threshold factor; run
+    /// [`PrunedCsr::build_from_passes`] over `graph.edges` to keep the h2h
+    /// edges.
     ///
     /// The input must be a simple graph (no self-loops, no duplicate
     /// undirected edges); run [`EdgeList::canonicalize`] first if unsure.
     pub fn build(graph: &EdgeList, tau: f64) -> Self {
-        Self::build_streaming_h2h(graph, DegreeStats::new(graph, tau), |_| {})
-    }
-
-    /// Builds the pruned CSR, emitting h2h edges to `h2h_sink` — the
-    /// paper's "write out edges between two high-degree vertices to an
-    /// external file while building the CSR" (§3.2.1). h2h edges reach the
-    /// sink in input order.
-    ///
-    /// `stats` must be `graph`'s own degree statistics (as from
-    /// [`DegreeStats::new`]); this is the one-sweep
-    /// [`PrunedCsr::build_from_passes`] over the edge slice.
-    pub fn build_streaming_h2h(
-        graph: &EdgeList,
-        stats: DegreeStats,
-        h2h_sink: impl FnMut(Edge),
-    ) -> Self {
-        debug_assert_eq!(stats.degrees.len(), graph.num_vertices as usize);
+        let stats = DegreeStats::new(graph, tau);
         let pass = || Ok(graph.edges.iter().copied().map(Ok));
         // hep-lint: allow(HL007) -- an EdgeList's ids are < num_vertices and `stats` holds its exact degrees, so neither the range check nor a segment guard can fire; an index overflow needs a 16 GiB column array
-        Self::build_from_passes(stats, pass, h2h_sink).expect("stats are the graph's own degrees")
+        Self::build_from_passes(stats, pass, |_| {}).expect("stats are the graph's own degrees")
     }
 
-    /// Builds the pruned CSR from streaming passes over an external edge
-    /// source (the binary edge file of [`crate::binfile::BinaryEdgeFile`]),
-    /// without ever materializing an [`EdgeList`]: one insertion pass, sized
-    /// by the degree table in `stats` (the degree pass already made). h2h
-    /// edges go to `h2h_sink` in input order.
-    ///
-    /// Endpoint ids are validated against `stats.num_vertices()` on every
-    /// pass (external sources are untrusted, and the file may even change
-    /// between passes): an out-of-range id returns
-    /// [`GraphError::VertexOutOfRange`] instead of panicking on an
-    /// out-of-bounds index. A source that disagrees with the degree table —
-    /// more entries for a vertex than `d(v)`, or fewer — returns
-    /// [`GraphError::TruncatedBinary`]. A degree table whose segment index
-    /// offsets overflow `u32` returns [`GraphError::SegmentIndexOverflow`]
-    /// before any pass starts.
-    pub fn build_from_passes<I>(
-        stats: DegreeStats,
-        make_pass: impl FnMut() -> Result<I, GraphError>,
-        h2h_sink: impl FnMut(Edge),
-    ) -> Result<Self, GraphError>
-    where
-        I: Iterator<Item = Result<Edge, GraphError>>,
-    {
-        Self::build_from_passes_budgeted(stats, make_pass, h2h_sink, 1)
-    }
-
-    /// [`PrunedCsr::build_from_passes`] with the insertion split into
-    /// `column_passes` sequential sweeps, sweep `r` re-reading the source
-    /// and inserting only entries owned by vertices in the `r`-th
-    /// contiguous slice of the id space. The h2h sequence is emitted during
-    /// the first sweep only, and the built CSR is **bit-identical for any
-    /// `column_passes`**. Sweeps no longer save memory (the insertion
-    /// cursors are the out-size header words and the degree table's own
-    /// slots); they remain because the ingest planner still plans them.
+    /// Builds the pruned CSR from one insertion pass over an edge source
+    /// (an edge slice, or the binary edge file of
+    /// [`crate::binfile::BinaryEdgeFile`], never materialized as an
+    /// [`EdgeList`]), sized by the degree table in `stats` — the degree
+    /// pass already made. `make_pass` is called once. h2h edges go to
+    /// `h2h_sink` in input order: the paper's "write out edges between two
+    /// high-degree vertices to an external file while building the CSR"
+    /// (§3.2.1).
     ///
     /// The fill is two-ended: a low vertex's segment is exactly its
     /// two-word header plus `d(v)` entries (none at all when `d(v)` is 0),
@@ -187,20 +146,24 @@ impl PrunedCsr {
     /// fill upward after the header, with the out-size word as the cursor;
     /// in-entries fill downward from the segment's end, with v's degree
     /// slot counting the in-slots left, so an in-entry write loads nothing
-    /// from the column array. Each sweep's end check writes the in sizes
-    /// into the headers and gives every degree slot `d(v)` back. A write
-    /// into an empty segment, or past either end of a list's room, means
-    /// the source grew since the degree pass; a segment whose lists do not
-    /// sum to exactly `d(v)` at the end of its sweep means it shrank or
-    /// grew. Both are [`GraphError::TruncatedBinary`] — a typed error,
-    /// never a scatter into a neighbouring segment or a zero-filled
-    /// phantom entry. The two-ended layout is the CSR's own: in-entry `i`
-    /// (in input order) stays at `start(v+1) − 1 − i`.
-    pub fn build_from_passes_budgeted<I>(
+    /// from the column array. The end check writes the in sizes into the
+    /// headers and gives every degree slot `d(v)` back. In-entry `i` (in
+    /// input order) stays at `start(v+1) − 1 − i`.
+    ///
+    /// External sources are untrusted, and a file may change after its
+    /// degree pass, so every failure is a typed error, never a panic, a
+    /// scatter into a neighbouring segment or a zero-filled phantom entry:
+    /// an endpoint id `≥ stats.num_vertices()` is
+    /// [`GraphError::VertexOutOfRange`]; a write into an empty segment or
+    /// past either end of a list's room (the source grew), and a segment
+    /// whose lists do not sum to exactly `d(v)` (it shrank or grew), are
+    /// [`GraphError::TruncatedBinary`]; a degree table whose index offsets
+    /// overflow `u32` is [`GraphError::SegmentIndexOverflow`], returned
+    /// before the pass starts.
+    pub fn build_from_passes<I>(
         mut stats: DegreeStats,
-        mut make_pass: impl FnMut() -> Result<I, GraphError>,
+        make_pass: impl FnOnce() -> Result<I, GraphError>,
         mut h2h_sink: impl FnMut(Edge),
-        column_passes: usize,
     ) -> Result<Self, GraphError>
     where
         I: Iterator<Item = Result<Edge, GraphError>>,
@@ -211,81 +174,82 @@ impl PrunedCsr {
         let mut col = vec![0u32; index.start(n) as usize];
         let mut num_h2h = 0u64;
         let mut num_edges_total = 0u64;
-        let seg_len = n.div_ceil(column_passes.clamp(1, n.max(1))).max(1);
-        let mut lo = 0usize;
-        loop {
-            let hi = (lo + seg_len).min(n);
-            let first_sweep = lo == 0;
-            for e in make_pass()? {
-                let e = e?;
-                let max = e.src.max(e.dst);
-                if max as usize >= n {
-                    return Err(GraphError::VertexOutOfRange {
-                        vertex: max,
-                        num_vertices: n as u32,
-                    });
-                }
-                let src_high = stats.is_high(e.src);
-                let dst_high = stats.is_high(e.dst);
-                if first_sweep {
-                    num_edges_total += 1;
-                    if src_high && dst_high {
-                        num_h2h += 1;
-                        h2h_sink(e);
-                    }
-                }
-                let src = e.src as usize;
-                if !src_high && (lo..hi).contains(&src) {
-                    // The out size is the out-list's cursor. An empty
-                    // segment has no header to read: `src` was isolated
-                    // in the degree pass, so the source grew.
-                    let (start, end) = (index.start(src) as usize, index.start(src + 1) as usize);
-                    if start == end || start + HEADER + col[start] as usize >= end {
-                        return Err(GraphError::TruncatedBinary { bytes: 0 });
-                    }
-                    let out = col[start];
-                    col[start + HEADER + out as usize] = e.dst;
-                    col[start] = out + 1;
-                }
-                let dst = e.dst as usize;
-                if !dst_high && (lo..hi).contains(&dst) {
-                    // The degree slot counts the in-slots left, `r`; in-entry
-                    // `d − r` lives at `end − 1 − (d − r)` = `start + 1 + r`.
-                    // No slot left (none at all in an empty segment) means
-                    // the source grew.
-                    let r = stats.degrees[dst];
-                    if r == 0 {
-                        return Err(GraphError::TruncatedBinary { bytes: 0 });
-                    }
-                    col[index.start(dst) as usize + 1 + r as usize] = e.src;
-                    stats.degrees[dst] = r - 1;
-                }
+        for e in make_pass()? {
+            let e = e?;
+            let max = e.src.max(e.dst);
+            if max as usize >= n {
+                return Err(GraphError::VertexOutOfRange { vertex: max, num_vertices: n as u32 });
             }
-            // Every low segment of the sweep must be exactly full: a short
-            // one means the source shrank since the degree pass, and lists
-            // summing past `d(v)` mean it grew (each list's writes stay
-            // inside the segment). Then the in size goes into the header
-            // and the degree slot gets `d(v)` back.
-            for v in lo..hi {
-                let (start, end) = (index.start(v) as usize, index.start(v + 1) as usize);
-                if start == end {
-                    continue; // high or isolated: no list, no header
-                }
-                let d = (end - start - HEADER) as u32;
-                // out + in = d(v) exactly when out equals the in-slots left.
-                let (out, left) = (col[start], stats.degrees[v]);
-                if out != left {
+            num_edges_total += 1;
+            let src_high = stats.is_high(e.src);
+            let dst_high = stats.is_high(e.dst);
+            if src_high && dst_high {
+                num_h2h += 1;
+                h2h_sink(e);
+                continue;
+            }
+            let src = e.src as usize;
+            if !src_high {
+                // The out size is the out-list's cursor. An empty segment
+                // has no header to read: `src` was isolated in the degree
+                // pass, so the source grew.
+                let (start, end) = (index.start(src) as usize, index.start(src + 1) as usize);
+                if start == end || start + HEADER + col[start] as usize >= end {
                     return Err(GraphError::TruncatedBinary { bytes: 0 });
                 }
-                col[start + 1] = d - left;
-                stats.degrees[v] = d;
+                let out = col[start];
+                col[start + HEADER + out as usize] = e.dst;
+                col[start] = out + 1;
             }
-            lo = hi;
-            if lo >= n {
-                break;
+            let dst = e.dst as usize;
+            if !dst_high {
+                // The degree slot counts the in-slots left, `r`; in-entry
+                // `d − r` lives at `end − 1 − (d − r)` = `start + 1 + r`. No
+                // slot left (none at all in an empty segment) means the
+                // source grew.
+                let r = stats.degrees[dst];
+                if r == 0 {
+                    return Err(GraphError::TruncatedBinary { bytes: 0 });
+                }
+                col[index.start(dst) as usize + 1 + r as usize] = e.src;
+                stats.degrees[dst] = r - 1;
             }
         }
+        // Every low segment must be exactly full: a short one means the
+        // source shrank since the degree pass, and lists summing past
+        // `d(v)` mean it grew (each list's writes stay inside the segment).
+        // Then the in size goes into the header and the degree slot gets
+        // `d(v)` back.
+        for v in 0..n {
+            let (start, end) = (index.start(v) as usize, index.start(v + 1) as usize);
+            if start == end {
+                continue; // high or isolated: no list, no header
+            }
+            let d = (end - start - HEADER) as u32;
+            // out + in = d(v) exactly when out equals the in-slots left.
+            let (out, left) = (col[start], stats.degrees[v]);
+            if out != left {
+                return Err(GraphError::TruncatedBinary { bytes: 0 });
+            }
+            col[start + 1] = d - left;
+            stats.degrees[v] = d;
+        }
         Ok(PrunedCsr { stats, index, col, column_entries, num_h2h, num_edges_total })
+    }
+
+    /// [`PrunedCsr::build_from_passes`], ignoring `column_passes`. Kept only
+    /// because the frozen benchmark harness under `perfbench/` calls it;
+    /// ROADMAP direction 2 deletes it with that harness's other leftovers.
+    pub fn build_from_passes_budgeted<I>(
+        stats: DegreeStats,
+        make_pass: impl FnOnce() -> Result<I, GraphError>,
+        h2h_sink: impl FnMut(Edge),
+        _column_passes: usize,
+    ) -> Result<Self, GraphError>
+    where
+        I: Iterator<Item = Result<Edge, GraphError>>,
+    {
+        Self::build_from_passes(stats, make_pass, h2h_sink)
     }
 
     /// Number of vertices (counted from the segment index, so it holds
@@ -484,8 +448,9 @@ mod tests {
     /// Builds with `h2h_sink` collecting the h2h edges.
     fn build_collecting_h2h(g: &EdgeList, tau: f64) -> (PrunedCsr, Vec<Edge>) {
         let mut h2h = Vec::new();
-        let csr = PrunedCsr::build_streaming_h2h(g, DegreeStats::new(g, tau), |e| h2h.push(e));
-        (csr, h2h)
+        let pass = || Ok(g.edges.iter().copied().map(Ok));
+        let csr = PrunedCsr::build_from_passes(DegreeStats::new(g, tau), pass, |e| h2h.push(e));
+        (csr.unwrap(), h2h)
     }
 
     #[test]
@@ -743,20 +708,23 @@ mod tests {
         ]
     }
 
-    /// Builds from `pass` at `sweeps` and compares with the reference.
+    /// Builds from `pass`, checks that the builder asked for exactly one
+    /// pass, and compares with the reference.
     fn check_builder<I: Iterator<Item = Result<Edge, GraphError>>>(
         what: &str,
         stats: &DegreeStats,
-        sweeps: usize,
         want: &(PrunedCsr, Vec<Edge>),
-        pass: impl FnMut() -> Result<I, GraphError>,
+        mut pass: impl FnMut() -> Result<I, GraphError>,
     ) {
-        let mut h2h = Vec::new();
-        let csr =
-            PrunedCsr::build_from_passes_budgeted(stats.clone(), pass, |e| h2h.push(e), sweeps)
-                .unwrap();
-        assert_eq!(csr, want.0, "{what}: CSR at {sweeps} sweeps");
-        assert_eq!(h2h, want.1, "{what}: h2h at {sweeps} sweeps");
+        let (mut calls, mut h2h) = (0, Vec::new());
+        let make_pass = || {
+            calls += 1;
+            pass()
+        };
+        let csr = PrunedCsr::build_from_passes(stats.clone(), make_pass, |e| h2h.push(e)).unwrap();
+        assert_eq!(calls, 1, "{what}: one insertion pass");
+        assert_eq!(csr, want.0, "{what}: CSR");
+        assert_eq!(h2h, want.1, "{what}: h2h");
     }
 
     #[test]
@@ -791,9 +759,9 @@ mod tests {
                 // segments: 129's lies at the column array's end.
                 assert_eq!(want.0.index.start(n as usize - 1), want.0.col.len() as u64);
             }
-            let mut h2h = Vec::new();
-            let in_memory = PrunedCsr::build_streaming_h2h(&g, stats.clone(), |e| h2h.push(e));
-            assert_eq!(h2h, want.1, "{name}: in-memory h2h");
+            let slice = || Ok(g.edges.iter().copied().map(Ok));
+            check_builder(&format!("{name}: slice"), &stats, &want, slice);
+            let in_memory = PrunedCsr::build(&g, tau);
             assert_eq!(in_memory, want.0, "{name}: in-memory builder");
             // A low vertex's segment holds d(v) entries after its header;
             // a high or isolated one has neither entries nor a header, and
@@ -815,14 +783,9 @@ mod tests {
             let mut path = std::env::temp_dir();
             path.push(format!("hep_pruned_csr_oracle_{}_{name}.hepb", std::process::id()));
             let file = BinaryEdgeFile::write(&path, &g).unwrap();
-            for sweeps in [1usize, 2, 3, 7, 64, usize::MAX] {
-                let slice = || Ok(g.edges.iter().copied().map(Ok));
-                check_builder(&format!("{name}: slice"), &stats, sweeps, &want, slice);
-                for mode in [IoMode::Buffered, IoMode::Mmap] {
-                    let f = file.clone().with_io_mode(mode);
-                    let what = format!("{name}: {mode:?} file");
-                    check_builder(&what, &stats, sweeps, &want, || f.pass());
-                }
+            for mode in [IoMode::Buffered, IoMode::Mmap] {
+                let f = file.clone().with_io_mode(mode);
+                check_builder(&format!("{name}: {mode:?} file"), &stats, &want, || f.pass());
             }
             std::fs::remove_file(&path).ok();
         }
@@ -885,23 +848,20 @@ mod tests {
 
     #[test]
     fn budgeted_build_rejects_source_growing_between_passes() {
-        // The degree pass saw one edge per low vertex; the build passes
-        // yield two more at one low vertex. Without the segment guard the
+        // The degree pass saw one edge per low vertex; the insertion pass
+        // yields two more at one low vertex. Without the segment guard the
         // extra entries would run off the segment: past the column array's
         // end for vertex 3's out-list (the last low segment; vertex 4 is
         // high), below its start for vertex 0's in-list.
         for extra in [Edge::new(3, 4), Edge::new(4, 0)] {
-            for column_passes in [1, 2] {
-                let stats = DegreeStats::from_degrees(vec![1, 1, 1, 1, 100], 1.0, 10.0);
-                let err = PrunedCsr::build_from_passes_budgeted(
-                    stats,
-                    || Ok([Edge::new(0, 1), Edge::new(2, 3), extra, extra].into_iter().map(Ok)),
-                    |_| {},
-                    column_passes,
-                )
-                .unwrap_err();
-                assert!(matches!(err, GraphError::TruncatedBinary { .. }), "got {err}");
-            }
+            let stats = DegreeStats::from_degrees(vec![1, 1, 1, 1, 100], 1.0, 10.0);
+            let err = PrunedCsr::build_from_passes(
+                stats,
+                || Ok([Edge::new(0, 1), Edge::new(2, 3), extra, extra].into_iter().map(Ok)),
+                |_| {},
+            )
+            .unwrap_err();
+            assert!(matches!(err, GraphError::TruncatedBinary { .. }), "got {err}");
         }
     }
 
@@ -910,58 +870,35 @@ mod tests {
         // The degree pass saw vertices 2 and 6 isolated and vertex 5 high,
         // so none has a header: 2's empty segment sits between 1's and
         // 3's, 6's at the column array's end, after the last non-empty
-        // segment (4's). A build pass yields an edge at one of them, as
+        // segment (4's). The insertion pass yields an edge at one of them, as
         // source and as destination; its other end is the high vertex 5,
         // which has no list to fill. Reading a header for 2 would read
         // 3's, for 6 would run past the column array, and a write at 4
         // would run past it too.
         for v in [2, 6, 4] {
             for extra in [Edge::new(v, 5), Edge::new(5, v)] {
-                for column_passes in [1, 2] {
-                    let stats = DegreeStats::from_degrees(vec![1, 1, 0, 1, 1, 100, 0], 1.0, 10.0);
-                    let err = PrunedCsr::build_from_passes_budgeted(
-                        stats,
-                        || Ok([Edge::new(0, 1), extra, Edge::new(3, 4)].into_iter().map(Ok)),
-                        |_| {},
-                        column_passes,
-                    )
-                    .unwrap_err();
-                    assert!(
-                        matches!(err, GraphError::TruncatedBinary { .. }),
-                        "{extra:?} at {column_passes} passes: got {err}"
-                    );
-                }
+                let stats = DegreeStats::from_degrees(vec![1, 1, 0, 1, 1, 100, 0], 1.0, 10.0);
+                let err = PrunedCsr::build_from_passes(
+                    stats,
+                    || Ok([Edge::new(0, 1), extra, Edge::new(3, 4)].into_iter().map(Ok)),
+                    |_| {},
+                )
+                .unwrap_err();
+                assert!(matches!(err, GraphError::TruncatedBinary { .. }), "{extra:?}: got {err}");
             }
         }
     }
 
     #[test]
     fn budgeted_build_rejects_source_shrinking_between_passes() {
-        // The degree table promises four entries; a later pass yields
-        // fewer. Without the end check the unfilled slots would stay
+        // The degree table promises four entries; the insertion pass
+        // yields fewer. Without the end check the unfilled slots would stay
         // zero and count as valid entries — phantom edges to vertex 0.
-        let shrinks = |column_passes: usize| {
-            let stats = DegreeStats::from_degrees(vec![1, 1, 1, 1], 1.0, 10.0);
-            let mut calls = 0;
-            PrunedCsr::build_from_passes_budgeted(
-                stats,
-                move || {
-                    calls += 1;
-                    let mut edges = vec![Ok(Edge::new(0, 1))];
-                    if calls == 1 && column_passes > 1 {
-                        edges.push(Ok(Edge::new(2, 3)));
-                    }
-                    Ok(edges.into_iter())
-                },
-                |_| {},
-                column_passes,
-            )
-            .unwrap_err()
-        };
-        for column_passes in [1, 2] {
-            let err = shrinks(column_passes);
-            assert!(matches!(err, GraphError::TruncatedBinary { .. }), "got {err}");
-        }
+        let stats = DegreeStats::from_degrees(vec![1, 1, 1, 1], 1.0, 10.0);
+        let err =
+            PrunedCsr::build_from_passes(stats, || Ok([Ok(Edge::new(0, 1))].into_iter()), |_| {})
+                .unwrap_err();
+        assert!(matches!(err, GraphError::TruncatedBinary { .. }), "got {err}");
     }
 
     #[test]
@@ -969,32 +906,13 @@ mod tests {
         // Degree stats over 3 vertices, but the pass yields edge (0, 9):
         // a typed error, not an index-out-of-bounds panic.
         let stats = DegreeStats::from_degrees(vec![1, 1, 0], 1.0, 10.0);
-        let err = PrunedCsr::build_from_passes(
-            stats.clone(),
-            || Ok([Ok(Edge::new(0, 9))].into_iter()),
-            |_| {},
-        )
-        .unwrap_err();
+        let err =
+            PrunedCsr::build_from_passes(stats, || Ok([Ok(Edge::new(0, 9))].into_iter()), |_| {})
+                .unwrap_err();
         assert!(
             matches!(err, GraphError::VertexOutOfRange { vertex: 9, num_vertices: 3 }),
             "got {err}"
         );
-        // Every sweep's pass is validated: with two column sweeps, pass 1
-        // clean, pass 2 corrupt (an external source can change between
-        // passes).
-        let mut calls = 0;
-        let err = PrunedCsr::build_from_passes_budgeted(
-            stats,
-            move || {
-                calls += 1;
-                let e = if calls == 1 { Edge::new(0, 1) } else { Edge::new(7, 1) };
-                Ok([Ok(e)].into_iter())
-            },
-            |_| {},
-            2,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GraphError::VertexOutOfRange { vertex: 7, .. }), "got {err}");
     }
 
     proptest! {

@@ -109,33 +109,19 @@ impl PartitionMetrics {
         self.total_edges
     }
 
-    /// Per-vertex replica counts (number of partitions covering each vertex).
-    ///
-    /// Computed in parallel over fixed 64-bit-word ranges of the vertex id
-    /// space: each task scans all `k` bitsets within its range, so no two
-    /// tasks write the same counter and the result is exact.
+    /// Per-vertex replica counts (number of partitions covering each
+    /// vertex): one serial scan of the `k` cover sets, word by word.
     pub fn replica_counts(&self) -> Vec<u32> {
-        const WORDS_PER_CHUNK: usize = 4096;
         let n = self.covered.first().map_or(0, |b| b.capacity());
-        let ranges = hep_par::chunk_ranges(n.div_ceil(64), WORDS_PER_CHUNK);
-        let chunks = hep_par::Pool::current().par_map(ranges.len(), |i| {
-            let (wa, wb) = ranges[i];
-            let lo = wa * 64;
-            let mut counts = vec![0u32; ((wb * 64).min(n)) - lo];
-            for set in &self.covered {
-                for (wi, &word) in set.words()[wa..wb].iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        counts[(wi << 6) + word.trailing_zeros() as usize] += 1;
-                        word &= word - 1;
-                    }
+        let mut counts = vec![0u32; n];
+        for set in &self.covered {
+            for (wi, &word) in set.words().iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    counts[(wi << 6) + word.trailing_zeros() as usize] += 1;
+                    word &= word - 1;
                 }
             }
-            counts
-        });
-        let mut counts = Vec::with_capacity(n);
-        for c in chunks {
-            counts.extend(c);
         }
         counts
     }

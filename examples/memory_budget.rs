@@ -53,9 +53,8 @@ fn main() {
         Ok(report) => {
             let plan = report.ingest.expect("file runs report their ingestion plan");
             println!(
-                "planner chose tau = {} at {} column pass(es), predicted peak {}",
+                "planner chose tau = {}, predicted peak {}",
                 plan.tau,
-                plan.column_passes,
                 format_bytes(plan.estimated_peak_bytes)
             );
             println!(

@@ -46,7 +46,7 @@ fn write_file(graph: &EdgeList, name: &str) -> (BinaryEdgeFile, TempFileGuard) {
 }
 
 /// Runs the exact pipeline region the budget governs — the degree pass and
-/// the column sweeps of [`ingest_file_budgeted`] — under the counting
+/// the CSR insertion pass of [`ingest_file_budgeted`] — under the counting
 /// allocator. Returns the built CSR, the executed plan, the h2h count, and
 /// the measured peak heap in bytes. The buffered backend is the
 /// conservative one to track: its pass buffers live on the heap, where
@@ -78,15 +78,14 @@ fn peak_ingestion_within_estimate_within_budget_across_scales() {
         let (file, _guard) = write_file(&g, &format!("scales_{n}"));
         let (base_csr, base_plan, base_h2h, base_peak) = measured_ingest(&file, tau, None);
         assert_eq!(base_plan.tau, tau);
-        assert_eq!(base_plan.column_passes, 1, "unbounded ingestion is a single sweep");
         assert!(
             base_peak <= base_plan.estimated_peak_bytes,
             "n={n}: unbounded peak {base_peak} exceeds estimate {}",
             base_plan.estimated_peak_bytes
         );
-        // One byte under the single-sweep peak forces extra sweeps (tight);
-        // double that comfortably readmits the single sweep (2×).
-        let tight = base_plan.estimated_peak_bytes - 1;
+        // A budget equal to the estimate (tight) and double that (2×) both
+        // plan the requested τ.
+        let tight = base_plan.estimated_peak_bytes;
         for budget in [tight, 2 * tight] {
             let (csr, plan, h2h, peak) = measured_ingest(&file, tau, Some(budget));
             assert_eq!(plan.tau, tau, "these budgets are satisfiable without degrading τ");
@@ -101,9 +100,6 @@ fn peak_ingestion_within_estimate_within_budget_across_scales() {
                 plan.estimated_peak_bytes
             );
             assert!(peak <= budget, "n={n}: peak {peak} exceeds budget {budget}");
-            if budget == tight {
-                assert!(plan.column_passes > 1, "tight budget must force extra sweeps");
-            }
             assert_eq!(csr, base_csr, "budgeted build diverged from unbounded build");
             assert_eq!(h2h, base_h2h);
         }
@@ -225,7 +221,7 @@ fn nepp_state_above_the_csr_is_three_bitsets_and_the_replica_rows() {
     }
 }
 
-/// When no sweep count fits the requested τ, the planner degrades τ — more
+/// When the requested τ does not fit, the planner degrades τ — more
 /// edges go to the streaming side, the CSR shrinks into the budget — and
 /// the measured peak still honors both the estimate and the budget.
 #[test]
@@ -237,9 +233,9 @@ fn tau_degrades_rather_than_exceeding_budget() {
     let stats = file.degree_stats(requested).unwrap();
     let n = stats.num_vertices() as u64;
     // A budget between the all-high floor (zero column entries) and the
-    // requested τ's footprint at maximum chunking: only a lower τ fits.
-    let floor = ingest_peak_bytes(n, 0, 64);
-    let requested_peak = ingest_peak_bytes(n, stats.low_degree_adjacency_entries(), 64);
+    // requested τ's footprint: only a lower τ fits.
+    let floor = ingest_peak_bytes(n, 0);
+    let requested_peak = ingest_peak_bytes(n, stats.low_degree_adjacency_entries());
     assert!(requested_peak > floor, "fixture must have low-degree adjacency to shed");
     let budget = floor + (requested_peak - floor) / 8;
     let plan = plan_ingest(&stats.degrees, stats.mean_degree, requested, Some(budget), 0).unwrap();

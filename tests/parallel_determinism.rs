@@ -124,8 +124,9 @@ proptest! {
         let (a, b) = serial_vs_parallel(|| {
             let stats = hep::graph::DegreeStats::new(&g, 4.0);
             let mut h2h = Vec::new();
-            let csr = hep::graph::PrunedCsr::build_streaming_h2h(&g, stats, |e| h2h.push(e));
-            (csr, h2h)
+            let pass = || Ok(g.edges.iter().copied().map(Ok));
+            let csr = hep::graph::PrunedCsr::build_from_passes(stats, pass, |e| h2h.push(e));
+            (csr.unwrap(), h2h)
         });
         prop_assert_eq!(&a.0, &b.0);
         prop_assert_eq!(a.1, b.1);
@@ -134,7 +135,7 @@ proptest! {
     #[test]
     fn mmap_and_buffered_file_pipelines_are_bit_identical(seed in 0u64..1000) {
         // The PassSource contract: the mmap and buffered backends feed the
-        // degree pass, the budgeted CSR sweeps, and phase-2 streaming the
+        // degree pass, the CSR insertion pass, and phase-2 streaming the
         // exact same byte stream, so the full file pipeline is bit-identical
         // across backends at any thread count.
         use hep::graph::{BinaryEdgeFile, IoMode};
