@@ -47,8 +47,3 @@ pub fn standard_baselines() -> Vec<Box<dyn hep_graph::EdgePartitioner>> {
         Box::new(MetisLike::default()),
     ]
 }
-
-/// The reduced set the paper uses on the very large graphs (GSH, WDC).
-pub fn large_graph_baselines() -> Vec<Box<dyn hep_graph::EdgePartitioner>> {
-    vec![Box::new(Hdrf::default()), Box::new(Dbh::default())]
-}

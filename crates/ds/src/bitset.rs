@@ -6,7 +6,7 @@
 //! expansion inner loop are a single shift/mask on a cache-resident word.
 //!
 //! The bulk operations (`count_ones`, `union_with`, `difference_with`,
-//! `union_count`, `count_members`) are plain loops over the 64-bit words.
+//! `union_count`) are plain loops over the 64-bit words.
 
 /// A dense bitset with a fixed capacity chosen at construction time.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -116,13 +116,6 @@ impl DenseBitset {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= !b;
         }
-    }
-
-    /// How many of `ids` are set in this bitset (out-of-range ids count as
-    /// clear). The hypergraph min-max tie-break's pins-vs-replica overlap
-    /// is this sparse membership count.
-    pub fn count_members(&self, ids: &[u32]) -> usize {
-        ids.iter().filter(|&&id| self.get(id)).count()
     }
 
     /// Number of bits set in the union of `sets`, without materializing the
@@ -285,18 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn count_members_matches_gets() {
-        let mut bs = DenseBitset::new(300);
-        for v in [0u32, 63, 64, 129, 299] {
-            bs.set(v);
-        }
-        let ids = [0u32, 1, 63, 64, 128, 129, 299, 300, 1_000_000, 63];
-        let expect = ids.iter().filter(|&&v| bs.get(v)).count();
-        assert_eq!(bs.count_members(&ids), expect);
-        assert_eq!(expect, 6);
-    }
-
-    #[test]
     fn heap_bytes_matches_word_count() {
         let bs = DenseBitset::new(129);
         assert_eq!(bs.heap_bytes(), 3 * 8);
@@ -367,11 +348,6 @@ mod tests {
             let covered =
                 (0..capacity as u32).filter(|&i| sets.iter().any(|s| s.get(i))).count();
             prop_assert_eq!(DenseBitset::union_count(&sets), covered);
-
-            let ids: Vec<u32> =
-                (0..64).map(|_| rng.next_below(2 * capacity as u64 + 1) as u32).collect();
-            let members = ids.iter().filter(|&&id| (id as usize) < capacity && a.get(id)).count();
-            prop_assert_eq!(a.count_members(&ids), members);
         }
     }
 }

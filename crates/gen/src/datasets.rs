@@ -158,27 +158,6 @@ pub fn dataset(name: &str, scale: u32) -> Option<Dataset> {
     Some(d)
 }
 
-/// The graphs of Figure 8's full comparison (all partitioners).
-pub fn datasets_main(scale: u32) -> Vec<Dataset> {
-    ["OK", "IT", "TW", "FR", "UK"]
-        .iter()
-        // hep-lint: allow(HL007) -- the name list above only holds Table 3 keys that dataset() recognizes
-        .map(|n| dataset(n, scale).expect("known dataset"))
-        .collect()
-}
-
-/// The very large graphs where the paper only runs HEP, HDRF and DBH.
-pub fn datasets_large(scale: u32) -> Vec<Dataset> {
-    // hep-lint: allow(HL007) -- the name list above only holds Table 3 keys that dataset() recognizes
-    ["GSH", "WDC"].iter().map(|n| dataset(n, scale).expect("known dataset")).collect()
-}
-
-/// The small graphs used by Figures 2, 5 and 7 in addition to the main set.
-pub fn datasets_small(scale: u32) -> Vec<Dataset> {
-    // hep-lint: allow(HL007) -- the name list above only holds Table 3 keys that dataset() recognizes
-    ["LJ", "OK", "BR", "WI"].iter().map(|n| dataset(n, scale).expect("known dataset")).collect()
-}
-
 /// All ten Table 3 analogs.
 pub fn datasets_all(scale: u32) -> Vec<Dataset> {
     ["LJ", "OK", "BR", "WI", "IT", "TW", "FR", "UK", "GSH", "WDC"]

@@ -32,5 +32,5 @@ pub mod rmat;
 pub mod spec;
 pub mod special;
 
-pub use datasets::{dataset, datasets_main, datasets_small, Dataset};
+pub use datasets::{dataset, Dataset};
 pub use spec::GraphSpec;

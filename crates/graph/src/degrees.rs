@@ -82,30 +82,6 @@ impl DegreeStats {
             .map(|(_, &d)| d as u64)
             .sum()
     }
-
-    /// Histogram of degrees in logarithmic buckets `[1,10], [11,100], ...`
-    /// as used by Figure 2. Returns `(bucket_upper_bounds, counts)`.
-    pub fn log10_histogram(&self) -> (Vec<u32>, Vec<u64>) {
-        let max_d = self.degrees.iter().copied().max().unwrap_or(0);
-        let mut bounds = Vec::new();
-        let mut ub = 10u64;
-        loop {
-            bounds.push(ub.min(u32::MAX as u64) as u32);
-            if ub >= max_d as u64 {
-                break;
-            }
-            ub *= 10;
-        }
-        let mut counts = vec![0u64; bounds.len()];
-        for &d in &self.degrees {
-            if d == 0 {
-                continue; // isolated vertices are not part of any bucket
-            }
-            let b = (d as f64).log10().ceil().max(1.0) as usize - 1;
-            counts[b.min(bounds.len() - 1)] += 1;
-        }
-        (bounds, counts)
-    }
 }
 
 /// The bucket index of a degree under the Figure 2 scheme
@@ -180,15 +156,6 @@ mod tests {
         assert_eq!(all_low.low_degree_adjacency_entries(), 2 * 99);
         let hub_high = DegreeStats::new(&g, 2.0);
         assert_eq!(hub_high.low_degree_adjacency_entries(), 99);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let degrees = vec![1, 5, 10, 11, 100, 101, 1000, 0];
-        let s = DegreeStats::from_degrees(degrees, 1.0, 1.0);
-        let (bounds, counts) = s.log10_histogram();
-        assert_eq!(bounds, vec![10, 100, 1000]);
-        assert_eq!(counts, vec![3, 2, 2]); // degree 0 excluded; 101 and 1000 land in bucket (100,1000]
     }
 
     #[test]

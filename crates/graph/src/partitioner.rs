@@ -57,15 +57,6 @@ pub struct CollectedAssignment {
 }
 
 impl CollectedAssignment {
-    /// Groups edges per partition.
-    pub fn by_partition(&self, k: u32) -> Vec<Vec<Edge>> {
-        let mut parts = vec![Vec::new(); k as usize];
-        for &(e, p) in &self.assignments {
-            parts[p as usize].push(e);
-        }
-        parts
-    }
-
     /// Edge counts per partition.
     pub fn sizes(&self, k: u32) -> Vec<u64> {
         let mut sizes = vec![0u64; k as usize];
@@ -116,15 +107,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn collected_assignment_groups() {
+    fn collected_assignment_records_in_order() {
         let mut c = CollectedAssignment::default();
         c.assign(0, 1, 0);
         c.assign(1, 2, 1);
         c.assign(2, 3, 1);
         assert_eq!(c.sizes(2), vec![1, 2]);
-        let parts = c.by_partition(2);
-        assert_eq!(parts[0], vec![Edge::new(0, 1)]);
-        assert_eq!(parts[1].len(), 2);
+        assert_eq!(
+            c.assignments,
+            vec![(Edge::new(0, 1), 0), (Edge::new(1, 2), 1), (Edge::new(2, 3), 1)]
+        );
     }
 
     #[test]

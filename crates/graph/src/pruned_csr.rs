@@ -403,11 +403,6 @@ impl PrunedCsr {
         self.column_entries
     }
 
-    /// Remaining valid column entries (shrinks as edges are removed).
-    pub fn valid_column_entries(&self) -> u64 {
-        (0..self.num_vertices()).map(|v| self.valid_degree(v) as u64).sum()
-    }
-
     /// Actual heap bytes of this representation as implemented:
     /// `4·(column_entries + 2·|{v ∈ V_l : d(v) > 0}|) + 8·⌈(|V|+1)/64⌉ +
     /// 4·(|V|+1) + 4·|V| + ⌈|V|/64⌉·8` (the column array with its two

@@ -38,7 +38,6 @@
 //! | [`pagesim`] | the LRU paging simulator (§5.5) |
 //! | [`ds`] | bitsets, indexed min-heap, fast hashing |
 //! | [`par`] | deterministic parallel primitives (`HEP_THREADS`, chunked seeding) |
-//! | [`hyper`] | hybrid hyperedge partitioning (the paper's §7 future-work direction) |
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
 //! paper-vs-measured results of every table and figure.
@@ -51,7 +50,6 @@ pub use hep_core as core;
 pub use hep_ds as ds;
 pub use hep_gen as gen;
 pub use hep_graph as graph;
-pub use hep_hyper as hyper;
 pub use hep_metrics as metrics;
 pub use hep_pagesim as pagesim;
 pub use hep_par as par;

@@ -2,9 +2,12 @@
 //! constructible through `hep::prelude::*` and runnable through the
 //! `EdgePartitioner` object interface. Catches re-export regressions (a
 //! renamed type, a dropped `pub use`, a facade module that stops compiling)
-//! before anything subtler does.
+//! before anything subtler does. The README crate map is checked against
+//! the workspace members, so a crate added or deleted without its row
+//! fails here too.
 
 use hep::prelude::*;
+use std::path::Path;
 
 /// A graph small enough that even quadratic baselines finish instantly.
 fn tiny_graph() -> EdgeList {
@@ -51,7 +54,6 @@ fn facade_modules_resolve() {
     let _ = hep::baselines::standard_baselines();
     let _ = hep::procsim::ClusterCost::default();
     let _ = hep::pagesim::LruPageCache::new(16);
-    let _ = hep::hyper::power_law_hypergraph(50, 100, 3, 5);
     let _: fn(&str) -> Option<hep::gen::Dataset> = |n| hep::gen::dataset(n, 1);
 }
 
@@ -63,4 +65,48 @@ fn error_type_is_exported_and_matchable() {
         Err(GraphError::InvalidPartitionCount { k: 0 }) => {}
         other => panic!("expected InvalidPartitionCount for k = 0, got {other:?}"),
     }
+}
+
+/// Reads a file at the repository root.
+fn read_root_file(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+}
+
+#[test]
+fn readme_crate_map_matches_workspace_members() {
+    let readme = read_root_file("README.md");
+    let map = readme.split("## Crate map").nth(1).expect("README has a `## Crate map` section");
+    let map = map.split("\n## ").next().unwrap_or(map);
+    // Rows look like "| `hep-core` | `crates/core` | ... |"; the header and
+    // separator rows have no backticked name.
+    let mut documented: Vec<String> = map
+        .lines()
+        .filter(|line| line.starts_with("| `"))
+        .map(|line| {
+            let path = line.split('|').nth(2).expect("crate-map row has a path column");
+            path.trim().trim_matches('`').to_string()
+        })
+        .collect();
+    documented.sort();
+
+    let manifest = read_root_file("Cargo.toml");
+    let members = manifest.split("members = [").nth(1).expect("root Cargo.toml lists members");
+    let members = members.split(']').next().expect("members list is closed");
+    // The facade package at the root is a member without a `members` entry.
+    let mut workspace: Vec<String> = std::iter::once(".".to_string())
+        .chain(
+            members
+                .split(',')
+                .map(|m| m.trim().trim_matches('"').to_string())
+                .filter(|m| !m.is_empty() && !m.starts_with("crates/compat/")),
+        )
+        .collect();
+    workspace.sort();
+
+    assert_eq!(
+        documented, workspace,
+        "the README crate map's path column must list exactly the workspace members \
+         (vendored crates/compat/* stand-ins excepted)"
+    );
 }
