@@ -72,7 +72,6 @@ impl EdgePartitioner for Adwise {
                     partial_deg[e.dst as usize],
                     self.lambda,
                     cap,
-                    true,
                 );
                 let score = score_of(&state, e, partial_deg.as_slice(), p, self.lambda);
                 if best.is_none_or(|(b, _, _)| score > b) {

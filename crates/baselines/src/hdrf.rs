@@ -50,7 +50,6 @@ impl EdgePartitioner for Hdrf {
                 partial_deg[e.dst as usize],
                 self.lambda,
                 cap,
-                true,
             );
             state.assign(e.src, e.dst, p);
             sink.assign(e.src, e.dst, p);

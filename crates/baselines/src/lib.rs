@@ -1,7 +1,7 @@
 //! Baseline edge partitioners evaluated against HEP (paper §5.1).
 //!
-//! Streaming: [`Hdrf`], [`Greedy`], [`Adwise`], [`Dbh`], [`Grid`],
-//! [`RandomStreaming`], [`Sne`]. In-memory: [`Ne`], [`Dne`], [`MetisLike`].
+//! Streaming: [`Hdrf`], [`Adwise`], [`Dbh`], [`RandomStreaming`], [`Sne`].
+//! In-memory: [`Ne`], [`Dne`], [`MetisLike`].
 //!
 //! All partitioners implement [`hep_graph::EdgePartitioner`], emit every
 //! input edge exactly once and respect a hard balance cap where their
@@ -13,8 +13,6 @@
 pub mod adwise;
 pub mod dbh;
 pub mod dne;
-pub mod greedy;
-pub mod grid;
 pub mod hdrf;
 pub mod metis_like;
 pub mod ne;
@@ -25,8 +23,6 @@ pub mod sne;
 pub use adwise::Adwise;
 pub use dbh::Dbh;
 pub use dne::Dne;
-pub use greedy::Greedy;
-pub use grid::Grid;
 pub use hdrf::Hdrf;
 pub use metis_like::MetisLike;
 pub use ne::Ne;

@@ -1,4 +1,4 @@
-//! Stateful streaming scoring (HDRF and Greedy score functions).
+//! Stateful streaming scoring (the HDRF score function).
 //!
 //! HDRF [Petroni et al., CIKM'15] places an edge `(u, v)` on the partition
 //! maximizing `C_REP(u, v, p) + λ · C_BAL(p)` where
@@ -10,9 +10,12 @@
 //!   through high-degree vertices (§2 "Graph Type");
 //! * `C_BAL = (maxsize − load(p)) / (ε + maxsize − minsize)`.
 //!
-//! The same state object powers HEP's informed streaming phase (§3.3), which
-//! seeds replicas from NE++'s secondary sets and uses exact degrees instead
-//! of streamed partial degrees.
+//! [`ReplicaState::best_partition`] has three callers: HDRF, ADWISE and the
+//! serial oracle of HEP's informed streaming phase (§3.3), which seeds the
+//! state from NE++'s secondary sets and sizes through
+//! [`ReplicaState::from_parts`] and scores with exact degrees instead of
+//! streamed partial degrees. Phase 2's engine reproduces that oracle's
+//! choices bit for bit.
 
 use hep_ds::DenseBitset;
 use hep_graph::{PartitionId, VertexId};
@@ -60,14 +63,6 @@ impl ReplicaState {
         self.replicas[p as usize].get(v)
     }
 
-    /// Marks a replica of `v` on `p` (used to seed HEP's streaming phase
-    /// from NE++'s secondary sets).
-    #[inline]
-    pub fn add_replica(&mut self, v: VertexId, p: PartitionId) {
-        debug_assert!(p < self.k, "partition id {p} out of range (k = {})", self.k);
-        self.replicas[p as usize].set(v);
-    }
-
     /// Current edge count of `p`.
     #[inline]
     pub fn load(&self, p: PartitionId) -> u64 {
@@ -75,17 +70,11 @@ impl ReplicaState {
         self.loads[p as usize]
     }
 
-    /// Adds `load` edges to `p`'s count without touching replicas (used when
-    /// an earlier phase already placed edges). Saturates instead of wrapping:
-    /// when every partition sits at the cap, [`Self::best_partition`] still
-    /// assigns to the least-loaded one, so loads keep growing past `cap` and
-    /// a wrap near `u64::MAX` would silently reset the balance state.
-    pub fn add_load(&mut self, p: PartitionId, load: u64) {
-        debug_assert!(p < self.k, "partition id {p} out of range (k = {})", self.k);
-        self.loads[p as usize] = self.loads[p as usize].saturating_add(load);
-    }
-
-    /// Records the assignment of `(u, v)` to `p`.
+    /// Records the assignment of `(u, v)` to `p`. The load saturates
+    /// instead of wrapping: when every partition sits at the cap,
+    /// [`Self::best_partition`] still assigns to the least-loaded one, so
+    /// loads keep growing past `cap` and a wrap near `u64::MAX` would
+    /// silently reset the balance state.
     #[inline]
     pub fn assign(&mut self, u: VertexId, v: VertexId, p: PartitionId) {
         debug_assert!(p < self.k, "partition id {p} out of range (k = {})", self.k);
@@ -109,11 +98,9 @@ impl ReplicaState {
     }
 
     /// Picks the best partition for `(u, v)` among those with
-    /// `load < cap`, by HDRF score (or the Greedy score when
-    /// `degree_weighted` is false). Falls back to the least-loaded partition
+    /// `load < cap`, by HDRF score. Falls back to the least-loaded partition
     /// when every partition is at the cap. Ties break toward the lower
     /// partition id, making runs deterministic.
-    #[allow(clippy::too_many_arguments)]
     pub fn best_partition(
         &self,
         u: VertexId,
@@ -122,7 +109,6 @@ impl ReplicaState {
         deg_v: u64,
         lambda: f64,
         cap: u64,
-        degree_weighted: bool,
     ) -> PartitionId {
         let (min_load, max_load) = self.load_extremes();
         let denom = BAL_EPSILON + (max_load - min_load) as f64;
@@ -137,10 +123,10 @@ impl ReplicaState {
             }
             let mut c_rep = 0.0;
             if self.is_replicated(u, p) {
-                c_rep += if degree_weighted { 1.0 + (1.0 - theta_u) } else { 1.0 };
+                c_rep += 1.0 + (1.0 - theta_u);
             }
             if self.is_replicated(v, p) {
-                c_rep += if degree_weighted { 1.0 + (1.0 - theta_v) } else { 1.0 };
+                c_rep += 1.0 + (1.0 - theta_v);
             }
             let c_bal = lambda * (max_load - self.loads[p as usize]) as f64 / denom;
             let score = c_rep + c_bal;
@@ -175,10 +161,20 @@ pub fn capacity(num_edges: u64, k: u32, alpha: f64) -> u64 {
 mod tests {
     use super::*;
 
+    /// State over 10 ids with the given loads and `(v, p)` replicas, seeded
+    /// the way HEP seeds its streaming phase.
+    fn seeded(loads: Vec<u64>, replicas: &[(VertexId, PartitionId)]) -> ReplicaState {
+        let mut sets: Vec<DenseBitset> = loads.iter().map(|_| DenseBitset::new(10)).collect();
+        for &(v, p) in replicas {
+            sets[p as usize].set(v);
+        }
+        ReplicaState::from_parts(sets, loads)
+    }
+
     #[test]
     fn empty_state_prefers_lower_id_on_ties() {
         let s = ReplicaState::new(4, 10);
-        assert_eq!(s.best_partition(0, 1, 1, 1, 1.0, 100, true), 0);
+        assert_eq!(s.best_partition(0, 1, 1, 1, 1.0, 100), 0);
     }
 
     #[test]
@@ -186,7 +182,7 @@ mod tests {
         let mut s = ReplicaState::new(4, 10);
         s.assign(0, 1, 2);
         // Edge (1, 5): partition 2 has a replica of 1 -> highest score.
-        assert_eq!(s.best_partition(1, 5, 3, 1, 1.0, 100, true), 2);
+        assert_eq!(s.best_partition(1, 5, 3, 1, 1.0, 100), 2);
     }
 
     #[test]
@@ -195,49 +191,38 @@ mod tests {
         s.assign(0, 1, 2);
         s.assign(5, 6, 3);
         s.assign(0, 6, 1); // partition 1 has replicas of both 0 and 6
-        assert_eq!(s.best_partition(0, 6, 2, 2, 1.0, 100, true), 1);
+        assert_eq!(s.best_partition(0, 6, 2, 2, 1.0, 100), 1);
     }
 
     #[test]
     fn degree_weighting_prefers_low_degree_endpoint_partition() {
-        let mut s = ReplicaState::new(2, 10);
         // u=0 is low degree, v=1 high degree. Partition 0 holds v (high),
         // partition 1 holds u (low). HDRF: g rewards the LOW degree endpoint
         // more, so the edge should go where the low-degree endpoint lives.
-        s.add_replica(1, 0);
-        s.add_replica(0, 1);
-        let p = s.best_partition(0, 1, 1, 99, 0.0, 100, true);
+        let s = seeded(vec![0, 0], &[(1, 0), (0, 1)]);
+        let p = s.best_partition(0, 1, 1, 99, 0.0, 100);
         assert_eq!(p, 1);
-        // Greedy (unweighted) ties on replicas; lower id wins.
-        let p = s.best_partition(0, 1, 1, 99, 0.0, 100, false);
-        assert_eq!(p, 0);
     }
 
     #[test]
     fn balance_term_steers_to_light_partition() {
-        let mut s = ReplicaState::new(2, 10);
-        for _ in 0..50 {
-            s.add_load(0, 1);
-        }
+        let s = seeded(vec![50, 0], &[]);
         // No replicas anywhere: balance term decides.
-        assert_eq!(s.best_partition(3, 4, 1, 1, 1.0, 1000, true), 1);
+        assert_eq!(s.best_partition(3, 4, 1, 1, 1.0, 1000), 1);
     }
 
     #[test]
     fn cap_excludes_full_partitions() {
         let mut s = ReplicaState::new(2, 10);
         s.assign(0, 1, 0); // partition 0 holds replicas but is now at cap 1
-        let p = s.best_partition(0, 1, 1, 1, 1.0, 1, true);
+        let p = s.best_partition(0, 1, 1, 1, 1.0, 1);
         assert_eq!(p, 1, "partition 0 is at cap");
     }
 
     #[test]
     fn all_full_falls_back_to_least_loaded() {
-        let mut s = ReplicaState::new(3, 10);
-        s.add_load(0, 5);
-        s.add_load(1, 3);
-        s.add_load(2, 4);
-        assert_eq!(s.best_partition(0, 1, 1, 1, 1.0, 2, true), 1);
+        let s = seeded(vec![5, 3, 4], &[]);
+        assert_eq!(s.best_partition(0, 1, 1, 1, 1.0, 2), 1);
     }
 
     #[test]
@@ -262,15 +247,12 @@ mod tests {
         // When every partition is at the cap the fallback still assigns, so
         // loads legitimately grow past cap; near u64::MAX the increment must
         // saturate — a wrap would reset the balance state mid-stream.
-        let mut s = ReplicaState::new(2, 4);
-        s.add_load(0, u64::MAX);
-        s.add_load(0, 1);
-        assert_eq!(s.load(0), u64::MAX);
+        let mut s = seeded(vec![u64::MAX, 0], &[]);
         s.assign(0, 1, 0);
         assert_eq!(s.load(0), u64::MAX);
         // Scoring at saturated loads must not panic (max - min stays in range)
         // and still steers toward the light partition.
-        assert_eq!(s.best_partition(2, 3, 1, 1, 1.0, u64::MAX, true), 1);
+        assert_eq!(s.best_partition(2, 3, 1, 1, 1.0, u64::MAX), 1);
     }
 
     #[test]

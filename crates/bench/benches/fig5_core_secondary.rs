@@ -16,9 +16,7 @@ fn main() {
         "Computed from an un-pruned NE++ run (tau large), i.e. plain neighbourhood expansion.",
     );
     let mut t = Table::new(["graph", "C", "S\\C"]);
-    for &name in
-        hep_bench::smoke_subset(&["LJ", "OK", "BR", "WI", "IT", "TW", "FR", "UK", "GSH", "WDC"])
-    {
+    for &name in hep_bench::smoke_subset(&hep_gen::TABLE3) {
         let g = load_dataset(name);
         // tau = 1e9: nothing is pruned, matching the paper's NE runs.
         let hep = hep_core::Hep::with_tau(1e9);

@@ -48,9 +48,7 @@ fn main() {
         "HEP at tau = 10; eager invalidation would remove 100% of entries.",
     );
     let mut t = Table::new(["graph", "type", "cleanup fraction"]);
-    for &name in
-        hep_bench::smoke_subset(&["LJ", "OK", "BR", "WI", "IT", "TW", "FR", "UK", "GSH", "WDC"])
-    {
+    for &name in hep_bench::smoke_subset(&hep_gen::TABLE3) {
         let g = load_dataset(name);
         let d = hep_gen::dataset(name, 1).expect("known dataset");
         let hep = hep_core::Hep::with_tau(10.0);

@@ -13,15 +13,7 @@ use hep_metrics::table::{format_bytes, format_secs, Table};
 fn roster(name: &str) -> Vec<Box<dyn EdgePartitioner>> {
     let mut v = hep_configs();
     match name {
-        "OK" | "IT" | "TW" => {
-            v.push(Box::new(hep_baselines::Adwise::default()));
-            v.push(Box::new(hep_baselines::Hdrf::default()));
-            v.push(Box::new(hep_baselines::Dbh::default()));
-            v.push(Box::new(hep_baselines::Sne::default()));
-            v.push(Box::new(hep_baselines::Ne::default()));
-            v.push(Box::new(hep_baselines::Dne::default()));
-            v.push(Box::new(hep_baselines::MetisLike::default()));
-        }
+        "OK" | "IT" | "TW" => v.extend(hep_baselines::standard_baselines()),
         "FR" | "UK" => {
             v.push(Box::new(hep_baselines::Hdrf::default()));
             v.push(Box::new(hep_baselines::Dbh::default()));

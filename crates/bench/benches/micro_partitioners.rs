@@ -37,8 +37,6 @@ fn bench_partitioners(c: &mut Criterion) {
     run("SNE", &mut hep_baselines::Sne::default());
     run("HDRF", &mut hep_baselines::Hdrf::default());
     run("DBH", &mut hep_baselines::Dbh::default());
-    run("Grid", &mut hep_baselines::Grid::default());
-    run("Greedy", &mut hep_baselines::Greedy::default());
     group.finish();
 }
 

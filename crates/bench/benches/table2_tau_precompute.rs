@@ -12,7 +12,7 @@ use std::time::Instant;
 fn main() {
     banner(
         "Table 2: run-time to pre-compute the memory footprint over a tau grid",
-        "Grid {100, 30, 10, 3, 1, 0.3}; compared against one HEP-10 partitioning run (k = 32).",
+        "τ ∈ {100, 30, 10, 3, 1, 0.3}; compared against one HEP-10 partitioning run (k = 32).",
     );
     let k = 32;
     let grid = [100.0, 30.0, 10.0, 3.0, 1.0, 0.3];

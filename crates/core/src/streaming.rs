@@ -641,7 +641,6 @@ pub fn stream_h2h_serial<S: AssignSink + ?Sized>(
             degrees[e.dst as usize] as u64,
             lambda,
             cap,
-            true,
         );
         state.assign(e.src, e.dst, p);
         sink.assign(e.src, e.dst, p);

@@ -4,8 +4,8 @@
 //! Streaming partitioners hash vertex ids (`u32`) on every edge; SipHash's
 //! keyed rounds are wasted work there. FxHash is a multiply-rotate mix with
 //! excellent throughput for short integer keys. Hash *quality* only affects
-//! partitioner speed, not partitioning results, except for DBH/Grid where the
-//! hash IS the placement function — those use [`mix64`] directly so placement
+//! partitioner speed, not partitioning results, except for DBH and random
+//! streaming, where the hash IS the placement function — those use [`mix64`] directly so placement
 //! is well-spread and deterministic.
 
 use std::hash::{BuildHasherDefault, Hasher};
@@ -67,7 +67,7 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<Fx
 pub type FxHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher>>;
 
 /// SplitMix64 finalizer: a strong 64-bit bijective mixer. Used where a hash
-/// value *is* a placement decision (DBH, Grid, random streaming) and therefore
+/// value *is* a placement decision (DBH, random streaming) and therefore
 /// must be well-distributed even on sequential ids.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {

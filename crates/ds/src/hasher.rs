@@ -171,12 +171,6 @@ impl Hasher64 {
         }
         avalanche(h)
     }
-
-    /// Total bytes absorbed so far.
-    #[inline]
-    pub fn bytes_written(&self) -> u64 {
-        self.total
-    }
 }
 
 #[cfg(test)]
@@ -238,7 +232,6 @@ mod tests {
             }
             h.write(&data[prev..]);
             prop_assert_eq!(h.finish(), hash64(&data, seed));
-            prop_assert_eq!(h.bytes_written(), data.len() as u64);
         }
 
         /// Flipping any single bit changes the digest (no trivial blind

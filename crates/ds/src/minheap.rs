@@ -72,13 +72,6 @@ impl IndexedMinHeap {
         self.pos[id as usize] != NOT_IN_HEAP
     }
 
-    /// Current key of `id`, if present.
-    pub fn key_of(&self, id: u32) -> Option<u64> {
-        debug_assert!((id as usize) < self.pos.len(), "id {id} beyond heap capacity");
-        let p = self.pos[id as usize];
-        (p != NOT_IN_HEAP).then(|| self.slots[p as usize].0)
-    }
-
     /// Inserts `id` with `key`. Panics if `id` is already present.
     pub fn insert(&mut self, id: u32, key: u64) {
         debug_assert!((id as usize) < self.pos.len(), "id {id} beyond heap capacity");
@@ -136,11 +129,6 @@ impl IndexedMinHeap {
             self.sift_down(0);
         }
         Some(min)
-    }
-
-    /// Returns the `(key, id)` pair with the smallest key without removing it.
-    pub fn peek_min(&self) -> Option<(u64, u32)> {
-        self.slots.first().copied()
     }
 
     /// Removes `id` from the heap if present; returns its key.
@@ -255,7 +243,7 @@ mod tests {
         h.insert(1, 5);
         h.decrease_key_by(0, 7);
         assert_eq!(h.pop_min(), Some((3, 0)));
-        assert_eq!(h.key_of(1), Some(5));
+        assert_eq!(h.pop_min(), Some((5, 1)));
     }
 
     #[test]
@@ -273,12 +261,13 @@ mod tests {
         let mut h = IndexedMinHeap::new(4);
         h.insert(0, 5);
         h.insert(1, 6);
+        // The root slot holds the minimum.
         h.update(0, 10); // now 1 is min
-        assert_eq!(h.peek_min(), Some((6, 1)));
+        assert_eq!(h.slots[0], (6, 1));
         h.update(0, 1); // now 0 is min
-        assert_eq!(h.peek_min(), Some((1, 0)));
+        assert_eq!(h.slots[0], (1, 0));
         h.update(3, 0); // insert via update
-        assert_eq!(h.peek_min(), Some((0, 3)));
+        assert_eq!(h.slots[0], (0, 3));
     }
 
     #[test]

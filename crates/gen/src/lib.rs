@@ -32,5 +32,5 @@ pub mod rmat;
 pub mod spec;
 pub mod special;
 
-pub use datasets::{dataset, Dataset};
+pub use datasets::{dataset, Dataset, TABLE3};
 pub use spec::GraphSpec;

@@ -56,17 +56,6 @@ pub struct CollectedAssignment {
     pub assignments: Vec<(Edge, PartitionId)>,
 }
 
-impl CollectedAssignment {
-    /// Edge counts per partition.
-    pub fn sizes(&self, k: u32) -> Vec<u64> {
-        let mut sizes = vec![0u64; k as usize];
-        for &(_, p) in &self.assignments {
-            sizes[p as usize] += 1;
-        }
-        sizes
-    }
-}
-
 impl AssignSink for CollectedAssignment {
     fn assign(&mut self, u: VertexId, v: VertexId, p: PartitionId) {
         self.assignments.push((Edge::new(u, v), p));
@@ -112,7 +101,6 @@ mod tests {
         c.assign(0, 1, 0);
         c.assign(1, 2, 1);
         c.assign(2, 3, 1);
-        assert_eq!(c.sizes(2), vec![1, 2]);
         assert_eq!(
             c.assignments,
             vec![(Edge::new(0, 1), 0), (Edge::new(1, 2), 1), (Edge::new(2, 3), 1)]

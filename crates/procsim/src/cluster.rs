@@ -66,12 +66,6 @@ impl DistributedGraph {
         self.csr.num_vertices()
     }
 
-    /// Replica count of `v` (0 for isolated vertices).
-    pub fn replica_count(&self, v: VertexId) -> u32 {
-        debug_assert!((v as usize) < self.replicas.len(), "vertex id {v} out of range");
-        self.replicas[v as usize].len() as u32
-    }
-
     /// Replication factor over covered vertices (sanity checks).
     pub fn replication_factor(&self) -> f64 {
         let covered = self.replicas.iter().filter(|r| !r.is_empty()).count();
@@ -169,8 +163,8 @@ mod tests {
     fn load_builds_replicas_and_local_degrees() {
         let (g, a) = star_two_parts();
         let dg = DistributedGraph::load(&g, &a, 2);
-        assert_eq!(dg.replica_count(0), 2);
-        assert_eq!(dg.replica_count(1), 1);
+        assert_eq!(dg.replicas[0].len(), 2);
+        assert_eq!(dg.replicas[1].len(), 1);
         assert!((dg.replication_factor() - 8.0 / 7.0).abs() < 1e-12);
         assert_eq!(dg.machine_edges, vec![3, 3]);
         assert_eq!(dg.covered_counts(), vec![4, 4]);

@@ -14,7 +14,7 @@ fn main() {
     let k: u32 = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(32);
     let graph = hep::gen::dataset(&name, 1)
         .unwrap_or_else(|| {
-            eprintln!("unknown dataset {name}; try LJ OK BR WI IT TW FR UK GSH WDC");
+            eprintln!("unknown dataset {name}; try {}", hep::gen::TABLE3.join(" "));
             std::process::exit(1);
         })
         .generate();
@@ -30,10 +30,8 @@ fn main() {
         Box::new(hep::baselines::Dne::default()),
         Box::new(hep::baselines::MetisLike::default()),
         Box::new(hep::baselines::Hdrf::default()),
-        Box::new(hep::baselines::Greedy::default()),
         Box::new(hep::baselines::Adwise::default()),
         Box::new(hep::baselines::Dbh::default()),
-        Box::new(hep::baselines::Grid::default()),
         Box::new(hep::baselines::RandomStreaming::default()),
     ];
 

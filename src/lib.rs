@@ -30,7 +30,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`core`] | HEP itself: NE++, informed streaming, the τ planner, the simple-hybrid ablation |
-//! | [`baselines`] | NE, SNE, HDRF, Greedy, ADWISE, DBH, Grid, DNE, METIS-like, random |
+//! | [`baselines`] | NE, SNE, HDRF, ADWISE, DBH, DNE, METIS-like, random |
 //! | [`graph`] | edge lists, degree statistics, CSR and the pruned CSR |
 //! | [`gen`] | synthetic power-law generators and Table 3 dataset analogs |
 //! | [`metrics`] | replication factor, balance, validity, allocation tracking |
@@ -57,9 +57,7 @@ pub use hep_procsim as procsim;
 
 /// Convenience re-exports of the most used types.
 pub mod prelude {
-    pub use hep_baselines::{
-        Adwise, Dbh, Dne, Greedy, Grid, Hdrf, MetisLike, Ne, RandomStreaming, Sne,
-    };
+    pub use hep_baselines::{Adwise, Dbh, Dne, Hdrf, MetisLike, Ne, RandomStreaming, Sne};
     pub use hep_core::{Hep, HepConfig, SimpleHybrid};
     pub use hep_graph::{AssignSink, Edge, EdgeList, EdgePartitioner, GraphError};
     pub use hep_metrics::PartitionMetrics;

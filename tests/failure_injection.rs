@@ -17,10 +17,8 @@ fn all_partitioners() -> Vec<Box<dyn EdgePartitioner>> {
         Box::new(hep::baselines::Dne::default()),
         Box::new(hep::baselines::MetisLike::default()),
         Box::new(hep::baselines::Hdrf::default()),
-        Box::new(hep::baselines::Greedy::default()),
         Box::new(hep::baselines::Adwise::default()),
         Box::new(hep::baselines::Dbh::default()),
-        Box::new(hep::baselines::Grid::default()),
         Box::new(hep::baselines::RandomStreaming::default()),
     ]
 }

@@ -3,8 +3,10 @@
 //! suite pins the *absolute* assignment: the XXH64 fingerprint of the
 //! `(u, v, p)` emission sequence, as `perfbench` computes it, of small
 //! seeded generator graphs at the paper's τ ∈ {100, 10, 1} and
-//! k ∈ {4, 32}.
+//! k ∈ {4, 32}. A second table pins HDRF and ADWISE, the other callers of
+//! the HDRF scorer that HEP's streaming phase shares.
 
+use hep::baselines::{Adwise, Hdrf};
 use hep::core::Hep;
 use hep::ds::Hasher64;
 use hep::gen::rmat::RmatParams;
@@ -90,6 +92,60 @@ fn serial_pipeline_output_matches_golden_fingerprints() {
         mismatches.is_empty(),
         "HEP's assignment changed:\n  {}\nThese hashes may change only with an intentional output \
          change that is documented in CHANGES.md; otherwise a refactor altered the output.",
+        mismatches.join("\n  ")
+    );
+}
+
+/// `(partitioner, graph, k) → fingerprint`, recorded from the streaming
+/// baselines that share `ReplicaState::best_partition` with phase 2.
+const GOLDEN_SCORER: [(&str, &str, u32, u64); 16] = [
+    ("HDRF", "chung-lu", 4, 0xac72d72eb1cfc938),
+    ("ADWISE", "chung-lu", 4, 0xc987e01f6b61b850),
+    ("HDRF", "chung-lu", 32, 0x0eb50dd1f57f40f6),
+    ("ADWISE", "chung-lu", 32, 0xd90d474e8ca3dd32),
+    ("HDRF", "rmat", 4, 0x387db810535daa63),
+    ("ADWISE", "rmat", 4, 0x51ec5fa7bce3c1b4),
+    ("HDRF", "rmat", 32, 0xfe5f0b3c29b73155),
+    ("ADWISE", "rmat", 32, 0x7578ec146d430622),
+    ("HDRF", "barabasi-albert", 4, 0xdfdfb6f841aa3f7a),
+    ("ADWISE", "barabasi-albert", 4, 0xf055f331e4344ed1),
+    ("HDRF", "barabasi-albert", 32, 0xe617dc8a06705128),
+    ("ADWISE", "barabasi-albert", 32, 0x50b5c832dce44188),
+    ("HDRF", "erdos-renyi", 4, 0x746950b18d63c97c),
+    ("ADWISE", "erdos-renyi", 4, 0xb1baa8e945a2075b),
+    ("HDRF", "erdos-renyi", 32, 0x07e8f6e3096621bc),
+    ("ADWISE", "erdos-renyi", 32, 0xf88dd197f3db3cd4),
+];
+
+#[test]
+fn hdrf_scorer_callers_match_golden_fingerprints() {
+    let mut mismatches = Vec::new();
+    for (name, spec, seed) in graphs() {
+        let graph = spec.generate(seed);
+        for k in [4u32, 32] {
+            let runs: [Box<dyn EdgePartitioner>; 2] =
+                [Box::new(Hdrf::default()), Box::new(Adwise::default())];
+            for mut partitioner in runs {
+                let label = partitioner.name();
+                let mut sink = FingerprintSink { hasher: Hasher64::with_seed(0), edges: 0 };
+                partitioner.partition(&graph, k, &mut sink).expect("partition");
+                assert_eq!(sink.edges, graph.num_edges(), "{label} {name} k={k}");
+                let got = sink.hasher.finish();
+                let want = GOLDEN_SCORER
+                    .iter()
+                    .find(|g| g.0 == label && g.1 == name && g.2 == k)
+                    .map(|g| g.3);
+                if want != Some(got) {
+                    mismatches
+                        .push(format!("{label} {name} k={k}: got {got:016x}, want {want:016x?}"));
+                }
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "A streaming baseline's assignment changed:\n  {}\nThe HDRF scorer is shared with HEP's \
+         streaming phase, so these hashes may change only with a documented scoring change.",
         mismatches.join("\n  ")
     );
 }

@@ -25,10 +25,8 @@ fn every_partitioner_is_constructible_and_runs_via_prelude() {
         ("NE", Box::new(Ne::default())),
         ("SNE", Box::new(Sne::default())),
         ("HDRF", Box::new(Hdrf::default())),
-        ("Greedy", Box::new(Greedy::default())),
         ("ADWISE", Box::new(Adwise::default())),
         ("DBH", Box::new(Dbh::default())),
-        ("Grid", Box::new(Grid::default())),
         ("DNE", Box::new(Dne::default())),
         ("METIS-like", Box::new(MetisLike::default())),
         ("Random", Box::new(RandomStreaming::default())),
