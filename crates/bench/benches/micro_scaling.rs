@@ -5,9 +5,10 @@
 //!
 //! Also measures the `hep-par` thread scaling of the converted layers at
 //! `HEP_SCALE`-sized inputs: the generators and metrics scoring
-//! (embarrassingly parallel) and the graph build (degree pass + pruned-CSR
-//! construction) — the same workload at 1/2/4/8 workers, with outputs
-//! that are bit-identical by construction; only wall-clock may differ.
+//! (embarrassingly parallel) — the same workload at 1/2/4/8 workers, with
+//! outputs that are bit-identical by construction; only wall-clock may
+//! differ. The graph build (degree pass + pruned-CSR construction) is
+//! serial and timed once at the same input size.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use hep_graph::partitioner::{CollectedAssignment, CountingSink};
@@ -116,21 +117,17 @@ fn bench_parallel_metrics(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_graph_build(c: &mut Criterion) {
+fn bench_graph_build(c: &mut Criterion) {
     let scale = hep_bench::scale();
     let m = 400_000u64 * scale as u64;
     let g = hep_gen::GraphSpec::ChungLu { n: (m / 12) as u32, m, gamma: 2.2 }.generate(5);
-    let mut group = c.benchmark_group(&format!("par_build_{}k_edges", m / 1000));
-    for threads in THREAD_STEPS {
-        group.bench_with_input(BenchmarkId::new("degree_pass", threads), &threads, |b, &t| {
-            hep_par::set_threads(t);
-            b.iter(|| black_box(DegreeStats::new(&g, 10.0)).num_high)
-        });
-    }
-    hep_par::set_threads(0);
-    // The CSR build is one serial insertion pass: no thread dimension.
+    let mut group = c.benchmark_group(&format!("build_{}k_edges", m / 1000));
+    // The degree pass and the CSR build are serial: no thread dimension.
+    group.bench_function("degree_pass", |b| {
+        b.iter(|| black_box(DegreeStats::new(&g, 10.0)).num_high)
+    });
     // Stats computed once outside the loop: this row isolates the CSR
-    // construction (the degree pass has its own rows above); the O(|V|)
+    // construction (the degree pass has its own row above); the O(|V|)
     // clone is noise next to the O(|E|) build.
     let stats = DegreeStats::new(&g, 10.0);
     group.bench_function("csr_build", |b| {
@@ -149,7 +146,7 @@ criterion_group! {
     config = configured();
     targets = bench_scaling_in_edges, bench_scaling_in_k,
         bench_parallel_generators, bench_parallel_metrics,
-        bench_parallel_graph_build
+        bench_graph_build
 }
 
 fn main() {

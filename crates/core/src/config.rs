@@ -4,8 +4,8 @@ use hep_graph::IoMode;
 
 /// The workspace environment-knob registry (defined in
 /// [`hep_ds::env_registry`], re-exported here as the documented path).
-/// Every `HEP_*` default below resolves through [`env_registry::read`];
-/// `hep-lint` rejects raw `std::env::var` calls and unregistered names.
+/// Every `HEP_*` knob resolves through [`env_registry::read`]; `hep-lint`
+/// rejects raw `std::env::var` calls and unregistered names.
 pub use hep_ds::env_registry;
 
 /// Tunables of a HEP run. The paper's evaluated configurations are
@@ -31,17 +31,14 @@ pub struct HepConfig {
     /// machine's memory budget is the planner's primary input). When set,
     /// [`crate::planner::plan_ingest`] chooses τ so the estimated peak
     /// footprint fits; τ is **degraded** (never the budget exceeded) when
-    /// the configured τ does not fit. `None` ingests unbounded at the configured τ.
-    /// Defaults to the `HEP_MEMORY_BUDGET` environment variable when set
-    /// (bytes, with optional `K`/`M`/`G` suffix); a set value that does not
-    /// parse or is zero makes [`HepConfig::validate`] fail rather than run
-    /// unbounded.
+    /// the configured τ does not fit. `None` (the default) ingests
+    /// unbounded at the configured τ; `Some(0)` fails
+    /// [`HepConfig::validate`].
     pub memory_budget_bytes: Option<u64>,
-    /// How file-backed passes read the edge file (buffered vs mmap); the
-    /// config-level override of the `HEP_IO_MODE` environment default.
-    /// Backends are bit-identical in output; this only trades syscalls
-    /// for page faults. A set `HEP_IO_MODE` that is not a mode name makes
-    /// [`HepConfig::validate`] fail rather than run on `Auto`.
+    /// How the file driver's passes read the input file and the h2h spill
+    /// (buffered vs mmap); it replaces the input file's own mode. Backends
+    /// are bit-identical in output; this only trades syscalls for page
+    /// faults.
     pub io_mode: IoMode,
 }
 
@@ -62,26 +59,6 @@ pub fn parse_byte_size(s: &str) -> Option<u64> {
     value.checked_mul(mult)
 }
 
-/// Resolves a raw `HEP_MEMORY_BUDGET` value. Unset means unbounded; a set
-/// value must be a positive [`parse_byte_size`] count, and anything else
-/// is an error naming the knob and its value, never a silent "unbounded".
-fn parse_memory_budget(raw: Option<&str>) -> Result<Option<u64>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    match parse_byte_size(raw) {
-        Some(bytes) if bytes > 0 => Ok(Some(bytes)),
-        _ => Err(format!(
-            "HEP_MEMORY_BUDGET={raw:?} is not a positive byte count (want e.g. 1048576, 64M, 2G)"
-        )),
-    }
-}
-
-/// `HEP_MEMORY_BUDGET` environment default, resolved once per process.
-fn env_memory_budget() -> &'static Result<Option<u64>, String> {
-    use std::sync::OnceLock;
-    static BUDGET: OnceLock<Result<Option<u64>, String>> = OnceLock::new();
-    BUDGET.get_or_init(|| parse_memory_budget(env_registry::read("HEP_MEMORY_BUDGET").as_deref()))
-}
-
 impl Default for HepConfig {
     fn default() -> Self {
         HepConfig {
@@ -90,8 +67,8 @@ impl Default for HepConfig {
             lambda: 1.1,
             record_trace: false,
             informed_streaming: true,
-            memory_budget_bytes: env_memory_budget().clone().unwrap_or(None),
-            io_mode: IoMode::from_env(),
+            memory_budget_bytes: None,
+            io_mode: IoMode::default(),
         }
     }
 }
@@ -102,9 +79,7 @@ impl HepConfig {
         HepConfig { tau, ..Default::default() }
     }
 
-    /// Validates parameter domains, including a set but malformed
-    /// `HEP_MEMORY_BUDGET` or `HEP_IO_MODE` when the config takes its
-    /// budget or mode from it, and a malformed `HEP_THREADS`.
+    /// Validates parameter domains and rejects a malformed `HEP_THREADS`.
     pub fn validate(&self) -> Result<(), hep_graph::GraphError> {
         if self.tau.is_nan() || self.tau <= 0.0 {
             return Err(hep_graph::GraphError::InvalidConfig(format!(
@@ -123,21 +98,6 @@ impl HepConfig {
                 "lambda must be >= 0, got {}",
                 self.lambda
             )));
-        }
-        // A malformed knob leaves the default unbounded; refuse to run
-        // without the §4.2 budget the user asked for. An explicit budget
-        // overrides the knob.
-        if self.memory_budget_bytes.is_none() {
-            if let Err(msg) = env_memory_budget() {
-                return Err(hep_graph::GraphError::InvalidConfig(msg.clone()));
-            }
-        }
-        // Likewise a malformed HEP_IO_MODE leaves the default at Auto; an
-        // explicit buffered or mmap mode overrides the knob.
-        if self.io_mode == IoMode::Auto {
-            if let Err(msg) = IoMode::env_knob() {
-                return Err(hep_graph::GraphError::InvalidConfig(msg.clone()));
-            }
         }
         // A malformed HEP_THREADS falls back to available parallelism
         // below HEP; a HEP run refuses it.
@@ -163,6 +123,8 @@ mod tests {
         assert_eq!(c.lambda, 1.1);
         assert!(c.alpha >= 1.0);
         assert!(!c.record_trace);
+        assert_eq!(c.memory_budget_bytes, None);
+        assert_eq!(c.io_mode, IoMode::Mmap);
     }
 
     #[test]
@@ -195,19 +157,5 @@ mod tests {
         assert!(c.validate().is_err());
         let c = HepConfig { memory_budget_bytes: Some(1 << 20), ..Default::default() };
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn memory_budget_knob_parsing() {
-        assert_eq!(parse_memory_budget(None), Ok(None), "unset is unbounded");
-        assert_eq!(parse_memory_budget(Some("64M")), Ok(Some(64 << 20)));
-        for bad in ["200MB", "0", "lots", "1.5G", ""] {
-            let err = parse_memory_budget(Some(bad)).unwrap_err();
-            assert!(err.contains("HEP_MEMORY_BUDGET") && err.contains(bad), "{err}");
-        }
-        let overflow = format!("{}", u128::from(u64::MAX) + 1);
-        assert!(parse_memory_budget(Some(&overflow)).is_err(), "u64 overflow");
-        let overflow = format!("{}G", u64::MAX);
-        assert!(parse_memory_budget(Some(&overflow)).is_err(), "suffix overflow");
     }
 }

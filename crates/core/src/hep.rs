@@ -14,7 +14,7 @@ use crate::streaming::{stream_h2h, HighReplicas};
 use hep_graph::partitioner::check_inputs;
 use hep_graph::{
     AssignSink, BinaryEdgeFile, DegreeStats, Edge, EdgeFileWriter, EdgeList, EdgePartitioner,
-    GraphError, IoMode, PrunedCsr,
+    GraphError, PrunedCsr,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -49,8 +49,8 @@ impl Drop for TempFileGuard {
 /// When `memory_budget_bytes` is set, [`plan_ingest`] first picks the
 /// largest τ (the configured one, or a degraded one) whose estimated peak
 /// footprint fits; the returned [`IngestPlan`] records what actually ran.
-/// `io_mode` overrides the file's pass backend ([`IoMode::Auto`] keeps the
-/// file's own setting, which defaults to the `HEP_IO_MODE` environment).
+/// Both passes read through `file`'s own IO mode
+/// ([`BinaryEdgeFile::with_io_mode`]).
 ///
 /// `stream` extends the plan's peak accounting over phase 2: given the
 /// partition count `k` the driver will stream with, the planner charges
@@ -60,11 +60,9 @@ pub fn ingest_file_budgeted(
     file: &BinaryEdgeFile,
     tau: f64,
     memory_budget_bytes: Option<u64>,
-    io_mode: IoMode,
     stream: Option<u32>,
     h2h_sink: impl FnMut(Edge),
 ) -> Result<(PrunedCsr, IngestPlan), GraphError> {
-    let file = file.clone().with_io_mode(io_mode);
     let stats = file.degree_stats(tau)?;
     let phase2_overhead =
         stream.map_or(0, |k| estimate_stream_overhead_bytes(&stats.degrees, k, 0));
@@ -162,9 +160,10 @@ impl Hep {
     /// Runs both phases directly off a headered binary edge file, never
     /// materializing an [`EdgeList`]: the degree pass and the CSR
     /// insertion pass stream over the file with a reused read buffer (§4.1
-    /// applied to disk), honoring [`HepConfig::memory_budget_bytes`] and
-    /// [`HepConfig::io_mode`] via [`ingest_file_budgeted`]. Everything
-    /// after graph building is shared with [`Hep::partition_with_report`].
+    /// applied to disk), honoring [`HepConfig::memory_budget_bytes`] via
+    /// [`ingest_file_budgeted`]. [`HepConfig::io_mode`] replaces `file`'s
+    /// own mode and also reads the h2h spill back. Everything after graph
+    /// building is shared with [`Hep::partition_with_report`].
     pub fn partition_file_with_report(
         &self,
         file: &BinaryEdgeFile,
@@ -183,10 +182,9 @@ impl Hep {
         let guard = TempFileGuard(h2h_temp_path());
         let mut spill = EdgeFileWriter::create(&guard.0, file.num_vertices())?;
         let (csr, plan) = ingest_file_budgeted(
-            file,
+            &file.clone().with_io_mode(self.config.io_mode),
             self.config.tau,
             self.config.memory_budget_bytes,
-            self.config.io_mode,
             Some(k),
             |e| spill.push(e),
         )?;

@@ -12,9 +12,8 @@
 //! knob from drifting apart.
 //!
 //! The registry lives in `hep-ds` because it must sit below every reader
-//! (`hep-par` reads `HEP_THREADS`, `hep-graph` reads `HEP_IO_MODE`);
-//! `hep_core::config::env_registry` re-exports it at the path user-facing
-//! documentation uses.
+//! (`hep-par` reads `HEP_THREADS`); `hep_core::config::env_registry`
+//! re-exports it at the path user-facing documentation uses.
 
 /// One registered environment knob.
 #[derive(Clone, Copy, Debug)]
@@ -38,18 +37,6 @@ pub const KNOBS: &[EnvKnob] = &[
         default: "available parallelism",
         doc: "Worker count of the deterministic thread pool; output is bit-identical at any value. A value that is not a positive integer is a config error for HEP (other callers use available parallelism)",
         since: "PR 2",
-    },
-    EnvKnob {
-        name: "HEP_IO_MODE",
-        default: "auto",
-        doc: "HEPB pass backend: auto|buffered|mmap (bit-identical output). Any other value is a config error",
-        since: "PR 6",
-    },
-    EnvKnob {
-        name: "HEP_MEMORY_BUDGET",
-        default: "unbounded",
-        doc: "Ingestion memory budget in bytes (K/M/G suffixes); the planner degrades τ until the estimated peak fits. A malformed or zero value is a config error",
-        since: "PR 6",
     },
     EnvKnob {
         name: "HEP_SCALE",
@@ -129,7 +116,7 @@ mod tests {
     fn lookup_and_read_registered() {
         assert!(is_registered("HEP_THREADS"));
         assert!(!is_registered("HEP_NOT_A_KNOB"));
-        assert_eq!(knob("HEP_IO_MODE").map(|k| k.since), Some("PR 6"));
+        assert_eq!(knob("HEP_THREADS").map(|k| k.since), Some("PR 2"));
         // The suite must not depend on ambient configuration here beyond
         // "reading a registered knob does not panic".
         let _ = read("HEP_SCALE");

@@ -41,14 +41,16 @@
 //!
 //! # Pass backends
 //!
-//! A pass reads through a [`PassSource`] — either [`BufferedSource`]
-//! (`BufReader` `fill_buf`/`consume`) or [`MmapSource`] (a private
-//! read-only file mapping; the OS pages edge data in and out, so a pass
-//! over a file much larger than RAM needs no heap proportional to the
-//! file). The backend is selected by [`IoMode`] — from the `HEP_IO_MODE`
-//! environment variable by default, overridable per file with
-//! [`BinaryEdgeFile::with_io_mode`] — and falls back to buffered reads
-//! whenever mapping is unavailable (non-unix hosts, mapping failure).
+//! A pass reads through one of two private backends: buffered reads
+//! (`BufReader` `fill_buf`/`consume`) or a private read-only file mapping
+//! (the OS pages edge data in and out, so a pass over a file much larger
+//! than RAM needs no heap proportional to the file). A file's [`IoMode`]
+//! picks the backend for its own [`BinaryEdgeFile::pass`] calls: `Mmap`
+//! by default, changed per file with [`BinaryEdgeFile::with_io_mode`].
+//! A mapped pass falls back to buffered reads whenever mapping is
+//! unavailable (non-unix hosts, mapping failure). A HEP run does not read
+//! the mode of the file it is handed: it applies its own
+//! `HepConfig::io_mode` (in `hep-core`) to the input and to its h2h spill.
 //! Both backends feed the same decoder, [`EdgePass`], which decodes up to
 //! 4096 records per refill into a reused buffer, so yielding
 //! an edge is an index bump; the two backends are bit-identical in output
@@ -62,7 +64,6 @@ use hep_ds::hasher::{hash64, Hasher64};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 /// The 4-byte magic opening every headered edge file.
 pub const MAGIC: [u8; 4] = *b"HEPB";
@@ -97,54 +98,16 @@ const DECODE_BLOCK: usize = 4096;
 /// Payload bytes an [`EdgeFileWriter`] hashes and writes at a time.
 const WRITE_BLOCK: usize = 1 << 16;
 
-/// How passes read the file. Resolved from the `HEP_IO_MODE` environment
-/// variable (`auto` / `buffered` / `mmap`, case-insensitive) at first use;
-/// [`BinaryEdgeFile::with_io_mode`] overrides it per file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// How passes read the file. A file opens with the default, [`IoMode::Mmap`];
+/// [`BinaryEdgeFile::with_io_mode`] changes it for that file's passes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IoMode {
-    /// Prefer a memory-mapped pass, fall back to buffered reads.
-    Auto,
     /// Always use buffered reads.
     Buffered,
     /// Request a memory-mapped pass; falls back to buffered reads when
     /// mapping is unavailable (non-unix hosts, mapping failure).
+    #[default]
     Mmap,
-}
-
-impl IoMode {
-    /// The process-wide `HEP_IO_MODE` knob, read and resolved once by
-    /// [`IoMode::from_knob`].
-    pub fn env_knob() -> &'static Result<IoMode, String> {
-        static MODE: OnceLock<Result<IoMode, String>> = OnceLock::new();
-        MODE.get_or_init(|| IoMode::from_knob(hep_ds::env_registry::read("HEP_IO_MODE").as_deref()))
-    }
-
-    /// Resolves a raw `HEP_IO_MODE` value. Unset means [`IoMode::Auto`]; a
-    /// set value must be a mode [`IoMode::parse`] accepts, and anything
-    /// else is an error naming the knob and its value.
-    pub fn from_knob(raw: Option<&str>) -> Result<IoMode, String> {
-        let Some(raw) = raw else { return Ok(IoMode::Auto) };
-        IoMode::parse(raw).ok_or_else(|| {
-            format!("HEP_IO_MODE={raw:?} is not an IO mode (want auto, buffered or mmap)")
-        })
-    }
-
-    /// The process-wide default mode: the `HEP_IO_MODE` knob, or
-    /// [`IoMode::Auto`] when it is unset or malformed. A malformed value is
-    /// reported by `HepConfig::validate` (in `hep-core`), not here.
-    pub fn from_env() -> IoMode {
-        *IoMode::env_knob().as_ref().unwrap_or(&IoMode::Auto)
-    }
-
-    /// Parses a mode name (`auto` / `buffered` / `mmap`, case-insensitive).
-    pub fn parse(s: &str) -> Option<IoMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Some(IoMode::Auto),
-            "buffered" => Some(IoMode::Buffered),
-            "mmap" => Some(IoMode::Mmap),
-            _ => None,
-        }
-    }
 }
 
 /// Which backend a pass actually ended up on (after fallback).
@@ -160,7 +123,7 @@ pub enum IoBackend {
 /// of unread bytes (empty at end of data); `consume` marks a prefix of
 /// that chunk as read. The contract mirrors [`BufRead`], which lets the
 /// decoder work zero-copy against either backend.
-pub trait PassSource: std::fmt::Debug + Send {
+trait PassSource: std::fmt::Debug + Send {
     /// The next chunk of unread payload bytes. An empty slice means no
     /// more data.
     fn fill(&mut self) -> std::io::Result<&[u8]>;
@@ -174,7 +137,7 @@ pub trait PassSource: std::fmt::Debug + Send {
 
 /// Buffered [`PassSource`]: a `BufReader` positioned past the header.
 #[derive(Debug)]
-pub struct BufferedSource {
+struct BufferedSource {
     reader: BufReader<File>,
 }
 
@@ -303,7 +266,7 @@ mod mmap_impl {
 /// OS faults pages in on demand and may evict them behind the read cursor,
 /// so a pass needs no heap proportional to the file.
 #[derive(Debug)]
-pub struct MmapSource {
+struct MmapSource {
     region: mmap_impl::MmapRegion,
     pos: usize,
 }
@@ -340,7 +303,7 @@ impl PassSource for MmapSource {
 /// decoder fallback, which is what makes the view safe to use
 /// opportunistically: mmap'd payloads are page-aligned and both header
 /// lengths are multiples of 4, so the fast path is the common one.
-pub fn u32_word_view(bytes: &[u8]) -> Option<&[u32]> {
+fn u32_word_view(bytes: &[u8]) -> Option<&[u32]> {
     if cfg!(target_endian = "big") {
         return None;
     }
@@ -434,7 +397,7 @@ impl BinaryEdgeFile {
             num_vertices,
             num_edges,
             payload_checksum,
-            io_mode: IoMode::from_env(),
+            io_mode: IoMode::default(),
         })
     }
 
@@ -462,14 +425,8 @@ impl BinaryEdgeFile {
         self.payload_checksum
     }
 
-    /// The pass IO mode in effect for this file.
-    #[inline]
-    pub fn io_mode(&self) -> IoMode {
-        self.io_mode
-    }
-
-    /// Overrides the pass IO mode for this file (the config-level override
-    /// of the `HEP_IO_MODE` environment default).
+    /// Sets the pass IO mode of this file's own [`BinaryEdgeFile::pass`]
+    /// calls.
     #[must_use]
     pub fn with_io_mode(mut self, mode: IoMode) -> BinaryEdgeFile {
         self.io_mode = mode;
@@ -624,14 +581,14 @@ impl EdgeFileWriter {
             num_vertices: self.num_vertices,
             num_edges: self.num_edges,
             payload_checksum,
-            io_mode: IoMode::from_env(),
+            io_mode: IoMode::default(),
         })
     }
 }
 
 /// A streaming pass over a [`BinaryEdgeFile`]. Each refill decodes up to
 /// 4096 whole records from the backend's buffer (or mapping)
-/// into a reused block — through the aligned zero-copy [`u32_word_view`]
+/// into a reused block — through the aligned zero-copy `u32_word_view`
 /// when available, byte by byte otherwise — and hashes their bytes once;
 /// `next()` then only bumps an index. A record split across two buffer
 /// fills is reassembled in an 8-byte carry. The digest is checked against
@@ -1050,25 +1007,6 @@ mod tests {
         let err = BinaryEdgeFile::open(&p).unwrap_err();
         std::fs::remove_file(&p).ok();
         assert!(matches!(err, GraphError::ChecksumMismatch { section: "header", .. }), "got {err}");
-    }
-
-    #[test]
-    fn io_mode_parses_and_defaults() {
-        assert_eq!(IoMode::parse("auto"), Some(IoMode::Auto));
-        assert_eq!(IoMode::parse("Buffered"), Some(IoMode::Buffered));
-        assert_eq!(IoMode::parse("MMAP"), Some(IoMode::Mmap));
-        assert_eq!(IoMode::parse("turbo"), None);
-    }
-
-    #[test]
-    fn io_mode_knob_parsing() {
-        assert_eq!(IoMode::from_knob(None), Ok(IoMode::Auto), "unset is auto");
-        assert_eq!(IoMode::from_knob(Some("mmap")), Ok(IoMode::Mmap));
-        assert_eq!(IoMode::from_knob(Some("Buffered")), Ok(IoMode::Buffered));
-        for bad in ["turbo", "", "mmap ", "1"] {
-            let err = IoMode::from_knob(Some(bad)).unwrap_err();
-            assert!(err.contains("HEP_IO_MODE") && err.contains(bad), "{err}");
-        }
     }
 
     #[test]

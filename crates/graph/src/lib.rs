@@ -30,7 +30,7 @@ pub mod partitioner;
 pub mod pruned_csr;
 pub mod types;
 
-pub use binfile::{BinaryEdgeFile, EdgeFileWriter, IoBackend, IoMode, PassSource};
+pub use binfile::{BinaryEdgeFile, EdgeFileWriter, IoBackend, IoMode};
 pub use csr::Csr;
 pub use degrees::DegreeStats;
 pub use edgelist::EdgeList;

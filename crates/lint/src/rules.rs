@@ -684,7 +684,7 @@ mod tests {
         );
         assert!(hep_names_in("XHEP_THREADS").is_empty(), "mid-identifier run");
         assert!(hep_names_in("HEP_ alone").is_empty(), "bare prefix");
-        assert_eq!(hep_names_in("HEP_IO_MODE_"), vec!["HEP_IO_MODE"], "trailing _ trimmed");
+        assert_eq!(hep_names_in("HEP_THREADS_"), vec!["HEP_THREADS"], "trailing _ trimmed");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! consumers (`open` → degree pass → budgeted CSR build → `stream_h2h` via
 //! [`Hep::partition_file_with_report`]) under both IO backends.
 
-use hep::core::Hep;
+use hep::core::{Hep, HepConfig};
 use hep::graph::partitioner::CollectedAssignment;
 use hep::graph::{BinaryEdgeFile, EdgeList, GraphError, IoMode};
 use std::path::PathBuf;
@@ -32,6 +32,11 @@ impl Drop for TempFileGuard {
     }
 }
 
+/// HEP-10 reading every pass, input and h2h spill alike, through `mode`.
+fn hep_10(mode: IoMode) -> Hep {
+    Hep { config: HepConfig { io_mode: mode, ..HepConfig::with_tau(10.0) } }
+}
+
 /// Writes `bytes` to disk and drives the full file pipeline over them.
 /// Returns the typed error; panics (failing the test) if the corrupt bytes
 /// are accepted end-to-end.
@@ -40,9 +45,9 @@ fn drive(bytes: &[u8], name: &str, mode: IoMode) -> GraphError {
     let _guard = TempFileGuard(path.clone());
     std::fs::write(&path, bytes).unwrap();
     let result = (|| {
-        let file = BinaryEdgeFile::open(&path)?.with_io_mode(mode);
+        let file = BinaryEdgeFile::open(&path)?;
         let mut sink = CollectedAssignment::default();
-        Hep::with_tau(10.0).partition_file_with_report(&file, 4, &mut sink)?;
+        hep_10(mode).partition_file_with_report(&file, 4, &mut sink)?;
         Ok(())
     })();
     match result {
@@ -322,10 +327,10 @@ fn shrink_after_open_is_typed_not_a_panic() {
         let path = temp_path(name);
         let _guard = TempFileGuard(path.clone());
         std::fs::write(&path, &bytes).unwrap();
-        let file = BinaryEdgeFile::open(&path).unwrap().with_io_mode(IoMode::Buffered);
+        let file = BinaryEdgeFile::open(&path).unwrap();
         std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(keep as u64).unwrap();
         let mut sink = CollectedAssignment::default();
-        let err = Hep::with_tau(10.0)
+        let err = hep_10(IoMode::Buffered)
             .partition_file_with_report(&file, 4, &mut sink)
             .expect_err("shrunk file must not partition");
         if want_bad_header {
@@ -345,9 +350,9 @@ fn pristine_files_still_partition_identically() {
     let _guard = TempFileGuard(path.clone());
     std::fs::write(&path, pristine_v2()).unwrap();
     let run = |mode: IoMode| {
-        let file = BinaryEdgeFile::open(&path).unwrap().with_io_mode(mode);
+        let file = BinaryEdgeFile::open(&path).unwrap();
         let mut sink = CollectedAssignment::default();
-        Hep::with_tau(10.0).partition_file_with_report(&file, 4, &mut sink).unwrap();
+        hep_10(mode).partition_file_with_report(&file, 4, &mut sink).unwrap();
         sink.assignments
     };
     let mut in_memory = CollectedAssignment::default();

@@ -3,15 +3,17 @@
 //! suite pins the *absolute* assignment: the XXH64 fingerprint of the
 //! `(u, v, p)` emission sequence, as `perfbench` computes it, of small
 //! seeded generator graphs at the paper's τ ∈ {100, 10, 1} and
-//! k ∈ {4, 32}. A second table pins HDRF and ADWISE, the other callers of
-//! the HDRF scorer that HEP's streaming phase shares.
+//! k ∈ {4, 32}. Every row holds for the in-memory driver and for the file
+//! driver under both IO backends and under a memory budget equal to the
+//! run's own planned peak. A second table pins HDRF and ADWISE, the other
+//! callers of the HDRF scorer that HEP's streaming phase shares.
 
 use hep::baselines::{Adwise, Hdrf};
-use hep::core::Hep;
+use hep::core::{Hep, HepConfig};
 use hep::ds::Hasher64;
 use hep::gen::rmat::RmatParams;
 use hep::gen::GraphSpec;
-use hep::graph::{AssignSink, EdgePartitioner, PartitionId, VertexId};
+use hep::graph::{AssignSink, BinaryEdgeFile, EdgePartitioner, IoMode, PartitionId, VertexId};
 
 /// XXH64 (seed 0) of the little-endian `(u, v, p)` records, in emission
 /// order, plus the record count.
@@ -28,6 +30,21 @@ impl AssignSink for FingerprintSink {
         record[8..].copy_from_slice(&p.to_le_bytes());
         self.hasher.write(&record);
         self.edges += 1;
+    }
+}
+
+impl FingerprintSink {
+    fn new() -> Self {
+        FingerprintSink { hasher: Hasher64::with_seed(0), edges: 0 }
+    }
+}
+
+/// Removes the graph's HEPB file even when an assertion unwinds.
+struct TempFileGuard(std::path::PathBuf);
+
+impl Drop for TempFileGuard {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
     }
 }
 
@@ -73,18 +90,44 @@ fn serial_pipeline_output_matches_golden_fingerprints() {
     let mut mismatches = Vec::new();
     for (name, spec, seed) in graphs() {
         let graph = spec.generate(seed);
+        let path =
+            std::env::temp_dir().join(format!("hep_golden_{}_{name}.hepb", std::process::id()));
+        let _guard = TempFileGuard(path.clone());
+        let file = BinaryEdgeFile::write(&path, &graph).expect("write HEPB");
         for tau in [100.0, 10.0, 1.0] {
             for k in [4u32, 32] {
-                let mut sink = FingerprintSink { hasher: Hasher64::with_seed(0), edges: 0 };
-                Hep::with_tau(tau).partition(&graph, k, &mut sink).expect("partition");
-                assert_eq!(sink.edges, graph.num_edges(), "{name} τ={tau} k={k}");
-                let got = sink.hasher.finish();
                 let want =
                     GOLDEN.iter().find(|g| g.0 == name && g.1 == tau && g.2 == k).map(|g| g.3);
-                if want != Some(got) {
-                    mismatches
-                        .push(format!("{name} τ={tau} k={k}: got {got:016x}, want {want:016x?}"));
-                }
+                let mut check = |run: &str, sink: FingerprintSink| {
+                    assert_eq!(sink.edges, graph.num_edges(), "{run} {name} τ={tau} k={k}");
+                    let got = sink.hasher.finish();
+                    if want != Some(got) {
+                        mismatches.push(format!(
+                            "{run} {name} τ={tau} k={k}: got {got:016x}, want {want:016x?}"
+                        ));
+                    }
+                };
+                let mut sink = FingerprintSink::new();
+                Hep::with_tau(tau).partition(&graph, k, &mut sink).expect("partition");
+                check("in-memory", sink);
+                let file_run = |config: HepConfig| {
+                    let mut sink = FingerprintSink::new();
+                    let report = Hep { config }
+                        .partition_file_with_report(&file, k, &mut sink)
+                        .expect("partition file");
+                    (sink, report.ingest.expect("file runs report their plan"))
+                };
+                let (sink, plan) =
+                    file_run(HepConfig { io_mode: IoMode::Buffered, ..HepConfig::with_tau(tau) });
+                check("file/buffered", sink);
+                let (sink, _) =
+                    file_run(HepConfig { io_mode: IoMode::Mmap, ..HepConfig::with_tau(tau) });
+                check("file/mmap", sink);
+                let budget = Some(plan.estimated_peak_bytes);
+                let (sink, budgeted) =
+                    file_run(HepConfig { memory_budget_bytes: budget, ..HepConfig::with_tau(tau) });
+                assert_eq!(budgeted, plan, "{name} τ={tau} k={k}: the estimate budget fits τ");
+                check("file/estimate-budget", sink);
             }
         }
     }
@@ -127,7 +170,7 @@ fn hdrf_scorer_callers_match_golden_fingerprints() {
                 [Box::new(Hdrf::default()), Box::new(Adwise::default())];
             for mut partitioner in runs {
                 let label = partitioner.name();
-                let mut sink = FingerprintSink { hasher: Hasher64::with_seed(0), edges: 0 };
+                let mut sink = FingerprintSink::new();
                 partitioner.partition(&graph, k, &mut sink).expect("partition");
                 assert_eq!(sink.edges, graph.num_edges(), "{label} {name} k={k}");
                 let got = sink.hasher.finish();

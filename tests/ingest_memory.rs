@@ -1,7 +1,8 @@
 //! Alloc-tracked property of the out-of-core ingestion pipeline: the
 //! actual peak heap of the degree pass + budgeted CSR build stays under
 //! [`hep::core::ingest_peak_bytes`]'s accounting, which in turn stays
-//! under the configured `HEP_MEMORY_BUDGET` — including on inputs whose
+//! under the memory budget handed to the planner
+//! (`HepConfig::memory_budget_bytes`) — including on inputs whose
 //! materialized `EdgeList` alone would blow the budget.
 //!
 //! This binary installs the counting allocator (the reproduction's max-RSS
@@ -57,10 +58,11 @@ fn measured_ingest(
     tau: f64,
     budget: Option<u64>,
 ) -> (PrunedCsr, IngestPlan, u64, u64) {
+    let file = file.clone().with_io_mode(IoMode::Buffered);
     alloc_track::reset_peak();
     let baseline = alloc_track::current_bytes();
     let mut h2h = 0u64;
-    let result = ingest_file_budgeted(file, tau, budget, IoMode::Buffered, None, |_| h2h += 1);
+    let result = ingest_file_budgeted(&file, tau, budget, None, |_| h2h += 1);
     let peak = alloc_track::peak_bytes().saturating_sub(baseline) as u64;
     let (csr, plan) = result.unwrap();
     (csr, plan, h2h, peak)

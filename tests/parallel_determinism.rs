@@ -134,7 +134,7 @@ proptest! {
 
     #[test]
     fn mmap_and_buffered_file_pipelines_are_bit_identical(seed in 0u64..1000) {
-        // The PassSource contract: the mmap and buffered backends feed the
+        // The backend contract: the mmap and buffered backends feed the
         // degree pass, the CSR insertion pass, and phase-2 streaming the
         // exact same byte stream, so the full file pipeline is bit-identical
         // across backends at any thread count.
