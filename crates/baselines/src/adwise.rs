@@ -78,7 +78,10 @@ impl EdgePartitioner for Adwise {
                     best = Some((score, i, p));
                 }
             }
-            // hep-lint: allow(HL007) -- the while-let loop head refilled the window, so at least one edge scored
+            #[expect(
+                clippy::expect_used,
+                reason = "the while-let loop head refilled the window, so at least one edge scored"
+            )]
             let (_, i, p) = best.expect("window non-empty");
             let e = window.swap_remove(i);
             state.assign(e.src, e.dst, p);

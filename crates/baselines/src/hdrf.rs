@@ -98,10 +98,10 @@ mod tests {
         // exactly one partition, so RF(leaves) = 1.
         let g = hep_gen::spec::GraphSpec::Star { n: 64 }.generate(0);
         let got = run(&g, 4);
-        let mut leaf_parts = std::collections::HashMap::new();
+        let mut leaf_parts = std::collections::BTreeMap::new();
         for (e, p) in &got.assignments {
             let leaf = if e.src == 0 { e.dst } else { e.src };
-            leaf_parts.entry(leaf).or_insert_with(std::collections::HashSet::new).insert(*p);
+            leaf_parts.entry(leaf).or_insert_with(std::collections::BTreeSet::new).insert(*p);
         }
         assert!(leaf_parts.values().all(|s| s.len() == 1));
     }

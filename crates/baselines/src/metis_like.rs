@@ -67,6 +67,10 @@ impl MetisLike {
     }
 
     /// Heavy-edge matching; returns (coarse graph, fine→coarse map).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`acc.iter()` is collected then sorted on the next line; order cannot leak"
+    )]
     fn coarsen(g: &WGraph, rng: &mut SplitMix64) -> (WGraph, Vec<u32>) {
         let n = g.n();
         let mut order: Vec<u32> = (0..n as u32).collect();
@@ -144,7 +148,6 @@ impl MetisLike {
             if m != cv {
                 collect(m, &mut acc);
             }
-            // hep-lint: allow(HL001) -- collected then sorted on the next line; order cannot leak
             cadj[c as usize] = acc.iter().map(|(&u, &w)| (u, w)).collect();
             cadj[c as usize].sort_unstable();
         }
@@ -352,7 +355,7 @@ mod tests {
         MetisLike::default().partition(&g, 4, &mut sink).unwrap();
         // Recover vertex labels: vertices incident to edges of several parts
         // are boundary; count edges whose endpoints' majority parts differ.
-        let mut part_of: Vec<std::collections::HashMap<u32, u32>> =
+        let mut part_of: Vec<std::collections::BTreeMap<u32, u32>> =
             vec![Default::default(); g.num_vertices as usize];
         for (e, p) in &sink.assignments {
             *part_of[e.src as usize].entry(*p).or_insert(0) += 1;

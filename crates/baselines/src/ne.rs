@@ -250,10 +250,13 @@ impl<'a> NeEngine<'a> {
                 continue;
             }
             self.assigned.set(eid);
+            #[expect(
+                clippy::expect_used,
+                reason = "check_inputs rejects k == 0, so the range is non-empty"
+            )]
             let target = (0..self.k)
                 .find(|&p| self.sizes[p as usize] < self.caps[p as usize])
                 .unwrap_or_else(|| {
-                    // hep-lint: allow(HL007) -- check_inputs rejects k == 0, so the range is non-empty
                     (0..self.k).min_by_key(|&p| self.sizes[p as usize]).expect("k >= 1")
                 });
             self.sizes[target as usize] += 1;

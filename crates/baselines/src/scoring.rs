@@ -85,9 +85,9 @@ impl ReplicaState {
 
     /// `(min, max)` of the current loads.
     pub fn load_extremes(&self) -> (u64, u64) {
-        // hep-lint: allow(HL007) -- constructors reject k == 0, so loads is non-empty
+        #[expect(clippy::expect_used, reason = "constructors reject k == 0, so loads is non-empty")]
         let min = *self.loads.iter().min().expect("k >= 1");
-        // hep-lint: allow(HL007) -- constructors reject k == 0, so loads is non-empty
+        #[expect(clippy::expect_used, reason = "constructors reject k == 0, so loads is non-empty")]
         let max = *self.loads.iter().max().expect("k >= 1");
         (min, max)
     }
@@ -136,11 +136,12 @@ impl ReplicaState {
         }
         match best {
             Some((_, p)) => p,
-            None => {
-                // All partitions at the cap: place on the least loaded one.
-                // hep-lint: allow(HL007) -- constructors reject k == 0, so the range is non-empty
-                (0..self.k).min_by_key(|&p| self.loads[p as usize]).expect("k >= 1")
-            }
+            // All partitions at the cap: place on the least loaded one.
+            #[expect(
+                clippy::expect_used,
+                reason = "constructors reject k == 0, so the range is non-empty"
+            )]
+            None => (0..self.k).min_by_key(|&p| self.loads[p as usize]).expect("k >= 1"),
         }
     }
 }

@@ -26,7 +26,10 @@ impl ChunkView {
             adj.entry(e.src).or_default().push((e.dst, eid));
             adj.entry(e.dst).or_default().push((e.src, eid));
         }
-        // hep-lint: allow(HL001) -- collected then sorted on the next line; order cannot leak
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected then sorted on the next line; order cannot leak"
+        )]
         let mut candidates: Vec<VertexId> = adj.keys().copied().collect();
         candidates.sort_unstable();
         ChunkView { adj, candidates }

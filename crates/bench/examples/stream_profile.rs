@@ -12,6 +12,12 @@
 //! Usage: `cargo run --release -p hep-bench --example stream_profile
 //! [edges] [reps]`.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    reason = "a timing harness: it reads the wall clock and aborts on a failed run"
+)]
+
 use hep_core::{stream_h2h, stream_h2h_serial, HighReplicas};
 use hep_ds::{DenseBitset, SplitMix64};
 use hep_graph::partitioner::CountingSink;

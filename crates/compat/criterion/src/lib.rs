@@ -15,6 +15,8 @@
 //! There is no statistical analysis, plotting, or baseline comparison; swap
 //! the workspace dependency back to the registry version to get those.
 
+#![expect(clippy::disallowed_methods, reason = "a benchmark harness measures wall-clock time")]
+
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 

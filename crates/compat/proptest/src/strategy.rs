@@ -174,7 +174,7 @@ macro_rules! tuple_strategy {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
 
-            #[allow(non_snake_case)]
+            #[expect(non_snake_case, reason = "the tuple elements are bound to the uppercase type-parameter names")]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)

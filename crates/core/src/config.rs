@@ -2,12 +2,6 @@
 
 use hep_graph::IoMode;
 
-/// The workspace environment-knob registry (defined in
-/// [`hep_ds::env_registry`], re-exported here as the documented path).
-/// Every `HEP_*` knob resolves through [`env_registry::read`]; `hep-lint`
-/// rejects raw `std::env::var` calls and unregistered names.
-pub use hep_ds::env_registry;
-
 /// Tunables of a HEP run. The paper's evaluated configurations are
 /// `tau ∈ {100, 10, 1}` with HDRF defaults for the streaming phase.
 #[derive(Clone, Debug)]

@@ -146,7 +146,10 @@ impl Hep {
         // Phase 0: graph building (a degree pass and one insertion pass
         // over the edge list, §4.1), spilling h2h edges to the external
         // edge file as they are found.
-        // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase timing lands in HepRunReport for benches; it never feeds an assignment decision"
+        )]
         let build_start = Instant::now();
         let stats = DegreeStats::new(graph, self.config.tau);
         let guard = TempFileGuard(h2h_temp_path());
@@ -177,7 +180,10 @@ impl Hep {
             return Err(GraphError::EmptyGraph);
         }
         self.config.validate()?;
-        // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase timing lands in HepRunReport for benches; it never feeds an assignment decision"
+        )]
         let build_start = Instant::now();
         let guard = TempFileGuard(h2h_temp_path());
         let mut spill = EdgeFileWriter::create(&guard.0, file.num_vertices())?;
@@ -209,14 +215,20 @@ impl Hep {
         let inmem_edges = csr.num_inmem_edges();
         let csr_heap_bytes = csr.heap_bytes();
         // Phase 1: in-memory partitioning via NE++ (§3.2; consumes the CSR).
-        // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase timing lands in HepRunReport for benches; it never feeds an assignment decision"
+        )]
         let nepp_start = Instant::now();
         let nepp = run_nepp(csr, k, &self.config, sink);
         let nepp_secs = nepp_start.elapsed().as_secs_f64();
         // Phase 2: informed stateful streaming over the h2h edge file, one
         // checksummed pass (`stream_h2h` checks that every endpoint is in
         // range and in V_h).
-        // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase timing lands in HepRunReport for benches; it never feeds an assignment decision"
+        )]
         let stream_start = Instant::now();
         let mut read_err: Option<GraphError> = None;
         let reader = BinaryEdgeFile::open(&guard.0)?.with_io_mode(self.config.io_mode).pass()?;

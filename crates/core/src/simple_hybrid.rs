@@ -44,11 +44,9 @@ impl SimpleHybrid {
 
 impl EdgePartitioner for SimpleHybrid {
     fn name(&self) -> String {
-        if self.tau == self.tau.trunc() {
-            format!("SimpleHybrid-{}", self.tau as i64)
-        } else {
-            format!("SimpleHybrid-{}", self.tau)
-        }
+        // As `Hep::name`: f64 `Display` prints integral values without a
+        // fraction, and ∞ as `inf`.
+        format!("SimpleHybrid-{}", self.tau)
     }
 
     fn partition(
@@ -78,6 +76,13 @@ impl EdgePartitioner for SimpleHybrid {
 mod tests {
     use super::*;
     use hep_graph::partitioner::CollectedAssignment;
+
+    #[test]
+    fn names_follow_paper_notation() {
+        assert_eq!(SimpleHybrid::with_tau(100.0).name(), "SimpleHybrid-100");
+        assert_eq!(SimpleHybrid::with_tau(1.5).name(), "SimpleHybrid-1.5");
+        assert_eq!(SimpleHybrid::with_tau(f64::INFINITY).name(), "SimpleHybrid-inf");
+    }
 
     #[test]
     fn split_partitions_the_edge_set() {

@@ -176,7 +176,10 @@ impl LoadTracker {
             // levels holds every load, so i < levels.len(); p < k, so p / 64 < wpm
             members[i * wpm + p / 64] |= 1 << (p % 64);
         }
-        // hep-lint: allow(HL007) -- check_inputs rejects k == 0 before any tracker is built
+        #[expect(
+            clippy::expect_used,
+            reason = "check_inputs rejects k == 0 before any tracker is built"
+        )]
         let max = *levels.last().expect("k >= 1");
         LoadTracker { loads, levels, members, wpm, max }
     }
@@ -195,7 +198,10 @@ impl LoadTracker {
     /// `(min load, lowest part id at that load)`.
     #[inline]
     fn min_entry(&self) -> (u64, u32) {
-        // hep-lint: allow(HL007) -- buckets are never empty (increment removes or relabels a bucket the moment its last member leaves), and there is at least one since k >= 1
+        #[expect(
+            clippy::expect_used,
+            reason = "buckets are never empty (increment removes or relabels a bucket the moment its last member leaves), and there is at least one since k >= 1"
+        )]
         let p = first_one(self.bucket(0).iter().copied()).expect("non-empty first bucket");
         (self.levels[0], p)
     }
@@ -272,6 +278,10 @@ const EMPTY: (u64, u32) = (u64::MAX, u32::MAX);
 /// collapse distinct loads to equal scores, or λ = 0 where every class ties
 /// wholesale and the ascending-id visit order decides)
 /// [`pick_serial_order`] reproduces the serial loop literally.
+#[expect(
+    clippy::expect_used,
+    reason = "the caller only invokes scoring when min_load < cap, so at least one part is under cap and sets `best`"
+)]
 fn pick_partition(
     row_u: &[u64],
     row_v: &[u64],
@@ -318,7 +328,6 @@ fn pick_partition(
             best = Some((score, p));
         }
     }
-    // hep-lint: allow(HL007) -- the caller only invokes scoring when min_load < cap, so at least one part is under cap and sets `best`
     best.expect("min_load < cap guarantees an under-cap candidate").1
 }
 
@@ -436,7 +445,14 @@ fn bucket_minima(
 /// bit probe per endpoint, reproducing [`ReplicaState::best_partition`]'s
 /// loop (and its first-wins strict `>`) operation for operation. Only
 /// reached outside the fast-path envelope.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the scoring inputs are passed as scalars, as in pick_partition"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "the caller only invokes scoring when min_load < cap, so at least one part is under cap and sets `best`"
+)]
 fn pick_serial_order(
     row_u: &[u64],
     row_v: &[u64],
@@ -469,7 +485,6 @@ fn pick_serial_order(
             best = Some((score, p));
         }
     }
-    // hep-lint: allow(HL007) -- the caller only invokes scoring when min_load < cap, so at least one part is under cap and sets `best`
     best.expect("min_load < cap guarantees an under-cap candidate").1
 }
 
@@ -478,7 +493,10 @@ fn pick_serial_order(
 /// enforcement of the class-minimum proof obligation (DESIGN.md §7).
 /// Compiled out of release builds.
 #[cfg(debug_assertions)]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors pick_serial_order's inputs plus the decision under check"
+)]
 fn debug_check_full_scan(
     row_u: &[u64],
     row_v: &[u64],
@@ -491,9 +509,9 @@ fn debug_check_full_scan(
     chosen: PartitionId,
 ) {
     let replicated = |row: &[u64], p: usize| row[p >> 6] >> (p & 63) & 1 != 0;
-    // hep-lint: allow(HL007) -- check_inputs rejects k == 0, so loads is non-empty
+    #[expect(clippy::expect_used, reason = "check_inputs rejects k == 0, so loads is non-empty")]
     let min_load = loads.iter().copied().min().expect("k >= 1");
-    // hep-lint: allow(HL007) -- check_inputs rejects k == 0, so loads is non-empty
+    #[expect(clippy::expect_used, reason = "check_inputs rejects k == 0, so loads is non-empty")]
     let max_load = loads.iter().copied().max().expect("k >= 1");
     let denom = BAL_EPSILON + (max_load - min_load) as f64;
     let mut best: Option<(f64, usize)> = None;
@@ -515,7 +533,10 @@ fn debug_check_full_scan(
     }
     let want = match best {
         Some((_, p)) => p,
-        // hep-lint: allow(HL007) -- check_inputs rejects k == 0, so the range is non-empty
+        #[expect(
+            clippy::expect_used,
+            reason = "check_inputs rejects k == 0, so the range is non-empty"
+        )]
         None => (0..loads.len()).min_by_key(|&p| loads[p]).expect("k >= 1"),
     };
     assert_eq!(
@@ -537,7 +558,10 @@ fn debug_check_full_scan(
 /// Output is bit-identical to [`stream_h2h_serial`] seeded with the same
 /// sets — see the module docs and DESIGN.md §7. `_batch` is ignored: edges
 /// are scored and committed one at a time.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "phase 2's entry point takes each phase-1 output and HDRF parameter separately"
+)]
 pub fn stream_h2h<S: AssignSink + ?Sized>(
     h2h: impl IntoIterator<Item = Edge>,
     degrees: &[u32],
@@ -615,7 +639,10 @@ fn endpoint_error(e: Edge, n: u32, high: &DenseBitset) -> GraphError {
 /// [`ReplicaState`], exactly as phase 2 ran before [`stream_h2h`]. Kept
 /// as the bit-identity oracle for the determinism battery and the serial
 /// baseline of the phase-2 throughput bench.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the serial oracle takes the same inputs as stream_h2h"
+)]
 pub fn stream_h2h_serial<S: AssignSink + ?Sized>(
     h2h: impl IntoIterator<Item = Edge>,
     degrees: &[u32],

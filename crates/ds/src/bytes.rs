@@ -6,8 +6,8 @@
 //! dozens of panic sites through the decode paths. These helpers express
 //! the same reads through array indexing only — out-of-bounds still fails
 //! fast (an index panic, exactly as before), but the decoders themselves
-//! stay free of `unwrap`/`expect` and the panic-policy lint (`HL007`)
-//! holds without waivers. Every read is at a fixed offset into a buffer
+//! stay free of `unwrap`/`expect` and the panic-policy lints
+//! (`clippy::{unwrap_used, expect_used}`) hold without an `#[expect]`. Every read is at a fixed offset into a buffer
 //! whose length the decoder has already checked.
 
 /// Reads the little-endian `u32` at byte offset `off`.

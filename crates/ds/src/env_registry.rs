@@ -3,17 +3,17 @@
 //!
 //! Every knob the workspace reads from the environment is declared here —
 //! name, default, one-line effect, and the PR that introduced it — and
-//! every read goes through [`read`]. `hep-lint` enforces both directions
-//! statically (rules `HL004`–`HL006`): a raw `std::env::var` call outside
-//! this module is an error, a `HEP_*` name literal that is not registered
-//! is an error, and a registered knob that no code ever reads is an error.
+//! every read goes through [`read`]. Both directions are enforced: clippy's
+//! `disallowed-methods` rejects a raw `std::env::var` call outside this
+//! module, and `crates/ds/tests/knob_table.rs` fails on a `HEP_*` name
+//! literal that is not registered and on a registered knob that no code
+//! names.
 //! That keeps the README knob table, the bench reports' environment block
 //! (which iterates [`KNOBS`]), and the code that actually honors each
 //! knob from drifting apart.
 //!
 //! The registry lives in `hep-ds` because it must sit below every reader
-//! (`hep-par` reads `HEP_THREADS`); `hep_core::config::env_registry`
-//! re-exports it at the path user-facing documentation uses.
+//! (`hep-par` reads `HEP_THREADS`).
 
 /// One registered environment knob.
 #[derive(Clone, Copy, Debug)]
@@ -64,11 +64,14 @@ pub fn is_registered(name: &str) -> bool {
 
 /// Reads a registered knob from the process environment. This is the
 /// workspace's only sanctioned `std::env::var` call site; passing an
-/// unregistered name is a programming error that `hep-lint` rejects
-/// statically (and a debug assertion rejects at runtime).
+/// unregistered name is a programming error that a debug assertion
+/// rejects at runtime.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the registry itself is the single sanctioned env::var gateway"
+)]
 pub fn read(name: &str) -> Option<String> {
     debug_assert!(is_registered(name), "unregistered environment knob {name:?}");
-    // hep-lint: allow(HL004) -- the registry itself is the single sanctioned env::var gateway
     std::env::var(name).ok()
 }
 

@@ -121,7 +121,10 @@ impl IndexedMinHeap {
         }
         let min = self.slots[0];
         self.pos[min.1 as usize] = NOT_IN_HEAP;
-        // hep-lint: allow(HL007) -- non-empty: the is_empty early-return is three lines up
+        #[expect(
+            clippy::expect_used,
+            reason = "non-empty: the is_empty early-return is three lines up"
+        )]
         let last = self.slots.pop().expect("non-empty");
         if !self.slots.is_empty() {
             self.slots[0] = last;
@@ -141,7 +144,10 @@ impl IndexedMinHeap {
         let p = p as usize;
         let key = self.slots[p].0;
         self.pos[id as usize] = NOT_IN_HEAP;
-        // hep-lint: allow(HL007) -- non-empty: pos[id] != NOT_IN_HEAP proves id occupies a slot
+        #[expect(
+            clippy::expect_used,
+            reason = "non-empty: pos[id] != NOT_IN_HEAP proves id occupies a slot"
+        )]
         let last = self.slots.pop().expect("non-empty");
         if p < self.slots.len() {
             self.slots[p] = last;

@@ -7,9 +7,9 @@
 //! can therefore only be observed *after* a panic that is already on its
 //! way up — recovering the inner guard neither hides the failure nor
 //! changes any non-panicking run. These helpers encode that policy
-//! without `unwrap`/`expect`, so the panic-policy lint (`HL007`) holds
-//! structurally: the only panics left in library code are waived,
-//! documented invariants.
+//! without `unwrap`/`expect`, so the panic-policy lints
+//! (`clippy::{unwrap_used, expect_used}`) hold structurally: the only
+//! panics left in library code are `#[expect]`ed, documented invariants.
 
 use std::sync::{Mutex, MutexGuard};
 

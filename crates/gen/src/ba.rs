@@ -78,6 +78,10 @@ const CHUNK: usize = 16_384;
 /// Generates a BA graph with `n` vertices; each vertex beyond the initial
 /// clique of `m_per_vertex + 1` vertices adds `m_per_vertex` edges (a few
 /// may collapse as duplicates, see the module docs).
+#[expect(
+    clippy::expect_used,
+    reason = "the generator samples endpoints modulo n, so ids are in range"
+)]
 pub fn barabasi_albert(n: u32, m_per_vertex: u32, seed: u64) -> EdgeList {
     assert!(m_per_vertex >= 1, "need at least one edge per vertex");
     assert!(n > m_per_vertex, "need n > m_per_vertex");
@@ -115,7 +119,6 @@ pub fn barabasi_albert(n: u32, m_per_vertex: u32, seed: u64) -> EdgeList {
             pairs.push((u, v));
         }
     }
-    // hep-lint: allow(HL007) -- the generator samples endpoints modulo n, so ids are in range
     EdgeList::with_vertices(n, pairs).expect("ids in range by construction")
 }
 

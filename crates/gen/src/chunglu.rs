@@ -18,6 +18,10 @@ use hep_graph::EdgeList;
 /// parameters; tests pin the tolerance. Pairs are drawn in parallel from
 /// independently seeded chunks (see `parfill`), so the output is identical
 /// at any `HEP_THREADS` setting.
+#[expect(
+    clippy::expect_used,
+    reason = "the generator samples endpoints modulo n, so ids are in range"
+)]
 pub fn chung_lu(n: u32, m: u64, gamma: f64, seed: u64) -> EdgeList {
     assert!(n >= 2, "need at least two vertices");
     assert!(gamma > 1.0, "gamma must exceed 1");
@@ -48,7 +52,6 @@ pub fn chung_lu(n: u32, m: u64, gamma: f64, seed: u64) -> EdgeList {
         let v = endpoint(rng);
         (u != v).then_some((u, v))
     });
-    // hep-lint: allow(HL007) -- the generator samples endpoints modulo n, so ids are in range
     EdgeList::with_vertices(n, pairs).expect("ids in range by construction")
 }
 

@@ -37,6 +37,10 @@ impl CommunityParams {
 /// contiguous id ranges with power-law sizes; intra-community endpoints are
 /// drawn with Zipf-like skew (hub pages); inter-community edges connect
 /// community hubs preferentially.
+#[expect(
+    clippy::expect_used,
+    reason = "the generator samples endpoints modulo n, so ids are in range"
+)]
 pub fn community_web(params: CommunityParams, seed: u64) -> EdgeList {
     let CommunityParams { n, m, mean_community, intra_fraction, gamma } = params;
     assert!(n >= 4, "need at least 4 vertices");
@@ -92,7 +96,6 @@ pub fn community_web(params: CommunityParams, seed: u64) -> EdgeList {
             pairs.push((u, v));
         }
     }
-    // hep-lint: allow(HL007) -- the generator samples endpoints modulo n, so ids are in range
     EdgeList::with_vertices(n, pairs).expect("ids in range by construction")
 }
 

@@ -12,6 +12,10 @@ use hep_graph::EdgeList;
 /// seeded chunks with an unbounded serial top-up (termination is guaranteed
 /// because `m` distinct edges always exist), so exactly `m` edges are
 /// delivered and the output is identical at any `HEP_THREADS` setting.
+#[expect(
+    clippy::expect_used,
+    reason = "the generator samples endpoints modulo n, so ids are in range"
+)]
 pub fn erdos_renyi(n: u32, m: u64, seed: u64) -> EdgeList {
     let possible = n as u64 * (n as u64 - 1) / 2;
     assert!(m <= possible, "G({n}, {m}) impossible: only {possible} edges exist");
@@ -21,7 +25,6 @@ pub fn erdos_renyi(n: u32, m: u64, seed: u64) -> EdgeList {
         let v = rng.next_below(n as u64) as u32;
         (u != v).then_some((u, v))
     });
-    // hep-lint: allow(HL007) -- the generator samples endpoints modulo n, so ids are in range
     EdgeList::with_vertices(n, pairs).expect("ids in range by construction")
 }
 

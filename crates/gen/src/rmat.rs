@@ -35,6 +35,10 @@ impl RmatParams {
 /// distinct edges (attempt budget 10·m, like the other generators).
 /// Candidates are drawn in parallel from independently seeded chunks, so
 /// the output is identical at any `HEP_THREADS` setting.
+#[expect(
+    clippy::expect_used,
+    reason = "the generator samples endpoints modulo n, so ids are in range"
+)]
 pub fn rmat(scale: u32, m: u64, params: RmatParams, seed: u64) -> EdgeList {
     assert!((1..31).contains(&scale), "scale out of range");
     let sum = params.a + params.b + params.c + params.d;
@@ -66,7 +70,6 @@ pub fn rmat(scale: u32, m: u64, params: RmatParams, seed: u64) -> EdgeList {
         }
         (u != v && u < n && v < n).then_some((u, v))
     });
-    // hep-lint: allow(HL007) -- the generator samples endpoints modulo n, so ids are in range
     EdgeList::with_vertices(n, pairs).expect("ids in range by construction")
 }
 

@@ -5,35 +5,51 @@
 use hep_graph::EdgeList;
 
 /// Star: vertex 0 connected to `1..n` (Figure 1's example shape).
+#[expect(
+    clippy::expect_used,
+    reason = "every generated id is < the vertex count passed alongside it"
+)]
 pub fn star(n: u32) -> EdgeList {
     assert!(n >= 2);
-    // hep-lint: allow(HL007) -- every generated id is < the vertex count passed alongside it
     EdgeList::with_vertices(n, (1..n).map(|v| (0, v))).expect("in range")
 }
 
 /// Path 0-1-2-...-(n-1).
+#[expect(
+    clippy::expect_used,
+    reason = "every generated id is < the vertex count passed alongside it"
+)]
 pub fn path(n: u32) -> EdgeList {
     assert!(n >= 2);
-    // hep-lint: allow(HL007) -- every generated id is < the vertex count passed alongside it
     EdgeList::with_vertices(n, (0..n - 1).map(|v| (v, v + 1))).expect("in range")
 }
 
 /// Cycle over `n` vertices.
+#[expect(
+    clippy::expect_used,
+    reason = "every generated id is < the vertex count passed alongside it"
+)]
 pub fn cycle(n: u32) -> EdgeList {
     assert!(n >= 3);
-    // hep-lint: allow(HL007) -- every generated id is < the vertex count passed alongside it
     EdgeList::with_vertices(n, (0..n).map(|v| (v, (v + 1) % n))).expect("in range")
 }
 
 /// Complete graph K_n.
+#[expect(
+    clippy::expect_used,
+    reason = "every generated id is < the vertex count passed alongside it"
+)]
 pub fn complete(n: u32) -> EdgeList {
     assert!(n >= 2);
     let pairs = (0..n).flat_map(|u| ((u + 1)..n).map(move |v| (u, v)));
-    // hep-lint: allow(HL007) -- every generated id is < the vertex count passed alongside it
     EdgeList::with_vertices(n, pairs).expect("in range")
 }
 
 /// `rows x cols` 2D grid (4-neighbourhood).
+#[expect(
+    clippy::expect_used,
+    reason = "every generated id is < the vertex count passed alongside it"
+)]
 pub fn grid2d(rows: u32, cols: u32) -> EdgeList {
     assert!(rows >= 1 && cols >= 1 && rows * cols >= 2);
     let id = move |r: u32, c: u32| r * cols + c;
@@ -48,13 +64,16 @@ pub fn grid2d(rows: u32, cols: u32) -> EdgeList {
             }
         }
     }
-    // hep-lint: allow(HL007) -- every generated id is < the vertex count passed alongside it
     EdgeList::with_vertices(rows * cols, pairs).expect("in range")
 }
 
 /// Disjoint union of `count` cliques of `size` vertices each. NE must
 /// re-seed once per exhausted component, exercising the initialization path
 /// (§3.2.3 scenario 2).
+#[expect(
+    clippy::expect_used,
+    reason = "every generated id is < the vertex count passed alongside it"
+)]
 pub fn disconnected_cliques(count: u32, size: u32) -> EdgeList {
     assert!(count >= 1 && size >= 2);
     let mut pairs = Vec::new();
@@ -66,7 +85,6 @@ pub fn disconnected_cliques(count: u32, size: u32) -> EdgeList {
             }
         }
     }
-    // hep-lint: allow(HL007) -- every generated id is < the vertex count passed alongside it
     EdgeList::with_vertices(count * size, pairs).expect("in range")
 }
 

@@ -123,10 +123,13 @@ impl PrunedCsr {
     ///
     /// The input must be a simple graph (no self-loops, no duplicate
     /// undirected edges); run [`EdgeList::canonicalize`] first if unsure.
+    #[expect(
+        clippy::expect_used,
+        reason = "an EdgeList's ids are < num_vertices and `stats` holds its exact degrees, so neither the range check nor a segment guard can fire; an index overflow needs a 16 GiB column array"
+    )]
     pub fn build(graph: &EdgeList, tau: f64) -> Self {
         let stats = DegreeStats::new(graph, tau);
         let pass = || Ok(graph.edges.iter().copied().map(Ok));
-        // hep-lint: allow(HL007) -- an EdgeList's ids are < num_vertices and `stats` holds its exact degrees, so neither the range check nor a segment guard can fire; an index overflow needs a 16 GiB column array
         Self::build_from_passes(stats, pass, |_| {}).expect("stats are the graph's own degrees")
     }
 

@@ -70,6 +70,10 @@ impl PartitionMetrics {
     /// merged per partition on the pool. Equivalent to (and bit-identical
     /// with) feeding every assignment through [`AssignSink::assign`]
     /// serially, at any `HEP_THREADS` setting.
+    #[expect(
+        clippy::expect_used,
+        reason = "the single-shard `expect` is guarded by the len() == 1 check on the previous line"
+    )]
     pub fn from_assignment(k: u32, num_vertices: u32, assignment: &CollectedAssignment) -> Self {
         let shards = hep_par::par_chunks(&assignment.assignments, REPLAY_CHUNK, |_, chunk| {
             let mut acc = PartitionMetrics::new(k, num_vertices);
@@ -79,7 +83,6 @@ impl PartitionMetrics {
             acc
         });
         if shards.len() == 1 {
-            // hep-lint: allow(HL007) -- guarded by the len() == 1 check on the previous line
             return shards.into_iter().next().expect("one shard");
         }
         let mut merged = PartitionMetrics::new(k, num_vertices);
@@ -151,7 +154,10 @@ impl PartitionMetrics {
         if self.total_edges == 0 {
             return 0.0;
         }
-        // hep-lint: allow(HL007) -- constructors reject k == 0, so edge_counts is non-empty
+        #[expect(
+            clippy::expect_used,
+            reason = "constructors reject k == 0, so edge_counts is non-empty"
+        )]
         let max = *self.edge_counts.iter().max().expect("k >= 1");
         max as f64 * self.k as f64 / self.total_edges as f64
     }

@@ -97,8 +97,12 @@ pub fn validate_assignment(
         }
         // Report the smallest offending edge so the message is stable
         // across hasher layouts, not whichever the map yields first.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reduced with min(); the result is independent of iteration order"
+        )]
         let leftover = expect
-            .iter() // hep-lint: allow(HL001) -- reduced with min(); the result is independent of iteration order
+            .iter()
             .filter(|&(_, &c)| c != 0)
             .map(|(e, _)| *e)
             .min_by_key(|e| (e.src, e.dst))

@@ -144,6 +144,10 @@ impl Pool {
     ///
     /// With one worker (or fewer than two tasks) this runs inline on the
     /// caller's thread, spawning nothing.
+    #[expect(
+        clippy::expect_used,
+        reason = "the scope joined all workers, and workers only exit the fetch_add loop once every index < tasks is claimed and stored"
+    )]
     pub fn par_map<U, F>(&self, tasks: usize, f: F) -> Vec<U>
     where
         U: Send,
@@ -173,11 +177,7 @@ impl Pool {
                 }
             }
         });
-        slots
-            .into_iter()
-            // hep-lint: allow(HL007) -- the scope joined all workers, and workers only exit the fetch_add loop once every index < tasks is claimed and stored
-            .map(|s| sync::into_inner(s).expect("task ran"))
-            .collect()
+        slots.into_iter().map(|s| sync::into_inner(s).expect("task ran")).collect()
     }
 
     /// Runs `f` for every task index, discarding results.

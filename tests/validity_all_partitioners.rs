@@ -1,7 +1,8 @@
 //! Cross-crate validity: every partitioner in the workspace must assign
 //! every edge exactly once, to an in-range partition, on every graph family
 //! — including adversarial shapes (stars, cliques, disconnected components)
-//! and randomly generated graphs.
+//! and randomly generated graphs. DNE must also keep its capacity cap on
+//! the hub-heavy social analogs.
 
 use hep::gen::GraphSpec;
 use hep::graph::partitioner::CollectedAssignment;
@@ -95,5 +96,25 @@ proptest! {
         g.canonicalize();
         prop_assume!(!g.edges.is_empty());
         check_all(&g, k);
+    }
+}
+
+/// DNE's parts stay within the 1.05 cap on the OK and TW analogs. Their
+/// hubs hold more than a part's share of edges, so a hub that proposed
+/// every incident edge at once would push its part far past the cap.
+#[test]
+fn dne_keeps_its_balance_cap_on_social_analogs() {
+    let k_values: &[u32] = if cfg!(debug_assertions) { &[32, 128] } else { &[32, 128, 256] };
+    for name in ["OK", "TW"] {
+        let g = hep::gen::dataset(name, 1).expect("a Table 3 analog").generate();
+        for &k in k_values {
+            let mut dne = hep::baselines::Dne::default();
+            let cap = (dne.balance * g.num_edges() as f64 / k as f64).ceil() as u64;
+            let mut sink = hep::graph::partitioner::CountingSink::default();
+            dne.partition(&g, k, &mut sink).expect("DNE runs");
+            let max = sink.counts.iter().copied().max().unwrap_or(0);
+            let alpha = max as f64 * k as f64 / g.num_edges() as f64;
+            assert!(max <= cap, "{name} k={k}: largest part {max} > cap {cap} (alpha {alpha:.2})");
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! renamed type, a dropped `pub use`, a facade module that stops compiling)
 //! before anything subtler does. The README crate map is checked against
 //! the workspace members, so a crate added or deleted without its row
-//! fails here too.
+//! fails here too, and the bench sources against their `[[bench]]`
+//! registrations and report names.
 
 use hep::prelude::*;
 use std::path::Path;
@@ -107,4 +108,55 @@ fn readme_crate_map_matches_workspace_members() {
         "the README crate map's path column must list exactly the workspace members \
          (vendored crates/compat/* stand-ins excepted)"
     );
+}
+
+/// The `(name, path)` of every `[[bench]]` entry in the root manifest.
+fn bench_entries(manifest: &str) -> Vec<(String, String)> {
+    let value = |section: &str, key: &str| -> String {
+        section
+            .lines()
+            .find_map(|line| line.trim().strip_prefix(key)?.trim_start().strip_prefix('='))
+            .unwrap_or_else(|| panic!("[[bench]] entry without `{key}`:{section}"))
+            .trim()
+            .trim_matches('"')
+            .to_string()
+    };
+    manifest
+        .split("[[bench]]")
+        .skip(1)
+        .map(|section| section.split("\n[").next().unwrap_or(section))
+        .map(|section| (value(section, "name"), value(section, "path")))
+        .collect()
+}
+
+#[test]
+fn bench_sources_registrations_and_reports_agree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries = bench_entries(&read_root_file("Cargo.toml"));
+    assert!(!entries.is_empty(), "the root manifest registers no [[bench]] targets");
+
+    // Every bench source is registered, and every registration exists.
+    let dir = root.join("crates/bench/benches");
+    let mut sources: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()))
+        .map(|entry| entry.expect("readable directory entry").file_name())
+        .filter_map(|name| name.to_str().filter(|n| n.ends_with(".rs")).map(str::to_string))
+        .map(|name| format!("crates/bench/benches/{name}"))
+        .collect();
+    sources.sort();
+    let mut registered: Vec<String> = entries.iter().map(|(_, path)| path.clone()).collect();
+    registered.sort();
+    assert_eq!(sources, registered, "crates/bench/benches/*.rs and the [[bench]] paths differ");
+
+    // Each bench writes exactly one BENCH_<name>.json, under a name no
+    // other bench uses, so no run overwrites another's report.
+    let mut report_names = Vec::new();
+    for (bench, path) in &entries {
+        let text = read_root_file(path);
+        let calls: Vec<&str> = text.split("Report::new(\"").skip(1).collect();
+        assert_eq!(calls.len(), 1, "bench {bench} must call Report::new(\"<name>\") once");
+        let name = calls[0].split('"').next().unwrap_or_default().to_string();
+        assert!(!report_names.contains(&name), "bench {bench} reuses report name {name:?}");
+        report_names.push(name);
+    }
 }
