@@ -21,13 +21,15 @@ pub struct HepConfig {
     /// plain HDRF state (empty replica sets, zero loads), re-creating the
     /// "uninformed assignment problem" the hybrid design removes.
     pub informed_streaming: bool,
-    /// Memory budget for the out-of-core ingestion pipeline (§4.2: the
-    /// machine's memory budget is the planner's primary input). When set,
-    /// [`crate::planner::plan_ingest`] chooses τ so the estimated peak
-    /// footprint fits; τ is **degraded** (never the budget exceeded) when
-    /// the configured τ does not fit. `None` (the default) ingests
-    /// unbounded at the configured τ; `Some(0)` fails
-    /// [`HepConfig::validate`].
+    /// Memory budget of a HEP run (§4.2: the machine's memory budget is
+    /// the planner's primary input), for in-memory and file input alike.
+    /// When set, [`crate::planner::plan_ingest`] chooses τ so the estimated
+    /// peak footprint fits; τ is **degraded** (never the budget exceeded)
+    /// when the configured τ does not fit, and a budget no τ fits is
+    /// [`hep_graph::GraphError::BudgetExceeded`]. The input itself is not
+    /// charged: neither the caller's `EdgeList` nor the mapped input file.
+    /// `None` (the default) ingests unbounded at the configured τ;
+    /// `Some(0)` fails [`HepConfig::validate`].
     pub memory_budget_bytes: Option<u64>,
     /// How the file driver's passes read the input file and the h2h spill
     /// (buffered vs mmap); it replaces the input file's own mode. Backends

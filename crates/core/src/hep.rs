@@ -11,7 +11,6 @@ use crate::config::HepConfig;
 use crate::nepp::{run_nepp, NeppStats};
 use crate::planner::{estimate_stream_overhead_bytes, plan_ingest, IngestPlan};
 use crate::streaming::{stream_h2h, HighReplicas};
-use hep_graph::partitioner::check_inputs;
 use hep_graph::{
     AssignSink, BinaryEdgeFile, DegreeStats, Edge, EdgeFileWriter, EdgeList, EdgePartitioner,
     GraphError, PrunedCsr,
@@ -40,42 +39,50 @@ impl Drop for TempFileGuard {
     }
 }
 
-/// Out-of-core ingestion: the degree pass plus the budget-planned CSR
-/// build, streamed straight off `file` with h2h edges handed to `h2h_sink`
-/// as they are discovered. This is the exact region the memory budget of
-/// §4.2 governs, factored out so [`Hep::partition_file_with_report`] and
-/// the allocation-tracking tests measure the same code path.
+/// HEP's ingestion: the degree pass, the planner and the CSR build, with
+/// h2h edges handed to `h2h_sink` as they are discovered. This is the
+/// exact region the memory budget of §4.2 governs; both drivers and the
+/// allocation-tracking tests run it.
 ///
-/// When `memory_budget_bytes` is set, [`plan_ingest`] first picks the
-/// largest τ (the configured one, or a degraded one) whose estimated peak
-/// footprint fits; the returned [`IngestPlan`] records what actually ran.
-/// Both passes read through `file`'s own IO mode
-/// ([`BinaryEdgeFile::with_io_mode`]).
+/// `make_pass` yields one pass over the `num_edges` edges on ids
+/// `0..num_vertices` (an edge slice, or a [`BinaryEdgeFile`] pass) and is
+/// called twice: for the degree pass ([`DegreeStats::from_pass`], which
+/// rejects an out-of-range id) and for the insertion pass
+/// ([`PrunedCsr::build_from_passes`]). In between, [`plan_ingest`] keeps
+/// `tau` when `memory_budget_bytes` is `None` or fits it, picks the
+/// largest τ on its halving grid that fits otherwise, and returns
+/// [`GraphError::BudgetExceeded`] when none does; the returned
+/// [`IngestPlan`] records what ran.
 ///
-/// `stream` extends the plan's peak accounting over phase 2: given the
-/// partition count `k` the driver will stream with, the planner charges
+/// `stream_k` extends the plan's peak accounting over phase 2: given the
+/// partition count the driver will stream with, the planner charges
 /// [`estimate_stream_overhead_bytes`] alongside the resident arrays. Pass
 /// `None` to plan ingestion alone.
-pub fn ingest_file_budgeted(
-    file: &BinaryEdgeFile,
+pub fn ingest<I>(
+    num_vertices: u32,
+    num_edges: u64,
+    mut make_pass: impl FnMut() -> Result<I, GraphError>,
     tau: f64,
     memory_budget_bytes: Option<u64>,
-    stream: Option<u32>,
+    stream_k: Option<u32>,
     h2h_sink: impl FnMut(Edge),
-) -> Result<(PrunedCsr, IngestPlan), GraphError> {
-    let stats = file.degree_stats(tau)?;
+) -> Result<(PrunedCsr, IngestPlan), GraphError>
+where
+    I: Iterator<Item = Result<Edge, GraphError>>,
+{
+    let stats = DegreeStats::from_pass(num_vertices, num_edges, make_pass()?, tau)?;
     let phase2_overhead =
-        stream.map_or(0, |k| estimate_stream_overhead_bytes(&stats.degrees, k, 0));
+        stream_k.map_or(0, |k| estimate_stream_overhead_bytes(&stats.degrees, k, 0));
     let plan =
         plan_ingest(&stats.degrees, stats.mean_degree, tau, memory_budget_bytes, phase2_overhead)?;
     // A degraded τ re-classifies from the degrees already in hand — no
-    // extra pass over the file.
+    // extra pass over the input.
     let stats = if plan.tau == tau {
         stats
     } else {
         DegreeStats::from_degrees(stats.degrees, stats.mean_degree, plan.tau)
     };
-    let csr = PrunedCsr::build_from_passes(stats, || file.pass(), h2h_sink)?;
+    let csr = PrunedCsr::build_from_passes(stats, make_pass, h2h_sink)?;
     Ok((csr, plan))
 }
 
@@ -121,10 +128,13 @@ pub struct HepRunReport {
     pub partition_sizes: Vec<u64>,
     /// Per-phase wall-clock breakdown.
     pub timings: PhaseTimings,
-    /// The executed ingestion plan of the file driver: the τ actually run
-    /// (degraded below the configured τ only when it does not fit the
-    /// budget) and the planner's footprint estimates. `None` for in-memory
-    /// runs, which ingest nothing.
+    /// The executed ingestion plan: the τ actually run (degraded below
+    /// the configured τ only when it does not fit the budget) and the
+    /// planner's footprint estimates. The budget governs both drivers and
+    /// charges neither the caller's `EdgeList` nor the mapped input file,
+    /// so the plan is always `Some`, and equal between them for the same
+    /// graph and config; it stays an `Option` only because the frozen
+    /// benchmark harness under `perfbench/` reads it as one.
     pub ingest: Option<IngestPlan>,
 }
 
@@ -134,49 +144,56 @@ impl Hep {
         Hep { config: HepConfig::with_tau(tau) }
     }
 
-    /// Runs both phases and returns the detailed report.
+    /// Runs both phases and returns the detailed report. The edge slice
+    /// is read twice, like a file (§4.1), and
+    /// [`HepConfig::memory_budget_bytes`] governs the run exactly as it
+    /// does [`Hep::partition_file_with_report`]'s; the caller's `graph` is
+    /// not charged to it, just as the mapped input file is not.
     pub fn partition_with_report(
         &self,
         graph: &EdgeList,
         k: u32,
         sink: &mut dyn AssignSink,
     ) -> Result<HepRunReport, GraphError> {
-        check_inputs(graph, k)?;
-        self.config.validate()?;
-        // Phase 0: graph building (a degree pass and one insertion pass
-        // over the edge list, §4.1), spilling h2h edges to the external
-        // edge file as they are found.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "phase timing lands in HepRunReport for benches; it never feeds an assignment decision"
-        )]
-        let build_start = Instant::now();
-        let stats = DegreeStats::new(graph, self.config.tau);
-        let guard = TempFileGuard(h2h_temp_path());
-        let mut spill = EdgeFileWriter::create(&guard.0, graph.num_vertices)?;
         let pass = || Ok(graph.edges.iter().copied().map(Ok));
-        let csr = PrunedCsr::build_from_passes(stats, pass, |e| spill.push(e))?;
-        spill.finish()?;
-        self.finish_phases(csr, k, guard, build_start.elapsed().as_secs_f64(), None, sink)
+        self.run(graph.num_vertices, graph.num_edges(), pass, k, sink)
     }
 
     /// Runs both phases directly off a headered binary edge file, never
     /// materializing an [`EdgeList`]: the degree pass and the CSR
     /// insertion pass stream over the file with a reused read buffer (§4.1
-    /// applied to disk), honoring [`HepConfig::memory_budget_bytes`] via
-    /// [`ingest_file_budgeted`]. [`HepConfig::io_mode`] replaces `file`'s
-    /// own mode and also reads the h2h spill back. Everything after graph
-    /// building is shared with [`Hep::partition_with_report`].
+    /// applied to disk). [`HepConfig::io_mode`] replaces `file`'s own mode
+    /// and also reads the h2h spill back. Everything else is shared with
+    /// [`Hep::partition_with_report`].
     pub fn partition_file_with_report(
         &self,
         file: &BinaryEdgeFile,
         k: u32,
         sink: &mut dyn AssignSink,
     ) -> Result<HepRunReport, GraphError> {
+        let file = file.clone().with_io_mode(self.config.io_mode);
+        self.run(file.num_vertices(), file.num_edges(), move || file.pass(), k, sink)
+    }
+
+    /// The one driver behind both entry points: the input check, then
+    /// [`ingest`] (a degree pass that checks ids against |V|, the planner
+    /// and one insertion pass spilling h2h edges to the external edge
+    /// file, §3.2.1), then both partitioning phases.
+    fn run<I>(
+        &self,
+        num_vertices: u32,
+        num_edges: u64,
+        make_pass: impl FnMut() -> Result<I, GraphError>,
+        k: u32,
+        sink: &mut dyn AssignSink,
+    ) -> Result<HepRunReport, GraphError>
+    where
+        I: Iterator<Item = Result<Edge, GraphError>>,
+    {
         if k < 2 {
             return Err(GraphError::InvalidPartitionCount { k });
         }
-        if file.num_edges() == 0 {
+        if num_edges == 0 {
             return Err(GraphError::EmptyGraph);
         }
         self.config.validate()?;
@@ -186,27 +203,29 @@ impl Hep {
         )]
         let build_start = Instant::now();
         let guard = TempFileGuard(h2h_temp_path());
-        let mut spill = EdgeFileWriter::create(&guard.0, file.num_vertices())?;
-        let (csr, plan) = ingest_file_budgeted(
-            &file.clone().with_io_mode(self.config.io_mode),
+        let mut spill = EdgeFileWriter::create(&guard.0, num_vertices)?;
+        let (csr, plan) = ingest(
+            num_vertices,
+            num_edges,
+            make_pass,
             self.config.tau,
             self.config.memory_budget_bytes,
             Some(k),
             |e| spill.push(e),
         )?;
         spill.finish()?;
-        self.finish_phases(csr, k, guard, build_start.elapsed().as_secs_f64(), Some(plan), sink)
+        self.finish_phases(csr, k, guard, build_start.elapsed().as_secs_f64(), plan, sink)
     }
 
-    /// Phases 1 and 2, shared by the in-memory and on-disk drivers: NE++
-    /// followed by informed streaming of the externalized h2h edges.
+    /// Phases 1 and 2 of [`Hep::run`]: NE++ followed by informed
+    /// streaming of the externalized h2h edges.
     fn finish_phases(
         &self,
         csr: PrunedCsr,
         k: u32,
         guard: TempFileGuard,
         build_secs: f64,
-        ingest: Option<IngestPlan>,
+        plan: IngestPlan,
         sink: &mut dyn AssignSink,
     ) -> Result<HepRunReport, GraphError> {
         let total_edges = csr.num_edges_total();
@@ -283,7 +302,7 @@ impl Hep {
             mean_degree,
             trace: nepp.trace,
             partition_sizes,
-            ingest,
+            ingest: Some(plan),
             timings: PhaseTimings {
                 build_secs,
                 nepp_secs,
@@ -421,14 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_invalid_inputs() {
-        let g = EdgeList::from_pairs([(0, 1)]);
-        let mut sink = CountingSink::default();
-        assert!(Hep::with_tau(10.0).partition(&g, 1, &mut sink).is_err());
-        assert!(Hep::with_tau(-1.0).partition(&g, 4, &mut sink).is_err());
-    }
-
-    #[test]
     fn deterministic() {
         let g = hep_gen::GraphSpec::ChungLu { n: 500, m: 4000, gamma: 2.2 }.generate(6);
         let (a, _) = run(&g, 8, 10.0);
@@ -452,6 +463,8 @@ mod tests {
         assert_eq!(mem.h2h_edges, from_file.h2h_edges);
         assert_eq!(mem.inmem_edges, from_file.inmem_edges);
         assert_eq!(mem.partition_sizes, from_file.partition_sizes);
+        assert!(mem.ingest.is_some(), "both drivers plan their ingestion");
+        assert_eq!(mem.ingest, from_file.ingest, "the drivers planned differently");
         assert!(from_file.timings.build_secs >= 0.0);
     }
 
@@ -483,41 +496,54 @@ mod tests {
         assert_eq!(report.partition_sizes, unbudgeted.1);
     }
 
+    /// Every bad input gets the same typed error from both drivers: the
+    /// one input check (k, then an empty graph, then the config), the
+    /// degree pass's id check, and the planner's budget check.
     #[test]
-    fn in_memory_run_reports_no_ingest_plan() {
-        let g = hep_gen::GraphSpec::ChungLu { n: 300, m: 2000, gamma: 2.1 }.generate(14);
-        let (_, report) = run(&g, 4, 10.0);
-        assert!(report.ingest.is_none());
-    }
-
-    #[test]
-    fn impossible_budget_surfaces_typed_error() {
-        let g = hep_gen::GraphSpec::ChungLu { n: 400, m: 3000, gamma: 2.0 }.generate(15);
-        let mut path = std::env::temp_dir();
-        path.push(format!("hep_impossible_budget_test_{}.hepb", std::process::id()));
-        let file = BinaryEdgeFile::write(&path, &g).unwrap();
-        let mut config = HepConfig::with_tau(10.0);
-        config.memory_budget_bytes = Some(1);
-        let mut sink = CountingSink::default();
-        let err = Hep { config }.partition_file_with_report(&file, 4, &mut sink).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        match err {
-            GraphError::BudgetExceeded { budget_bytes: 1, required_bytes } => {
-                assert!(required_bytes > 1);
-            }
-            other => panic!("expected BudgetExceeded, got {other:?}"),
+    fn both_drivers_reject_bad_inputs_with_the_same_error() {
+        use GraphError::*;
+        let good = hep_gen::GraphSpec::ChungLu { n: 400, m: 3000, gamma: 2.0 }.generate(15);
+        let out_of_range = EdgeList {
+            num_vertices: 3,
+            edges: vec![Edge::new(0, 1), Edge::new(1, 7), Edge::new(2, 0)],
+        };
+        let empty = EdgeList::from_pairs(std::iter::empty());
+        let config = HepConfig::with_tau(10.0);
+        let budget = |bytes| HepConfig { memory_budget_bytes: Some(bytes), ..config.clone() };
+        let k_error = |e: &GraphError| matches!(e, InvalidPartitionCount { .. });
+        let config_error = |e: &GraphError| matches!(e, InvalidConfig(_));
+        let budget_error = |e: &GraphError| matches!(e, BudgetExceeded { budget_bytes, required_bytes } if required_bytes > budget_bytes);
+        type Expect = fn(&GraphError) -> bool;
+        let cases: [(&str, &EdgeList, u32, HepConfig, Expect); 12] = [
+            ("k=0", &good, 0, config.clone(), k_error),
+            ("k=1", &good, 1, config.clone(), k_error),
+            ("empty graph", &empty, 4, config.clone(), |e| matches!(e, EmptyGraph)),
+            ("id out of range", &out_of_range, 2, config.clone(), |e| {
+                matches!(e, VertexOutOfRange { vertex: 7, num_vertices: 3 })
+            }),
+            ("tau=0", &good, 4, HepConfig::with_tau(0.0), config_error),
+            ("tau=-1", &good, 4, HepConfig::with_tau(-1.0), config_error),
+            ("tau=NaN", &good, 4, HepConfig::with_tau(f64::NAN), config_error),
+            ("alpha=0.5", &good, 4, HepConfig { alpha: 0.5, ..config.clone() }, config_error),
+            ("lambda=-1", &good, 4, HepConfig { lambda: -1.0, ..config.clone() }, config_error),
+            ("budget 0", &good, 4, budget(0), config_error),
+            ("budget 1 B", &good, 4, budget(1), budget_error),
+            ("budget 1 KiB", &good, 4, budget(1024), budget_error),
+        ];
+        for (i, (name, graph, k, config, expected)) in cases.into_iter().enumerate() {
+            let mut path = std::env::temp_dir();
+            path.push(format!("hep_bad_input_{}_{i}.hepb", std::process::id()));
+            let file = BinaryEdgeFile::write(&path, graph).unwrap();
+            let hep = Hep { config };
+            let mut sink = CountingSink::default();
+            let mem = hep.partition_with_report(graph, k, &mut sink).unwrap_err();
+            let from_file = hep.partition_file_with_report(&file, k, &mut sink).unwrap_err();
+            std::fs::remove_file(&path).ok();
+            assert!(expected(&mem), "{name}: in-memory driver returned {mem:?}");
+            // Same variant and payload, equal `required_bytes` included.
+            assert_eq!(format!("{mem:?}"), format!("{from_file:?}"), "{name}: drivers disagree");
+            assert!(sink.counts.is_empty(), "{name}: a rejected run assigned edges");
         }
-    }
-
-    #[test]
-    fn file_driver_rejects_bad_inputs() {
-        let g = EdgeList::from_pairs([(0, 1), (1, 2)]);
-        let mut path = std::env::temp_dir();
-        path.push(format!("hep_file_driver_bad_{}.hepb", std::process::id()));
-        let file = BinaryEdgeFile::write(&path, &g).unwrap();
-        let mut sink = CountingSink::default();
-        assert!(Hep::with_tau(10.0).partition_file_with_report(&file, 1, &mut sink).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod simple_hybrid;
 pub mod streaming;
 
 pub use config::{parse_byte_size, HepConfig};
-pub use hep::{ingest_file_budgeted, Hep, HepRunReport, PhaseTimings};
+pub use hep::{ingest, Hep, HepRunReport, PhaseTimings};
 pub use nepp::{NeppResult, NeppStats};
 pub use planner::{
     estimate_stream_overhead_bytes, ingest_peak_bytes, plan_ingest, plan_stream_batch, IngestPlan,

@@ -178,7 +178,7 @@ impl LoadTracker {
         }
         #[expect(
             clippy::expect_used,
-            reason = "check_inputs rejects k == 0 before any tracker is built"
+            reason = "input checks reject k < 2 before any tracker is built"
         )]
         let max = *levels.last().expect("k >= 1");
         LoadTracker { loads, levels, members, wpm, max }
@@ -509,9 +509,9 @@ fn debug_check_full_scan(
     chosen: PartitionId,
 ) {
     let replicated = |row: &[u64], p: usize| row[p >> 6] >> (p & 63) & 1 != 0;
-    #[expect(clippy::expect_used, reason = "check_inputs rejects k == 0, so loads is non-empty")]
+    #[expect(clippy::expect_used, reason = "input checks reject k < 2, so loads is non-empty")]
     let min_load = loads.iter().copied().min().expect("k >= 1");
-    #[expect(clippy::expect_used, reason = "check_inputs rejects k == 0, so loads is non-empty")]
+    #[expect(clippy::expect_used, reason = "input checks reject k < 2, so loads is non-empty")]
     let max_load = loads.iter().copied().max().expect("k >= 1");
     let denom = BAL_EPSILON + (max_load - min_load) as f64;
     let mut best: Option<(f64, usize)> = None;
@@ -535,7 +535,7 @@ fn debug_check_full_scan(
         Some((_, p)) => p,
         #[expect(
             clippy::expect_used,
-            reason = "check_inputs rejects k == 0, so the range is non-empty"
+            reason = "input checks reject k < 2, so the range is non-empty"
         )]
         None => (0..loads.len()).min_by_key(|&p| loads[p]).expect("k >= 1"),
     };

@@ -465,19 +465,7 @@ impl BinaryEdgeFile {
     /// `tau`, without materializing the edges. Out-of-range vertex ids are
     /// rejected (the header's `num_vertices` is a contract).
     pub fn degree_stats(&self, tau: f64) -> Result<DegreeStats, GraphError> {
-        let n = self.num_vertices;
-        let mut degrees = vec![0u32; n as usize];
-        for e in self.pass()? {
-            let e = e?;
-            let m = e.src.max(e.dst);
-            if m >= n {
-                return Err(GraphError::VertexOutOfRange { vertex: m, num_vertices: n });
-            }
-            degrees[e.src as usize] += 1;
-            degrees[e.dst as usize] += 1;
-        }
-        let mean = if n == 0 { 0.0 } else { 2.0 * self.num_edges as f64 / n as f64 };
-        Ok(DegreeStats::from_degrees(degrees, mean, tau))
+        DegreeStats::from_pass(self.num_vertices, self.num_edges, self.pass()?, tau)
     }
 
     /// Materializes the whole file as an [`EdgeList`] (tests, diagnostics

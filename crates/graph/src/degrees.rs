@@ -5,6 +5,8 @@
 //! controls HEP's memory/quality trade-off (§3.1, §4.4).
 
 use crate::edgelist::EdgeList;
+use crate::error::GraphError;
+use crate::types::Edge;
 use hep_ds::DenseBitset;
 
 /// The §3.1 low-degree predicate, and the only form of the threshold:
@@ -37,6 +39,36 @@ impl DegreeStats {
     /// Computes degrees and classifies vertices with threshold factor `tau`.
     pub fn new(graph: &EdgeList, tau: f64) -> Self {
         Self::from_degrees(graph.degrees(), graph.mean_degree(), tau)
+    }
+
+    /// The degree pass over one edge source of `num_edges` edges on ids
+    /// `0..num_vertices` (an edge slice, or a pass over a binary edge file),
+    /// classified with threshold factor `tau`. The mean degree is
+    /// `2·num_edges / num_vertices`, as [`EdgeList::mean_degree`] computes
+    /// it. An id `≥ num_vertices` is [`GraphError::VertexOutOfRange`], and
+    /// the first error the source yields is returned as is.
+    pub fn from_pass<I>(
+        num_vertices: u32,
+        num_edges: u64,
+        pass: I,
+        tau: f64,
+    ) -> Result<Self, GraphError>
+    where
+        I: Iterator<Item = Result<Edge, GraphError>>,
+    {
+        let n = num_vertices;
+        let mut degrees = vec![0u32; n as usize];
+        for e in pass {
+            let e = e?;
+            let m = e.src.max(e.dst);
+            if m >= n {
+                return Err(GraphError::VertexOutOfRange { vertex: m, num_vertices: n });
+            }
+            degrees[e.src as usize] += 1;
+            degrees[e.dst as usize] += 1;
+        }
+        let mean = if n == 0 { 0.0 } else { 2.0 * num_edges as f64 / n as f64 };
+        Ok(Self::from_degrees(degrees, mean, tau))
     }
 
     /// Classification from a precomputed degree array.
@@ -147,6 +179,19 @@ mod tests {
         for v in [0u32, 1, 2, 3, 6, 7, 8] {
             assert!(!s.is_high(v), "v{v} should be low-degree");
         }
+    }
+
+    #[test]
+    fn from_pass_matches_new_and_rejects_out_of_range_ids() {
+        let g = star(10);
+        let pass = g.edges.iter().copied().map(Ok);
+        let stats = DegreeStats::from_pass(g.num_vertices, g.num_edges(), pass, 2.0).unwrap();
+        assert_eq!(stats, DegreeStats::new(&g, 2.0));
+        let bad = [Edge::new(0, 1), Edge::new(1, 7)].map(Ok);
+        assert!(matches!(
+            DegreeStats::from_pass(3, 2, bad.into_iter(), 2.0),
+            Err(GraphError::VertexOutOfRange { vertex: 7, num_vertices: 3 })
+        ));
     }
 
     #[test]

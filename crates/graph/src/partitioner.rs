@@ -37,7 +37,10 @@ pub trait EdgePartitioner {
     ) -> Result<(), GraphError>;
 }
 
-/// Validates `k` against the input graph; shared by all partitioners.
+/// Validates `k` and the input graph; shared by all partitioners. The
+/// fields of an [`EdgeList`] are public, so an edge may name an id
+/// `≥ num_vertices`; that is [`GraphError::VertexOutOfRange`], not a
+/// panic in a degree count.
 pub fn check_inputs(graph: &EdgeList, k: u32) -> Result<(), GraphError> {
     if k < 2 {
         return Err(GraphError::InvalidPartitionCount { k });
@@ -45,7 +48,11 @@ pub fn check_inputs(graph: &EdgeList, k: u32) -> Result<(), GraphError> {
     if graph.edges.is_empty() {
         return Err(GraphError::EmptyGraph);
     }
-    Ok(())
+    let n = graph.num_vertices;
+    match graph.edges.iter().map(|e| e.src.max(e.dst)).find(|&v| v >= n) {
+        Some(vertex) => Err(GraphError::VertexOutOfRange { vertex, num_vertices: n }),
+        None => Ok(()),
+    }
 }
 
 /// Sink that stores all assignments; convenient in tests and for handing a
@@ -146,5 +153,14 @@ mod tests {
         assert!(check_inputs(&g, 2).is_ok());
         let empty = EdgeList::from_pairs(std::iter::empty());
         assert!(matches!(check_inputs(&empty, 4), Err(GraphError::EmptyGraph)));
+    }
+
+    #[test]
+    fn check_inputs_rejects_out_of_range_ids() {
+        let bad = EdgeList { num_vertices: 3, edges: vec![Edge::new(0, 1), Edge::new(1, 7)] };
+        assert!(matches!(
+            check_inputs(&bad, 2),
+            Err(GraphError::VertexOutOfRange { vertex: 7, num_vertices: 3 })
+        ));
     }
 }

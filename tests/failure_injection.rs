@@ -2,7 +2,7 @@
 //! with a descriptive error instead of panicking or producing garbage.
 
 use hep::graph::partitioner::CollectedAssignment;
-use hep::graph::{EdgeList, EdgePartitioner, GraphError};
+use hep::graph::{Edge, EdgeList, EdgePartitioner, GraphError};
 
 fn tiny_graph() -> EdgeList {
     EdgeList::from_pairs([(0, 1), (1, 2)])
@@ -44,6 +44,23 @@ fn every_partitioner_rejects_empty_graph() {
         match p.partition(&empty, 4, &mut sink) {
             Err(GraphError::EmptyGraph) => {}
             other => panic!("{} accepted an empty graph: {other:?}", p.name()),
+        }
+    }
+}
+
+#[test]
+fn every_partitioner_rejects_out_of_range_ids() {
+    // `EdgeList`'s fields are public, so an edge can name an id past
+    // `num_vertices`: a typed error, never an index panic.
+    let bad = EdgeList {
+        num_vertices: 3,
+        edges: vec![Edge::new(0, 1), Edge::new(1, 7), Edge::new(2, 0)],
+    };
+    for mut p in all_partitioners() {
+        let mut sink = CollectedAssignment::default();
+        match p.partition(&bad, 2, &mut sink) {
+            Err(GraphError::VertexOutOfRange { vertex: 7, num_vertices: 3 }) => {}
+            other => panic!("{} accepted an out-of-range id: {other:?}", p.name()),
         }
     }
 }

@@ -3,9 +3,9 @@
 //! suite pins the *absolute* assignment: the XXH64 fingerprint of the
 //! `(u, v, p)` emission sequence, as `perfbench` computes it, of small
 //! seeded generator graphs at the paper's τ ∈ {100, 10, 1} and
-//! k ∈ {4, 32}. Every row holds for the in-memory driver and for the file
-//! driver under both IO backends and under a memory budget equal to the
-//! run's own planned peak. A second table pins HDRF and ADWISE, the other
+//! k ∈ {4, 32}. Every row holds for the in-memory driver, for the file
+//! driver under both IO backends, and for both drivers under a memory
+//! budget equal to the run's own planned peak. A second table pins HDRF and ADWISE, the other
 //! callers of the HDRF scorer that HEP's streaming phase shares.
 
 use hep::baselines::{Adwise, Hdrf};
@@ -128,6 +128,13 @@ fn serial_pipeline_output_matches_golden_fingerprints() {
                     file_run(HepConfig { memory_budget_bytes: budget, ..HepConfig::with_tau(tau) });
                 assert_eq!(budgeted, plan, "{name} τ={tau} k={k}: the estimate budget fits τ");
                 check("file/estimate-budget", sink);
+                let config = HepConfig { memory_budget_bytes: budget, ..HepConfig::with_tau(tau) };
+                let mut sink = FingerprintSink::new();
+                let report = Hep { config }
+                    .partition_with_report(&graph, k, &mut sink)
+                    .expect("partition under the estimate budget");
+                assert_eq!(report.ingest, Some(plan), "{name} τ={tau} k={k}: the drivers' plans");
+                check("in-memory/estimate-budget", sink);
             }
         }
     }

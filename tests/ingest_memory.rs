@@ -11,8 +11,8 @@
 
 use hep::core::nepp::run_nepp;
 use hep::core::{
-    estimate_stream_overhead_bytes, ingest_file_budgeted, ingest_peak_bytes, plan_ingest,
-    stream_h2h, HepConfig, HighReplicas, IngestPlan,
+    estimate_stream_overhead_bytes, ingest, ingest_peak_bytes, plan_ingest, stream_h2h, HepConfig,
+    HighReplicas, IngestPlan,
 };
 use hep::ds::DenseBitset;
 use hep::graph::{BinaryEdgeFile, Edge, EdgeList, IoMode, PrunedCsr};
@@ -47,7 +47,7 @@ fn write_file(graph: &EdgeList, name: &str) -> (BinaryEdgeFile, TempFileGuard) {
 }
 
 /// Runs the exact pipeline region the budget governs — the degree pass and
-/// the CSR insertion pass of [`ingest_file_budgeted`] — under the counting
+/// the CSR insertion pass of [`ingest`] over a file — under the counting
 /// allocator. Returns the built CSR, the executed plan, the h2h count, and
 /// the measured peak heap in bytes. The buffered backend is the
 /// conservative one to track: its pass buffers live on the heap, where
@@ -62,7 +62,8 @@ fn measured_ingest(
     alloc_track::reset_peak();
     let baseline = alloc_track::current_bytes();
     let mut h2h = 0u64;
-    let result = ingest_file_budgeted(&file, tau, budget, None, |_| h2h += 1);
+    let (n, m) = (file.num_vertices(), file.num_edges());
+    let result = ingest(n, m, || file.pass(), tau, budget, None, |_| h2h += 1);
     let peak = alloc_track::peak_bytes().saturating_sub(baseline) as u64;
     let (csr, plan) = result.unwrap();
     (csr, plan, h2h, peak)
